@@ -15,7 +15,7 @@ from .kernels import KernelSpec
 from .lssvm import LssvmModel
 from .model_selection import Grid, best_candidate, cross_validate, lssvm_fit_fn, select
 from .multi_adapt import source_scores
-from .signals import Dataset, NormStats, apply_normalizer, fit_normalizer
+from .signals import Dataset, NormStats
 
 
 def fit_no_transfer(train: Dataset, grid: Grid) -> LssvmModel:

@@ -11,7 +11,6 @@ results only to files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +19,9 @@ from . import harness, signals, synth
 from .analysis import confusion_diff, recognition_correlation, similarity_cell, top4_similarity
 from .harness import EXPERIMENTS, METHODS, ExperimentConfig, MkalSelection, SubjectData
 from .model_selection import Grid
-from .signals import WindowSpec, load_dataset, load_recording, save_dataset, save_recording
+from .signals import (
+    WindowSpec, format_float, load_dataset, load_recording, save_dataset, save_recording,
+)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -51,8 +52,17 @@ def _sizes(text: str) -> tuple[int, ...]:
     return _ints(text)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _manifest_subjects(path: Path, keys: tuple[str, ...]) -> list[dict]:
+    """The `subjects` entries of a cohort or features manifest, each holding `keys`."""
+    doc = json.loads(path.read_text())
+    entries = doc.get("subjects") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: missing key 'subjects'")
+    for i, entry in enumerate(entries):
+        for key in keys:
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f"{path}: subject entry {i} lacks key {key!r}")
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +181,8 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     indir = Path(opts["in_dir"])
     manifest_path = indir / "cohort.json"
     if manifest_path.exists():
-        cohort = json.loads(manifest_path.read_text())
-        stems = [(e["subject_id"], e["stem"]) for e in cohort["subjects"]]
+        cohort = _manifest_subjects(manifest_path, ("subject_id", "stem"))
+        stems = [(e["subject_id"], e["stem"]) for e in cohort]
     else:
         stems = sorted(
             (p.stem, p.stem) for p in indir.glob("*.json") if p.with_suffix(".csv").exists()
@@ -246,7 +256,9 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest_path = fdir / "features.json"
     if not manifest_path.exists():
         parser.error(f"{manifest_path} not found; run the features command first")
-    doc = json.loads(manifest_path.read_text())
+    entries = _manifest_subjects(
+        manifest_path, ("subject_id", "condition", "train_stem", "test_stem")
+    )
     subjects = [
         SubjectData(
             subject_id=e["subject_id"],
@@ -254,7 +266,7 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             train=load_dataset(fdir / e["train_stem"]),
             test=load_dataset(fdir / e["test_stem"]),
         )
-        for e in doc["subjects"]
+        for e in entries
     ]
 
     methods = METHODS if str(opts["methods"]).lower() == "all" else tuple(str(opts["methods"]).split(","))
@@ -355,7 +367,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             diff = confusion_diff(per_run[a][(method, size)], per_run[b][(method, size)])
             lines = ["pred\\true," + ",".join(str(c) for c in range(g))]
             for r in range(g):
-                lines.append(f"{r}," + ",".join(_fmt(v) for v in diff[r]))
+                lines.append(f"{r}," + ",".join(format_float(v) for v in diff[r]))
             path = outdir / f"diff_{method}_{size}.csv"
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
@@ -376,7 +388,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     corr_keys, corr = recognition_correlation(corr_inputs)
     lines = ["pair," + ",".join(corr_keys)]
     for i, key in enumerate(corr_keys):
-        lines.append(f"{key}," + ",".join(_fmt(v) for v in corr[i]))
+        lines.append(f"{key}," + ",".join(format_float(v) for v in corr[i]))
     path = outdir / "correlation.csv"
     path.write_text("\n".join(lines) + "\n")
     written.append(path)

@@ -43,7 +43,7 @@ from .lssvm import LssvmModel
 from .mkal import MkalConfig, fit_mkal, predict_mkal
 from .model_selection import Grid, best_candidate, cross_validate, lssvm_fit_fn, select
 from .multi_adapt import fit_ma, predict_ma, source_scores
-from .signals import Dataset, apply_normalizer, fit_normalizer
+from .signals import Dataset, apply_normalizer, fit_normalizer, format_float
 
 METHODS = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
 EXPERIMENTS = ("II", "AA", "AI")
@@ -51,11 +51,10 @@ EXPERIMENTS = ("II", "AA", "AI")
 
 @dataclass(frozen=True)
 class MkalSelection:
-    """Validation grid and budgets for the multi-kernel method."""
+    """Validation grid and budgets for the multi-kernel method; CV uses the main grid's folds."""
 
     p_grid: tuple[float, ...] = (1.05, 1.25, 1.5, 2.0)
     lambda_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
-    folds: int | None = None  # None: reuse the main grid's fold count
     epochs_online: int = 5
     epochs_batch: int = 20
 
@@ -201,7 +200,6 @@ def _fit_eval_cell(
         return predict_ma(model, test.features, s_test)[0], dict(shared)
     if method == "MKAL":
         sel = cfg.mkal
-        folds = sel.folds if sel.folds is not None else cfg.grid.folds
         fit_seed = _seed_int(base, *cell_key, 4)
         candidates = [
             {"lam": lam, "p": p} for lam in sorted(sel.lambda_grid) for p in sorted(sel.p_grid)
@@ -220,7 +218,7 @@ def _fit_eval_cell(
             return predict_mkal(mdl, sub.features[va], s_sub[va])[0]
 
         table = cross_validate(
-            sub.labels, candidates, fit_predict, folds, _seed_int(base, *cell_key, 5)
+            sub.labels, candidates, fit_predict, cfg.grid.folds, _seed_int(base, *cell_key, 5)
         )
         best = best_candidate(table)
         model = fit_mkal(sub, source_models, make_cfg(best), source_scores_train=s_sub)
@@ -401,10 +399,6 @@ def pooled_confusions(result: ExperimentResult) -> dict[tuple[str, int], Confusi
 # file outputs
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_run_outputs(result: ExperimentResult, outdir: str | Path) -> list[Path]:
     """Write curves, raw accuracies, pooled confusions and a manifest."""
     outdir = Path(outdir)
@@ -417,14 +411,15 @@ def write_run_outputs(result: ExperimentResult, outdir: str | Path) -> list[Path
     for method in sorted(curves):
         cv = curves[method]
         for i, size in enumerate(cv.sizes):
-            lines.append(f"{method},{size},{_fmt(cv.mean[i])},{_fmt(cv.lo[i])},{_fmt(cv.hi[i])}")
+            stats = (cv.mean[i], cv.lo[i], cv.hi[i])
+            lines.append(f"{method},{size}," + ",".join(format_float(v) for v in stats))
     path.write_text("\n".join(lines) + "\n")
     written.append(path)
 
     path = outdir / "accuracies.csv"
     lines = ["method,size,target,seed_index,accuracy"]
     for c in sorted(result.cells, key=lambda c: (c.method, c.size, c.target_id, c.seed_index)):
-        lines.append(f"{c.method},{c.size},{c.target_id},{c.seed_index},{_fmt(c.accuracy)}")
+        lines.append(f"{c.method},{c.size},{c.target_id},{c.seed_index},{format_float(c.accuracy)}")
     path.write_text("\n".join(lines) + "\n")
     written.append(path)
 

@@ -10,10 +10,8 @@ Queries follow the same path with the stored normalization.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
 from .multi_adapt import source_scores
-from .signals import Dataset, NormStats, fit_normalizer, apply_normalizer
+from .signals import Dataset, apply_normalizer, fit_normalizer
 
 
 @dataclass
@@ -29,9 +27,6 @@ class Hl2lModel:
     layer1: LssvmModel
     layer2: LssvmModel  # trained on normalized stacked score vectors
     num_sources: int
-    split_seed: int
-    split_ratio: float
-    score_norm_stats: NormStats
 
 
 def stratified_split(
@@ -80,7 +75,6 @@ def stacking_dataset(
     kernel1: KernelSpec,
     C1: float,
     seed: int = 0,
-    ratio: float = 0.63,
     source_scores_train: np.ndarray | None = None,
 ) -> tuple[LssvmModel, Dataset]:
     """Layer 1 model plus the raw (unnormalized) stacked layer-2 training set."""
@@ -89,7 +83,7 @@ def stacking_dataset(
     n = len(train)
     if n < len(sources) + 2:
         raise ValueError("not enough training samples for stacking")
-    side_a, side_b = stratified_split(train.labels, ratio=ratio, seed=seed)
+    side_a, side_b = stratified_split(train.labels, seed=seed)
     if len(side_b) < 2:
         raise ValueError("insufficient data for stacking: the held-out side is too small")
     layer1 = lssvm.fit(train.subset(side_a), kernel1, C1)
@@ -115,24 +109,15 @@ def fit_hl2l(
     kernel2: KernelSpec,
     C2: float,
     seed: int = 0,
-    ratio: float = 0.63,
     source_scores_train: np.ndarray | None = None,
 ) -> Hl2lModel:
     layer1, raw_ds = stacking_dataset(
-        train, sources, kernel1, C1, seed=seed, ratio=ratio,
-        source_scores_train=source_scores_train,
+        train, sources, kernel1, C1, seed=seed, source_scores_train=source_scores_train
     )
     stats = fit_normalizer(raw_ds)
     layer2 = lssvm.fit(apply_normalizer(raw_ds, stats), kernel2, C2)
     layer2.norm_stats = stats
-    return Hl2lModel(
-        layer1=layer1,
-        layer2=layer2,
-        num_sources=len(sources),
-        split_seed=seed,
-        split_ratio=ratio,
-        score_norm_stats=stats,
-    )
+    return Hl2lModel(layer1=layer1, layer2=layer2, num_sources=len(sources))
 
 
 def predict_hl2l(
@@ -144,30 +129,3 @@ def predict_hl2l(
     t_scores = lssvm.decision_scores(model.layer1, X)
     stacked = stack_scores(t_scores, source_scores_x)
     return lssvm.predict(model.layer2, stacked)
-
-
-def save_hl2l(model: Hl2lModel, path: str | Path) -> None:
-    doc = {
-        "kind": "hl2l",
-        "layer1": lssvm.model_to_doc(model.layer1),
-        "layer2": lssvm.model_to_doc(model.layer2),
-        "num_sources": model.num_sources,
-        "split_seed": model.split_seed,
-        "split_ratio": model.split_ratio,
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def load_hl2l(path: str | Path) -> Hl2lModel:
-    doc = json.loads(Path(path).read_text())
-    layer2 = lssvm.model_from_doc(doc["layer2"])
-    if layer2.norm_stats is None:
-        raise ValueError("stored layer 2 is missing its normalization stats")
-    return Hl2lModel(
-        layer1=lssvm.model_from_doc(doc["layer1"]),
-        layer2=layer2,
-        num_sources=int(doc["num_sources"]),
-        split_seed=int(doc["split_seed"]),
-        split_ratio=float(doc["split_ratio"]),
-        score_norm_stats=layer2.norm_stats,
-    )

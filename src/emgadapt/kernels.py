@@ -27,30 +27,9 @@ class KernelSpec:
             if self.gamma is None or not self.gamma > 0:
                 raise ValueError("gaussian kernel requires gamma > 0")
 
-    def to_doc(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "KernelSpec":
-        return cls(kind=doc["kind"], gamma=doc["gamma"])
-
-
-def kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Scalar kernel value for two vectors of equal dimension."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(
-            f"kernel expects two equal-length vectors, got shapes {a.shape} and {b.shape}"
-        )
-    if spec.kind == "linear":
-        return float(a @ b)
-    d = a - b
-    return float(np.exp(-spec.gamma * (d @ d)))
-
 
 def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Pairwise kernel matrix with entry (i, j) = kernel(spec, X[i], Z[j])."""
+    """Pairwise kernel matrix with entry (i, j) = k(X[i], Z[j])."""
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2:

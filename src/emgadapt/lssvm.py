@@ -16,9 +16,7 @@ gives exact leave-one-out residuals without retraining:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -165,41 +163,3 @@ def loo_residuals(train: Dataset, kernel_spec: KernelSpec, C: float) -> np.ndarr
     targets = ova_targets(train.labels, train.num_classes)
     alphas = h @ targets
     return alphas / d[:, None]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def model_to_doc(model: LssvmModel) -> dict:
-    return {
-        "kind": "lssvm",
-        "kernel": model.kernel.to_doc(),
-        "C": model.C,
-        "num_classes": model.num_classes,
-        "biases": model.biases.tolist(),
-        "alphas": model.alphas.tolist(),
-        "support_inputs": model.support_inputs.tolist(),
-        "norm_stats": model.norm_stats.to_doc() if model.norm_stats is not None else None,
-    }
-
-
-def model_from_doc(doc: dict) -> LssvmModel:
-    stats = doc.get("norm_stats")
-    return LssvmModel(
-        kernel=KernelSpec.from_doc(doc["kernel"]),
-        C=float(doc["C"]),
-        num_classes=int(doc["num_classes"]),
-        support_inputs=np.array(doc["support_inputs"], dtype=float),
-        alphas=np.array(doc["alphas"], dtype=float),
-        biases=np.array(doc["biases"], dtype=float),
-        norm_stats=NormStats.from_doc(stats) if stats else None,
-    )
-
-
-def save_model(model: LssvmModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_doc(model), sort_keys=True) + "\n")
-
-
-def load_model(path: str | Path) -> LssvmModel:
-    return model_from_doc(json.loads(Path(path).read_text()))

@@ -25,13 +25,10 @@ iterate under the full objective is kept; the zero model (objective exactly
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import lssvm
 from .kernels import KernelSpec, gram
 from .lssvm import LssvmModel
 from .multi_adapt import source_scores
@@ -295,46 +292,4 @@ def model_objective(model: MkalModel, train: Dataset) -> float:
     """Objective of a trained model on its own training set."""
     return mkal_objective(
         train, model.train_source_scores, model.dual_coeffs, model.kernel0, model.p, model.lam
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization: duals and raw inputs inline; source scores by shape only,
-# recomputed from the source models at load time
-
-
-def save_mkal(model: MkalModel, path: str | Path) -> None:
-    doc = {
-        "kind": "mkal",
-        "p": model.p,
-        "lam": model.lam,
-        "num_classes": model.num_classes,
-        "blocks": [{"kind": "gaussian_raw", "kernel": model.kernel0.to_doc()}]
-        + [{"kind": "linear_source_scores", "source": kb} for kb in range(model.num_sources)],
-        "dual_coeffs": [model.dual_coeffs[kb].tolist() for kb in range(len(model.dual_coeffs))],
-        "train_inputs": model.train_inputs.tolist(),
-        "source_score_shape": list(model.train_source_scores.shape),
-        "block_norms": model.block_norms.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def load_mkal(path: str | Path, sources: list[LssvmModel]) -> MkalModel:
-    doc = json.loads(Path(path).read_text())
-    train_inputs = np.array(doc["train_inputs"], dtype=float)
-    s_tensor = source_scores(sources, train_inputs)
-    if list(s_tensor.shape) != doc["source_score_shape"]:
-        raise ValueError(
-            f"recomputed source scores {list(s_tensor.shape)} do not match the stored "
-            f"shape {doc['source_score_shape']}"
-        )
-    return MkalModel(
-        p=float(doc["p"]),
-        lam=float(doc["lam"]),
-        kernel0=KernelSpec.from_doc(doc["blocks"][0]["kernel"]),
-        num_classes=int(doc["num_classes"]),
-        train_inputs=train_inputs,
-        train_source_scores=s_tensor,
-        dual_coeffs=np.array(doc["dual_coeffs"], dtype=float),
-        block_norms=np.array(doc["block_norms"], dtype=float),
     )

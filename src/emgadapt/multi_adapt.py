@@ -20,9 +20,7 @@ keeps beta non-negative with per-class L2 norm at most 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +28,8 @@ from . import lssvm
 from .kernels import KernelSpec, gram
 from .lssvm import LssvmModel
 from .signals import Dataset
+
+BETA_ITERATIONS = 300  # projected subgradient steps; the best iterate is kept
 
 
 @dataclass
@@ -92,8 +92,6 @@ def fit_ma(
     kernel_spec: KernelSpec,
     C: float,
     *,
-    iterations: int = 300,
-    eta0: float = 1.0,
     beta: np.ndarray | None = None,
     source_scores_train: np.ndarray | None = None,
 ) -> MaModel:
@@ -130,11 +128,11 @@ def fit_ma(
         b = np.zeros((k, g))
         best_val = loo_hinge_bound(Y, base_loo, V, b)
         best_beta = b.copy()
-        for t in range(1, iterations + 1):
+        for t in range(1, BETA_ITERATIONS + 1):
             yhat = base_loo + np.einsum("ikg,kg->ig", V, b)
             active = (1.0 - Y * yhat) > 0.0
             grad = -np.einsum("ig,ikg->kg", Y * active, V)
-            b = project_beta(b - (eta0 / np.sqrt(t)) * grad)
+            b = project_beta(b - (1.0 / np.sqrt(t)) * grad)
             val = loo_hinge_bound(Y, base_loo, V, b)
             if val < best_val:
                 best_val = val
@@ -171,38 +169,3 @@ def predict_ma(
     scores = lssvm.decision_scores(model.base, X)
     scores = scores + np.einsum("mkg,kg->mg", source_scores_x, model.beta.values)
     return np.argmax(scores, axis=1), scores
-
-
-# ---------------------------------------------------------------------------
-# serialization: base machine and beta inline, sources by file reference
-
-
-def save_ma(model: MaModel, path: str | Path, source_refs: list[str]) -> None:
-    if len(source_refs) != len(model.sources):
-        raise ValueError("need one source reference per source model")
-    doc = {
-        "kind": "multi_adapt",
-        "base": lssvm.model_to_doc(model.base),
-        "beta": model.beta.values.tolist(),
-        "source_refs": list(source_refs),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def load_ma(
-    path: str | Path,
-    sources: list[LssvmModel] | None = None,
-    base_dir: str | Path | None = None,
-) -> MaModel:
-    path = Path(path)
-    doc = json.loads(path.read_text())
-    if sources is None:
-        root = Path(base_dir) if base_dir is not None else path.parent
-        sources = [lssvm.load_model(root / ref) for ref in doc["source_refs"]]
-    if len(sources) != len(doc["source_refs"]):
-        raise ValueError("source model count does not match stored references")
-    return MaModel(
-        base=lssvm.model_from_doc(doc["base"]),
-        beta=BetaWeights(np.array(doc["beta"], dtype=float)),
-        sources=list(sources),
-    )

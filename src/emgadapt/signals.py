@@ -84,13 +84,13 @@ class WindowSpec:
             raise ValueError("step_ms must not exceed window_ms")
 
     def window_samples(self, rate_hz: float) -> int:
-        return _ms_to_samples(self.window_ms, rate_hz)
+        return ms_to_samples(self.window_ms, rate_hz)
 
     def step_samples(self, rate_hz: float) -> int:
-        return _ms_to_samples(self.step_ms, rate_hz)
+        return ms_to_samples(self.step_ms, rate_hz)
 
 
-def _ms_to_samples(ms: float, rate_hz: float) -> int:
+def ms_to_samples(ms: float, rate_hz: float) -> int:
     # half-up rounding keeps window geometry stable across platforms
     n = int(math.floor(ms * rate_hz / 1000.0 + 0.5))
     if n < 1:
@@ -250,30 +250,6 @@ def feature_names(channels: int) -> list[str]:
     return names
 
 
-def build_dataset(recs: list[Recording], spec: WindowSpec) -> Dataset:
-    """Segment recordings and stack per-window feature vectors (unnormalized)."""
-    if not recs:
-        raise ValueError("no data: empty recording list")
-    channels = recs[0].channels
-    num_classes = recs[0].num_classes
-    for r in recs:
-        if r.channels != channels or r.num_classes != num_classes:
-            raise ValueError("recordings disagree on channel or class count")
-    rows, labels = [], []
-    for r in recs:
-        for win in segment(r, spec):
-            rows.append(extract_features(win.values))
-            labels.append(win.label)
-    if not rows:
-        raise ValueError("no data: segmentation produced no windows")
-    return Dataset(
-        features=np.array(rows),
-        labels=np.array(labels, dtype=int),
-        num_classes=num_classes,
-        feature_names=feature_names(channels),
-    )
-
-
 def fit_normalizer(train: Dataset) -> NormStats:
     if len(train) == 0:
         raise ValueError("cannot fit normalizer on an empty dataset")
@@ -343,8 +319,19 @@ def build_subject_datasets(
 # file formats
 
 
-def _format_float(v: float) -> str:
+def format_float(v: float) -> str:
+    """Shortest text that reads back as exactly `v`; every CSV writer uses it."""
     return repr(float(v))
+
+
+def _data_rows(reader, header: list[str], path: Path):
+    """The remaining rows of `reader`, each checked to have one field per header column."""
+    for row in reader:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path} line {reader.line_num}: {len(row)} fields, header has {len(header)}"
+            )
+        yield row
 
 
 def save_recording(rec: Recording, stem: str | Path) -> None:
@@ -363,7 +350,7 @@ def save_recording(rec: Recording, stem: str | Path) -> None:
         writer.writerow([f"ch_{c + 1}" for c in range(rec.channels)] + ["label", "repetition"])
         for i in range(rec.num_samples):
             writer.writerow(
-                [_format_float(v) for v in rec.samples[i]]
+                [format_float(v) for v in rec.samples[i]]
                 + [int(rec.labels[i]), int(rec.repetitions[i])]
             )
 
@@ -373,14 +360,15 @@ def load_recording(stem: str | Path) -> Recording:
     if stem.suffix:
         stem = stem.with_suffix("")
     meta = json.loads(stem.with_suffix(".json").read_text())
-    with open(stem.with_suffix(".csv"), newline="") as fh:
+    path = stem.with_suffix(".csv")
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         c = meta["channels"]
         if header != [f"ch_{i + 1}" for i in range(c)] + ["label", "repetition"]:
-            raise ValueError(f"unexpected recording CSV header in {stem}.csv")
+            raise ValueError(f"unexpected recording CSV header in {path}")
         samples, labels, reps = [], [], []
-        for row in reader:
+        for row in _data_rows(reader, header, path):
             samples.append([float(v) for v in row[:c]])
             labels.append(int(row[c]))
             reps.append(int(row[c + 1]))
@@ -409,7 +397,7 @@ def save_dataset(ds: Dataset, stem: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"f_{i + 1}" for i in range(ds.dim)] + ["label"])
         for i in range(len(ds)):
-            writer.writerow([_format_float(v) for v in ds.features[i]] + [int(ds.labels[i])])
+            writer.writerow([format_float(v) for v in ds.features[i]] + [int(ds.labels[i])])
 
 
 def load_dataset(stem: str | Path) -> Dataset:
@@ -417,14 +405,15 @@ def load_dataset(stem: str | Path) -> Dataset:
     if stem.suffix:
         stem = stem.with_suffix("")
     sidecar = json.loads(stem.with_suffix(".json").read_text())
-    with open(stem.with_suffix(".csv"), newline="") as fh:
+    path = stem.with_suffix(".csv")
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         d = len(sidecar["feature_names"])
         if header != [f"f_{i + 1}" for i in range(d)] + ["label"]:
-            raise ValueError(f"unexpected dataset CSV header in {stem}.csv")
+            raise ValueError(f"unexpected dataset CSV header in {path}")
         rows, labels = [], []
-        for row in reader:
+        for row in _data_rows(reader, header, path):
             rows.append([float(v) for v in row[:d]])
             labels.append(int(row[d]))
     stats = sidecar.get("norm_stats")

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (
-    Dataset,
-    Recording,
-    WindowSpec,
-    build_subject_datasets,
-)
+from .signals import Dataset, Recording, WindowSpec, build_subject_datasets, ms_to_samples
 
 
 @dataclass
@@ -77,10 +72,8 @@ def generate_recording(
         raise ValueError("reps must be >= 1")
     if not rate_hz > 0:
         raise ValueError("rate_hz must be > 0")
-    w_move = int(math.floor(movement_ms * rate_hz / 1000.0 + 0.5))
-    w_rest = int(math.floor(rest_ms * rate_hz / 1000.0 + 0.5))
-    if w_move < 1 or w_rest < 1:
-        raise ValueError("movement and rest segments must span at least one sample")
+    w_move = ms_to_samples(movement_ms, rate_hz)
+    w_rest = ms_to_samples(rest_ms, rate_hz)
 
     rng = np.random.default_rng(spec.seed)
     c = spec.channels

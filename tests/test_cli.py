@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -291,6 +292,38 @@ def test_value_errors_return_2(arts, tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_truncated_feature_csv_returns_2(arts, tmp_path, capsys):
+    feats = tmp_path / "feats"
+    shutil.copytree(arts / "feats", feats)
+    csv_path = feats / "s00_train.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    csv_path.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 2
+    assert "s00_train.csv line 3" in capsys.readouterr().err
+
+
+def test_manifest_entry_without_a_required_key_returns_2(arts, tmp_path, capsys):
+    feats = tmp_path / "feats"
+    shutil.copytree(arts / "feats", feats)
+    doc = json.loads((feats / "features.json").read_text())
+    del doc["subjects"][1]["condition"]
+    (feats / "features.json").write_text(json.dumps(doc))
+    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 2
+    assert "features.json: subject entry 1 lacks key 'condition'" in capsys.readouterr().err
+
+    cohort = tmp_path / "cohort"
+    shutil.copytree(arts / "cohort", cohort)
+    doc = json.loads((cohort / "cohort.json").read_text())
+    del doc["subjects"][0]["stem"]
+    (cohort / "cohort.json").write_text(json.dumps(doc))
+    code = main(["features", "--in-dir", str(cohort), "--out-dir", str(tmp_path / "f")])
+    assert code == 2
+    assert "cohort.json: subject entry 0 lacks key 'stem'" in capsys.readouterr().err
 
 
 def test_missing_input_dir_exits_2(tmp_path):

@@ -22,9 +22,7 @@ from emgadapt.model_selection import Grid
 from emgadapt.signals import Dataset
 
 GRID = Grid(C_values=(1.0, 10.0), gamma_values=(0.5,), folds=2, seed=0)
-MKAL_SEL = MkalSelection(
-    p_grid=(1.5,), lambda_grid=(1e-2,), folds=2, epochs_online=2, epochs_batch=4
-)
+MKAL_SEL = MkalSelection(p_grid=(1.5,), lambda_grid=(1e-2,), epochs_online=2, epochs_batch=4)
 
 
 def _blobs(rng, centers, per_class, spread):

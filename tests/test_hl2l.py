@@ -9,9 +9,7 @@ from numpy.testing import assert_allclose
 from emgadapt import lssvm
 from emgadapt.hl2l import (
     fit_hl2l,
-    load_hl2l,
     predict_hl2l,
-    save_hl2l,
     stack_scores,
     stacking_dataset,
     stratified_split,
@@ -126,7 +124,7 @@ def test_layer2_normalization_uses_stack_statistics():
     k1 = KernelSpec("gaussian", 1.0)
     model = fit_hl2l(train, sources, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=4)
     _, raw = stacking_dataset(train, sources, k1, 10.0, seed=4)
-    assert_allclose(model.score_norm_stats.mean, raw.features.mean(axis=0), atol=1e-12)
+    assert_allclose(model.layer2.norm_stats.mean, raw.features.mean(axis=0), atol=1e-12)
 
 
 def test_fit_is_deterministic_given_seed():
@@ -139,18 +137,3 @@ def test_fit_is_deterministic_given_seed():
     assert np.array_equal(a.layer2.alphas, b.layer2.alphas)
     c = fit_hl2l(*args, seed=4)
     assert not np.array_equal(a.layer1.alphas, c.layer1.alphas)
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    train = _blobs(rng, n_per=10)
-    sources = [_source(rng)]
-    model = fit_hl2l(
-        train, sources, KernelSpec("gaussian", 1.0), 10.0, KernelSpec("gaussian", 0.5), 5.0,
-        seed=1,
-    )
-    save_hl2l(model, tmp_path / "h.json")
-    back = load_hl2l(tmp_path / "h.json")
-    q = rng.normal(size=(8, 2))
-    s_q = source_scores(sources, q)
-    assert np.array_equal(predict_hl2l(back, q, s_q)[1], predict_hl2l(model, q, s_q)[1])

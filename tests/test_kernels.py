@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emgadapt.kernels import KernelSpec, gram, kernel
+from emgadapt.kernels import KernelSpec, gram
+
+
+def kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Scalar kernel of two vectors: the oracle for one entry of `gram`."""
+    if spec.kind == "linear":
+        return float(a @ b)
+    d = a - b
+    return float(np.exp(-spec.gamma * (d @ d)))
 
 
 def test_gaussian_scalar_values():
@@ -72,15 +80,8 @@ def test_spec_validation():
     KernelSpec("linear")  # gamma optional for linear
 
 
-def test_spec_doc_round_trip():
-    for spec in (KernelSpec("gaussian", 0.25), KernelSpec("linear")):
-        assert KernelSpec.from_doc(spec.to_doc()) == spec
-
-
 def test_shape_errors():
     spec = KernelSpec("linear")
-    with pytest.raises(ValueError):
-        kernel(spec, np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         gram(spec, np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValueError):

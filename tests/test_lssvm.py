@@ -10,10 +10,8 @@ from emgadapt.lssvm import (
     LssvmModel,
     NumericalError,
     bordered_inverse_block,
-    load_model,
     loo_residuals,
     ova_targets,
-    save_model,
     solve_dual_system,
 )
 from emgadapt.signals import Dataset
@@ -180,14 +178,3 @@ def test_degenerate_system_raises_numerical_error():
     kmat = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NumericalError):
         solve_dual_system(kmat, 1.0, np.ones((2, 1)))
-
-
-def test_model_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(14)
-    ds = _random_dataset(rng, n=10, g=3, d=2)
-    model = lssvm.fit(ds, KernelSpec("gaussian", 0.7), 3.0)
-    save_model(model, tmp_path / "m.json")
-    back = load_model(tmp_path / "m.json")
-    q = rng.normal(size=(6, 2))
-    assert np.array_equal(lssvm.predict(back, q)[1], lssvm.predict(model, q)[1])
-    assert back.kernel == model.kernel and back.C == model.C

@@ -10,11 +10,9 @@ from emgadapt.mkal import (
     MkalConfig,
     fit_mkal,
     group_norm,
-    load_mkal,
     mkal_objective,
     model_objective,
     predict_mkal,
-    save_mkal,
 )
 from emgadapt.signals import Dataset
 
@@ -190,17 +188,3 @@ def test_custom_raw_kernel_block():
         train, sources, MkalConfig(lam=1e-2, seed=0), kernel0=KernelSpec("linear")
     )
     assert model.kernel0 == KernelSpec("linear")
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(10)
-    train = _blobs(rng, n_per=8)
-    sources = [_source(rng)]
-    model = fit_mkal(train, sources, MkalConfig(lam=1e-2, gamma=1.0, seed=4))
-    save_mkal(model, tmp_path / "mkal.json")
-    back = load_mkal(tmp_path / "mkal.json", sources)
-    from emgadapt.multi_adapt import source_scores
-
-    query = rng.normal(size=(12, 2))
-    s_q = source_scores(sources, query)
-    assert np.array_equal(predict_mkal(back, query, s_q)[1], predict_mkal(model, query, s_q)[1])

@@ -10,11 +10,9 @@ from emgadapt.lssvm import bordered_inverse_block, ova_targets, solve_dual_syste
 from emgadapt.multi_adapt import (
     BetaWeights,
     fit_ma,
-    load_ma,
     loo_hinge_bound,
     predict_ma,
     project_beta,
-    save_ma,
     source_scores,
 )
 from emgadapt.signals import Dataset
@@ -138,6 +136,23 @@ def test_fitted_beta_prefers_the_informative_source():
     assert norms[0] > norms[1]
 
 
+def test_fitted_beta_is_no_worse_than_beta_zero_on_the_loo_bound():
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        train = _blobs(rng, n_per=int(rng.integers(3, 7)), spread=0.9)
+        sources = [_source(rng), _source(rng, scramble=True)]
+        spec = KernelSpec("gaussian", float(10.0 ** rng.uniform(-1, 1)))
+        c = float(10.0 ** rng.uniform(-1, 2))
+        model = fit_ma(train, sources, spec, c)
+
+        y = ova_targets(train.labels, train.num_classes)
+        h, d = bordered_inverse_block(gram(spec, train.features, train.features), c)
+        base_loo = y - (h @ y) / d[:, None]
+        v = np.einsum("ij,jkg->ikg", h, source_scores(sources, train.features)) / d[:, None, None]
+        fitted = loo_hinge_bound(y, base_loo, v, model.beta.values)
+        assert fitted <= loo_hinge_bound(y, base_loo, v, np.zeros_like(model.beta.values))
+
+
 def test_transfer_helps_small_training_sets():
     rng = np.random.default_rng(5)
     sources = [_source(rng) for _ in range(3)]
@@ -182,15 +197,3 @@ def test_validation_errors():
     src = _source(rng)
     with pytest.raises(ValueError):
         fit_ma(train, [src], KernelSpec("gaussian", 1.0), 1.0, beta=np.zeros((2, 3)))
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    train = _blobs(rng, n_per=5)
-    sources = [_source(rng)]
-    model = fit_ma(train, sources, KernelSpec("gaussian", 1.0), 5.0)
-    lssvm.save_model(sources[0], tmp_path / "src0.json")
-    save_ma(model, tmp_path / "ma.json", source_refs=["src0.json"])
-    back = load_ma(tmp_path / "ma.json")
-    query = rng.normal(size=(9, 2))
-    assert np.array_equal(predict_ma(back, query)[1], predict_ma(model, query)[1])

@@ -11,7 +11,6 @@ from emgadapt.signals import (
     WindowSpec,
     apply_normalizer,
     average_feature_blocks,
-    build_dataset,
     build_subject_datasets,
     extract_features,
     feature_names,
@@ -219,7 +218,7 @@ def test_build_subject_datasets_repetition_holdout():
     rec = _toy_recording()
     spec = WindowSpec(window_ms=10.0, step_ms=5.0)
     train, test = build_subject_datasets(rec, spec, test_reps=(5, 6))
-    n_total = len(build_dataset([rec], spec))
+    n_total = len(segment(rec, spec))
     assert len(train) + len(test) == n_total
     assert len(train) > 0 and len(test) > 0
     # training features are z-normalized with their own stats
@@ -275,6 +274,21 @@ def test_dataset_round_trip(tmp_path):
     assert back.feature_names == train.feature_names
     assert back.norm_stats is not None
     assert_allclose(back.norm_stats.mean, train.norm_stats.mean)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "overlong"])
+def test_loaders_reject_rows_that_do_not_match_the_header(tmp_path, damage):
+    rec = _toy_recording(seed=6)
+    save_recording(rec, tmp_path / "rec")
+    train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
+    save_dataset(train, tmp_path / "ds")
+    for stem, load in ((tmp_path / "rec", load_recording), (tmp_path / "ds", load_dataset)):
+        csv_path = stem.with_suffix(".csv")
+        lines = csv_path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] if damage == "truncated" else lines[3] + ",0"
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{csv_path.name} line 4"):
+            load(stem)
 
 
 def test_save_recording_is_deterministic(tmp_path):
