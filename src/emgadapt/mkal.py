@@ -21,6 +21,14 @@ subgradient sweeps, both with step 1/(lam * t) and per-block shrink factors
 (1 - eta * lam * (||w_k|| / ||w||_{2,p})^(p-2)) clamped at zero.  The best
 iterate under the full objective is kept; the zero model (objective exactly
 1) is always a candidate, so the returned objective never exceeds 1.
+
+The trainer keeps three cached quantities per block so that no step touches
+more than it changes: lazily scaled duals (true duals = m_k * c_hat_k, so a
+shrink only rescales the scalar m_k), the training scores f_hat_k = K_k c_hat_k,
+and the squared norms ||c_hat_k||_K^2, updated from f_hat_k and the step.  An
+online step reads one Gram column per block and costs O((K+1) * N); a batch
+epoch costs one K_k @ du product per block.  Block norms are recomputed from
+scratch only once per online epoch, when the caches are refreshed.
 """
 
 from __future__ import annotations
@@ -87,9 +95,7 @@ def _block_grams(kernel0: KernelSpec, X: np.ndarray, s_tensor: np.ndarray) -> li
 
 def _block_sq_norms(grams: list[np.ndarray], duals: np.ndarray) -> np.ndarray:
     """Exact per-block squared RKHS norms sum_y c_y^T K c_y."""
-    return np.array(
-        [float(np.einsum("iy,ij,jy->", duals[k], grams[k], duals[k])) for k in range(len(grams))]
-    )
+    return np.array([float(np.sum(duals[k] * (km @ duals[k]))) for k, km in enumerate(grams)])
 
 
 def _scores_all(grams: list[np.ndarray], duals: np.ndarray) -> np.ndarray:
@@ -127,7 +133,8 @@ def mkal_objective(
 
 def _shrink_factors(sq_norms_true: np.ndarray, p: float, eta: float, lam: float) -> np.ndarray:
     norms = np.sqrt(np.maximum(sq_norms_true, 0.0))
-    q = group_norm(norms, p)
+    # group_norm without its input check: these norms are square roots
+    q = float((norms**p).sum() ** (1.0 / p))
     if q <= 0.0:
         return np.ones_like(norms)
     g = np.where(norms > 0.0, (np.where(norms > 0.0, norms, 1.0) / q) ** (p - 2.0), 0.0)
@@ -163,6 +170,10 @@ def fit_mkal(
     grams = _block_grams(kernel0, train.features, s_tensor)
     nb = k + 1
     labels = train.labels
+    # cols[kb, i] is column i of block kb's Gram and diag[kb, i] its entry
+    # i, so one online step updates every block with a few array ops
+    cols = np.stack([km.T for km in grams])
+    diag = np.stack([np.diag(km) for km in grams])
 
     # Lazily scaled state: true duals = m[k] * c_hat[k]; f_hat caches the
     # unscaled training scores K_k @ c_hat[k]; sq_hat the unscaled sq norms.
@@ -175,17 +186,18 @@ def fit_mkal(
         return m[:, None, None] * c_hat
 
     def refresh_caches():
-        nonlocal f_hat, sq_hat
+        nonlocal sq_hat
         for kb in range(nb):
             f_hat[kb] = grams[kb] @ c_hat[kb]
         sq_hat = _block_sq_norms(grams, c_hat)
 
     def apply_shrink(eta: float):
         nonlocal m
-        factors = _shrink_factors(m * m * sq_hat, cfg.p, eta, cfg.lam)
-        m = m * factors
+        m = m * _shrink_factors(m * m * sq_hat, cfg.p, eta, cfg.lam)
         # fold small multipliers back into the stored duals so 1/m stays tame
         small = m < 1e-6
+        if not small.any():
+            return
         for kb in np.flatnonzero(small):
             c_hat[kb] *= m[kb]
             f_hat[kb] *= m[kb]
@@ -219,17 +231,16 @@ def fit_mkal(
             apply_shrink(eta)
             if not violated:
                 continue
-            for kb in range(nb):
-                col = grams[kb][:, i]
-                delta = eta / m[kb]
-                sq_hat[kb] += (
-                    2.0 * delta * (f_hat[kb, i, yi] - f_hat[kb, i, yhat])
-                    + 2.0 * delta * delta * col[i]
-                )
-                c_hat[kb, i, yi] += delta
-                c_hat[kb, i, yhat] -= delta
-                f_hat[kb, :, yi] += delta * col
-                f_hat[kb, :, yhat] -= delta * col
+            delta = eta / m
+            sq_hat += (
+                2.0 * delta * (f_hat[:, i, yi] - f_hat[:, i, yhat])
+                + 2.0 * delta * delta * diag[:, i]
+            )
+            c_hat[:, i, yi] += delta
+            c_hat[:, i, yhat] -= delta
+            step = delta[:, None] * cols[:, i]
+            f_hat[:, :, yi] += step
+            f_hat[:, :, yhat] -= step
         refresh_caches()
         obj = objective_now()
         if obj < best_obj:
@@ -252,9 +263,13 @@ def fit_mkal(
             np.add.at(du, (rows, yhat[rows]), -1.0)
             for kb in range(nb):
                 delta = eta / (n * m[kb])
+                kdu = grams[kb] @ du
+                # ||c + delta du||_K^2 = ||c||_K^2 + 2 delta <K c, du> + delta^2 <du, K du>
+                sq_hat[kb] += (
+                    2.0 * delta * np.vdot(f_hat[kb], du) + delta * delta * np.vdot(du, kdu)
+                )
                 c_hat[kb] += delta * du
-                f_hat[kb] += delta * (grams[kb] @ du)
-            sq_hat = _block_sq_norms(grams, c_hat)
+                f_hat[kb] += delta * kdu
         obj = objective_now()
         if obj < best_obj:
             best_obj, best_duals = obj, materialize()

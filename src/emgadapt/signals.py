@@ -324,6 +324,22 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
+def _json_header(path: Path, keys: tuple[str, ...]) -> dict:
+    """The JSON object in `path`, checked to hold every key in `keys`."""
+    doc = json.loads(path.read_text())
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return doc
+
+
+def _csv_header(reader, path: Path) -> list[str]:
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty CSV, no header")
+    return header
+
+
 def _data_rows(reader, header: list[str], path: Path):
     """The remaining rows of `reader`, each checked to have one field per header column."""
     for row in reader:
@@ -359,11 +375,14 @@ def load_recording(stem: str | Path) -> Recording:
     stem = Path(stem)
     if stem.suffix:
         stem = stem.with_suffix("")
-    meta = json.loads(stem.with_suffix(".json").read_text())
+    meta = _json_header(
+        stem.with_suffix(".json"),
+        ("channels", "subject_id", "condition", "sampling_rate_hz", "num_classes"),
+    )
     path = stem.with_suffix(".csv")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = _csv_header(reader, path)
         c = meta["channels"]
         if header != [f"ch_{i + 1}" for i in range(c)] + ["label", "repetition"]:
             raise ValueError(f"unexpected recording CSV header in {path}")
@@ -404,11 +423,11 @@ def load_dataset(stem: str | Path) -> Dataset:
     stem = Path(stem)
     if stem.suffix:
         stem = stem.with_suffix("")
-    sidecar = json.loads(stem.with_suffix(".json").read_text())
+    sidecar = _json_header(stem.with_suffix(".json"), ("feature_names", "num_classes"))
     path = stem.with_suffix(".csv")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = _csv_header(reader, path)
         d = len(sidecar["feature_names"])
         if header != [f"f_{i + 1}" for i in range(d)] + ["label"]:
             raise ValueError(f"unexpected dataset CSV header in {path}")

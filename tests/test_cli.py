@@ -306,6 +306,35 @@ def test_truncated_feature_csv_returns_2(arts, tmp_path, capsys):
     assert "s00_train.csv line 3" in capsys.readouterr().err
 
 
+def test_empty_feature_csv_returns_2(arts, tmp_path, capsys):
+    feats = tmp_path / "feats"
+    shutil.copytree(arts / "feats", feats)
+    (feats / "s00_train.csv").write_text("")
+    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 2
+    assert "s00_train.csv: empty CSV, no header" in capsys.readouterr().err
+
+
+def test_json_header_without_a_required_key_returns_2(arts, tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(arts / "cohort", cohort)
+    doc = json.loads((cohort / "s00.json").read_text())
+    del doc["channels"]
+    (cohort / "s00.json").write_text(json.dumps(doc))
+    code = main(["features", "--in-dir", str(cohort), "--out-dir", str(tmp_path / "f")])
+    assert code == 2
+    assert "s00.json: missing key 'channels'" in capsys.readouterr().err
+
+    feats = tmp_path / "feats"
+    shutil.copytree(arts / "feats", feats)
+    doc = json.loads((feats / "s00_train.json").read_text())
+    del doc["num_classes"]
+    (feats / "s00_train.json").write_text(json.dumps(doc))
+    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 2
+    assert "s00_train.json: missing key 'num_classes'" in capsys.readouterr().err
+
+
 def test_manifest_entry_without_a_required_key_returns_2(arts, tmp_path, capsys):
     feats = tmp_path / "feats"
     shutil.copytree(arts / "feats", feats)

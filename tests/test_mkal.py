@@ -1,5 +1,7 @@
 """Multi-kernel training: group norm, objective bound, block behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,12 +10,16 @@ from emgadapt import lssvm
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.mkal import (
     MkalConfig,
+    _block_grams,
+    _block_sq_norms,
+    _hinge_losses,
     fit_mkal,
     group_norm,
     mkal_objective,
     model_objective,
     predict_mkal,
 )
+from emgadapt.multi_adapt import source_scores
 from emgadapt.signals import Dataset
 
 
@@ -100,8 +106,6 @@ def test_trained_model_beats_the_zero_model_and_classifies():
     sources = [_source(rng), _source(rng)]
     model = fit_mkal(train, sources, MkalConfig(lam=1e-2, gamma=1.0, seed=0))
     assert model_objective(model, train) < 1.0
-    from emgadapt.multi_adapt import source_scores
-
     pred, _ = predict_mkal(model, test.features, source_scores(sources, test.features))
     assert np.mean(pred == test.labels) >= 0.85
 
@@ -150,8 +154,6 @@ def test_objective_evaluator_matches_manual_computation():
     rng = np.random.default_rng(7)
     train = _blobs(rng, n_per=5)
     src = _source(rng)
-    from emgadapt.multi_adapt import source_scores
-
     s_tensor = source_scores([src], train.features)
     duals = rng.normal(size=(2, len(train), 3)) * 0.1
     kernel0 = KernelSpec("gaussian", 1.0)
@@ -188,3 +190,151 @@ def test_custom_raw_kernel_block():
         train, sources, MkalConfig(lam=1e-2, seed=0), kernel0=KernelSpec("linear")
     )
     assert model.kernel0 == KernelSpec("linear")
+
+
+def _einsum_sq_norms(grams, duals):
+    return np.array(
+        [float(np.einsum("iy,ij,jy->", duals[k], grams[k], duals[k])) for k in range(len(grams))]
+    )
+
+
+def _reference_fit(train, s_tensor, cfg, kernel0):
+    """The trainer as first written: one Python step per block, every
+    shrink through group_norm, batch-phase norms recomputed by einsum.
+    Returns the best duals and their block norms."""
+    n, g = len(train), train.num_classes
+    grams = _block_grams(kernel0, train.features, s_tensor)
+    nb = len(grams)
+    labels = train.labels
+    c_hat = np.zeros((nb, n, g))
+    f_hat = np.zeros((nb, n, g))
+    sq_hat = np.zeros(nb)
+    m = np.ones(nb)
+
+    def shrink_factors(sq_true, eta):
+        norms = np.sqrt(np.maximum(sq_true, 0.0))
+        q = group_norm(norms, cfg.p)
+        if q <= 0.0:
+            return np.ones_like(norms)
+        gg = np.where(norms > 0.0, (np.where(norms > 0.0, norms, 1.0) / q) ** (cfg.p - 2.0), 0.0)
+        return np.maximum(0.0, 1.0 - eta * cfg.lam * gg)
+
+    def apply_shrink(eta):
+        nonlocal m
+        m = m * shrink_factors(m * m * sq_hat, eta)
+        for kb in np.flatnonzero(m < 1e-6):
+            c_hat[kb] *= m[kb]
+            f_hat[kb] *= m[kb]
+            sq_hat[kb] *= m[kb] * m[kb]
+            m[kb] = 1.0
+
+    def objective_now():
+        scores = (m[:, None, None] * f_hat).sum(axis=0)
+        loss = float(np.mean(_hinge_losses(scores, labels)))
+        norms = np.sqrt(np.maximum(m * m * sq_hat, 0.0))
+        return cfg.lam / 2.0 * group_norm(norms, cfg.p) ** 2 + loss
+
+    best_obj, best_duals = 1.0, np.zeros((nb, n, g))
+    rng = np.random.default_rng(cfg.seed)
+    t = 0
+    for _ in range(cfg.epochs_online):
+        for i in rng.permutation(n):
+            t += 1
+            fi = (m[:, None] * f_hat[:, i, :]).sum(axis=0)
+            yi = labels[i]
+            masked = fi.copy()
+            masked[yi] = -np.inf
+            yhat = int(np.argmax(masked))
+            violated = 1.0 - (fi[yi] - fi[yhat]) > 0.0
+            eta = 1.0 / (cfg.lam * t)
+            apply_shrink(eta)
+            if not violated:
+                continue
+            for kb in range(nb):
+                col = grams[kb][:, i]
+                delta = eta / m[kb]
+                sq_hat[kb] += (
+                    2.0 * delta * (f_hat[kb, i, yi] - f_hat[kb, i, yhat])
+                    + 2.0 * delta * delta * col[i]
+                )
+                c_hat[kb, i, yi] += delta
+                c_hat[kb, i, yhat] -= delta
+                f_hat[kb, :, yi] += delta * col
+                f_hat[kb, :, yhat] -= delta * col
+        for kb in range(nb):
+            f_hat[kb] = grams[kb] @ c_hat[kb]
+        sq_hat = _einsum_sq_norms(grams, c_hat)
+        obj = objective_now()
+        if obj < best_obj:
+            best_obj, best_duals = obj, m[:, None, None] * c_hat
+    for _ in range(cfg.epochs_batch):
+        t += 1
+        eta = 1.0 / (cfg.lam * t)
+        scores = (m[:, None, None] * f_hat).sum(axis=0)
+        own = scores[np.arange(n), labels]
+        masked = scores.copy()
+        masked[np.arange(n), labels] = -np.inf
+        yhat = np.argmax(masked, axis=1)
+        violated = (1.0 - (own - masked[np.arange(n), yhat])) > 0.0
+        apply_shrink(eta)
+        if np.any(violated):
+            du = np.zeros((n, g))
+            rows = np.flatnonzero(violated)
+            np.add.at(du, (rows, labels[rows]), 1.0)
+            np.add.at(du, (rows, yhat[rows]), -1.0)
+            for kb in range(nb):
+                delta = eta / (n * m[kb])
+                c_hat[kb] += delta * du
+                f_hat[kb] += delta * (grams[kb] @ du)
+            sq_hat = _einsum_sq_norms(grams, c_hat)
+        obj = objective_now()
+        if obj < best_obj:
+            best_obj, best_duals = obj, m[:, None, None] * c_hat
+    return best_duals, np.sqrt(np.maximum(_einsum_sq_norms(grams, best_duals), 0.0))
+
+
+@pytest.mark.parametrize("n_sources", [1, 3])
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("p", [1.25, 2.0])
+def test_fit_matches_the_per_block_reference_trainer(p, lam, n_sources):
+    rng = np.random.default_rng(10)
+    train = _blobs(rng, n_per=12, spread=0.8)
+    test = _blobs(rng, n_per=10, spread=0.8)
+    sources = [_source(rng, scramble=(k == 2)) for k in range(n_sources)]
+    cfg = MkalConfig(p=p, lam=lam, gamma=0.5, seed=4)
+    model = fit_mkal(train, sources, cfg)
+    duals, norms = _reference_fit(
+        train, source_scores(sources, train.features), cfg, KernelSpec("gaussian", cfg.gamma)
+    )
+    assert_allclose(model.dual_coeffs, duals, rtol=1e-9)
+    assert_allclose(model.block_norms, norms, rtol=1e-9)
+    ref = dataclasses.replace(model, dual_coeffs=duals, block_norms=norms)
+    s_test = source_scores(sources, test.features)
+    assert np.array_equal(
+        predict_mkal(model, test.features, s_test)[0], predict_mkal(ref, test.features, s_test)[0]
+    )
+
+
+def test_fit_with_a_linear_raw_block_matches_the_reference_trainer():
+    rng = np.random.default_rng(11)
+    train = _blobs(rng, n_per=10, spread=0.8)
+    sources = [_source(rng), _source(rng)]
+    cfg = MkalConfig(p=1.5, lam=1e-2, seed=2)
+    model = fit_mkal(train, sources, cfg, kernel0=KernelSpec("linear"))
+    duals, norms = _reference_fit(
+        train, source_scores(sources, train.features), cfg, KernelSpec("linear")
+    )
+    assert_allclose(model.dual_coeffs, duals, rtol=1e-9)
+    assert_allclose(model.block_norms, norms, rtol=1e-9)
+
+
+def test_block_sq_norms_match_the_einsum_form():
+    rng = np.random.default_rng(12)
+    grams, duals = [], []
+    for n, rank in ((7, 7), (40, 5), (120, 120)):
+        a = rng.normal(size=(n, rank))
+        grams.append(a @ a.T)
+        duals.append(rng.normal(size=(n, 4)))
+    for km, c in zip(grams, duals):
+        got = _block_sq_norms([km], c[None])
+        assert_allclose(got, _einsum_sq_norms([km], c[None]), rtol=1e-12)

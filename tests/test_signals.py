@@ -291,6 +291,20 @@ def test_loaders_reject_rows_that_do_not_match_the_header(tmp_path, damage):
             load(stem)
 
 
+@pytest.mark.parametrize("which", ["recording", "dataset"])
+def test_loaders_reject_an_empty_csv(tmp_path, which):
+    rec = _toy_recording(seed=7)
+    if which == "recording":
+        save_recording(rec, tmp_path / "x")
+        load = load_recording
+    else:
+        save_dataset(build_subject_datasets(rec, WindowSpec(10.0, 5.0))[0], tmp_path / "x")
+        load = load_dataset
+    (tmp_path / "x.csv").write_text("")
+    with pytest.raises(ValueError, match="x.csv: empty CSV, no header"):
+        load(tmp_path / "x")
+
+
 def test_save_recording_is_deterministic(tmp_path):
     rec = _toy_recording(seed=5)
     save_recording(rec, tmp_path / "a")
