@@ -20,7 +20,7 @@ from .signals import Dataset, NormStats
 
 def fit_no_transfer(train: Dataset, grid: Grid) -> LssvmModel:
     """Gaussian LS-SVM on target data with (C, gamma) picked by CV."""
-    best, _ = select(train, lssvm_fit_fn("gaussian"), grid)
+    best, _ = select(train, lssvm_fit_fn, grid)
     return lssvm.fit(train, KernelSpec("gaussian", best["gamma"]), best["C"])
 
 

@@ -238,7 +238,7 @@ def _fit_eval_cell(
         grid2 = dataclasses.replace(
             cfg.grid, folds=folds2, seed=_seed_int(base, *cell_key, 7)
         )
-        best2, _ = select(stack_norm, lssvm_fit_fn("gaussian"), grid2)
+        best2, _ = select(stack_norm, lssvm_fit_fn, grid2)
         model = fit_hl2l(
             sub, source_models, kernel1, shared["C"],
             KernelSpec("gaussian", best2["gamma"]), best2["C"],
@@ -283,7 +283,7 @@ def _run_target(
                 grid = dataclasses.replace(
                     cfg.grid, seed=_seed_int(cfg.base_seed, *cell_key, 2)
                 )
-                best, _ = select(sub, lssvm_fit_fn("gaussian"), grid)
+                best, _ = select(sub, lssvm_fit_fn, grid)
                 shared = {"C": best["C"], "gamma": best["gamma"]}
             for method in cfg.methods:
                 try:

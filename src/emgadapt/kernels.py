@@ -39,7 +39,12 @@ def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if spec.kind == "linear":
         return X @ Z.T
     # ||x||^2 + ||z||^2 - 2<x,z>, clamped at zero so round-off cannot feed
-    # a negative squared distance into exp.
-    sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * (X @ Z.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-spec.gamma * sq)
+    # a negative squared distance into exp.  Built in the buffer of X @ Z.T,
+    # so at most two output-sized arrays are alive; every entry goes through
+    # the same operations in the same order as the out-of-place expression.
+    out = X @ Z.T
+    out *= 2.0
+    np.subtract((X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :], out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= -spec.gamma
+    return np.exp(out, out=out)

@@ -17,6 +17,7 @@ gives exact leave-one-out residuals without retraining:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -93,7 +94,18 @@ def solve_dual_system(
 
 
 def fit(train: Dataset, kernel_spec: KernelSpec, C: float) -> LssvmModel:
-    if not C > 0:
+    return fit_for_each_C(train, kernel_spec, (C,))[0]
+
+
+def fit_for_each_C(
+    train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float]
+) -> list[LssvmModel]:
+    """One model per C, all solved on one Gram and one target matrix.
+
+    Each model equals `fit(train, kernel_spec, C)` bit for bit.  The models
+    share one copy of the training features as support inputs.
+    """
+    if not all(C > 0 for C in C_values):
         raise ValueError("C must be > 0")
     n = len(train)
     if n < 2:
@@ -102,15 +114,21 @@ def fit(train: Dataset, kernel_spec: KernelSpec, C: float) -> LssvmModel:
     targets = ova_targets(train.labels, train.num_classes)
     present = np.zeros(train.num_classes, dtype=bool)
     present[np.unique(train.labels)] = True
-    alphas, biases = solve_dual_system(kmat, C, targets, default_mask=~present)
-    return LssvmModel(
-        kernel=kernel_spec,
-        C=C,
-        num_classes=train.num_classes,
-        support_inputs=train.features.copy(),
-        alphas=alphas,
-        biases=biases,
-    )
+    support = train.features.copy()
+    models = []
+    for C in C_values:
+        alphas, biases = solve_dual_system(kmat, C, targets, default_mask=~present)
+        models.append(
+            LssvmModel(
+                kernel=kernel_spec,
+                C=C,
+                num_classes=train.num_classes,
+                support_inputs=support,
+                alphas=alphas,
+                biases=biases,
+            )
+        )
+    return models
 
 
 def decision_scores(model: LssvmModel, X: np.ndarray) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import lssvm
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram
 from .signals import Dataset
 
 
@@ -24,8 +25,11 @@ class Grid:
     def __post_init__(self):
         if not self.C_values or not self.gamma_values:
             raise ValueError("grid must contain at least one C and one gamma")
-        if any(c <= 0 for c in self.C_values) or any(g <= 0 for g in self.gamma_values):
-            raise ValueError("grid values must be positive")
+        for name, values in (("C_values", self.C_values), ("gamma_values", self.gamma_values)):
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise ValueError(f"grid {name} must be finite and positive, got {values}")
+            if len(set(values)) != len(values):
+                raise ValueError(f"grid {name} contains duplicates: {values}")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
 
@@ -94,36 +98,55 @@ def best_candidate(table: list[dict]) -> dict:
     return best
 
 
+Predictor = Callable[[np.ndarray], list[np.ndarray]]
+
+
 def select(
     train: Dataset,
-    fit_fn: Callable[[Dataset, float, float], Callable[[np.ndarray], np.ndarray]],
+    fit_fn: Callable[[Dataset, float, Sequence[float]], Predictor],
     grid: Grid,
 ) -> tuple[dict, list[dict]]:
     """Pick (C, gamma) by stratified CV accuracy.
 
-    fit_fn(train_subset, C, gamma) returns a predictor mapping a feature
-    matrix to labels.  Candidates are visited with C ascending then gamma
-    ascending, so ties resolve to the smaller C and then the smaller gamma.
+    fit_fn(train_subset, gamma, C_values) trains one model per C on the
+    subset with that gamma and returns a predictor mapping a feature matrix
+    to a list of label arrays, one per C in `C_values` order.  It is called
+    once per (fold, gamma), with the C values ascending, so a kernel fit_fn
+    can build each Gram once and reuse it for every C.
+
+    The table lists the candidates with C ascending then gamma ascending,
+    so ties resolve to the smaller C and then the smaller gamma; each
+    accuracy is the mean of the per-fold accuracies in fold order.
     Returns (best row, full table).
     """
-    candidates = [
-        {"C": c, "gamma": g} for c in sorted(grid.C_values) for g in sorted(grid.gamma_values)
+    C_values = sorted(grid.C_values)
+    gamma_values = sorted(grid.gamma_values)
+    labels = train.labels
+    fold_idx = stratified_folds(labels, grid.folds, grid.seed)
+    # accs[i][j] collects the per-fold accuracies of (C_values[i], gamma_values[j])
+    accs = [[[] for _ in gamma_values] for _ in C_values]
+    for f, val in enumerate(fold_idx):
+        sub = train.subset(np.concatenate([fold_idx[j] for j in range(grid.folds) if j != f]))
+        X_val = train.features[val]
+        for j, gamma in enumerate(gamma_values):
+            preds = fit_fn(sub, gamma, C_values)(X_val)
+            for i, pred in enumerate(preds):
+                accs[i][j].append(float(np.mean(pred == labels[val])))
+    table = [
+        {"C": c, "gamma": g, "accuracy": float(np.mean(accs[i][j]))}
+        for i, c in enumerate(C_values)
+        for j, g in enumerate(gamma_values)
     ]
-
-    def fit_predict(train_idx, val_idx, cand):
-        predictor = fit_fn(train.subset(train_idx), cand["C"], cand["gamma"])
-        return predictor(train.features[val_idx])
-
-    table = cross_validate(train.labels, candidates, fit_predict, grid.folds, grid.seed)
     return best_candidate(table), table
 
 
-def lssvm_fit_fn(kind: str = "gaussian"):
-    """fit_fn adapter training a one-vs-all LS-SVM of the given kernel kind."""
+def lssvm_fit_fn(sub: Dataset, gamma: float, C_values: Sequence[float]) -> Predictor:
+    """`select` fit_fn: gaussian one-vs-all LS-SVMs sharing one train and one query Gram."""
+    spec = KernelSpec("gaussian", gamma)
+    models = lssvm.fit_for_each_C(sub, spec, C_values)
 
-    def fit_fn(sub: Dataset, C: float, gamma: float):
-        spec = KernelSpec(kind, gamma) if kind == "gaussian" else KernelSpec(kind)
-        model = lssvm.fit(sub, spec, C)
-        return lambda X: lssvm.predict(model, X)[0]
+    def predict(X: np.ndarray) -> list[np.ndarray]:
+        kq = gram(spec, X, sub.features)
+        return [np.argmax(kq @ m.alphas + m.biases, axis=1) for m in models]
 
-    return fit_fn
+    return predict

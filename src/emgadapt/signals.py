@@ -375,10 +375,16 @@ def load_recording(stem: str | Path) -> Recording:
     stem = Path(stem)
     if stem.suffix:
         stem = stem.with_suffix("")
+    meta_path = stem.with_suffix(".json")
     meta = _json_header(
-        stem.with_suffix(".json"),
-        ("channels", "subject_id", "condition", "sampling_rate_hz", "num_classes"),
+        meta_path, ("channels", "subject_id", "condition", "sampling_rate_hz", "num_classes")
     )
+    for key in ("channels", "num_classes"):
+        if type(meta[key]) is not int:  # bool is an int subclass, so isinstance would pass it
+            raise ValueError(f"{meta_path}: key {key!r} must be an integer, got {meta[key]!r}")
+    rate = meta["sampling_rate_hz"]
+    if type(rate) not in (int, float):
+        raise ValueError(f"{meta_path}: key 'sampling_rate_hz' must be a number, got {rate!r}")
     path = stem.with_suffix(".csv")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -394,9 +400,9 @@ def load_recording(stem: str | Path) -> Recording:
     return Recording(
         subject_id=meta["subject_id"],
         condition=meta["condition"],
-        sampling_rate_hz=float(meta["sampling_rate_hz"]),
-        channels=int(meta["channels"]),
-        num_classes=int(meta["num_classes"]),
+        sampling_rate_hz=float(rate),
+        channels=c,
+        num_classes=meta["num_classes"],
         samples=np.array(samples),
         labels=np.array(labels, dtype=int),
         repetitions=np.array(reps, dtype=int),

@@ -335,6 +335,27 @@ def test_json_header_without_a_required_key_returns_2(arts, tmp_path, capsys):
     assert "s00_train.json: missing key 'num_classes'" in capsys.readouterr().err
 
 
+def test_json_header_value_of_the_wrong_type_returns_2(arts, tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(arts / "cohort", cohort)
+    doc = json.loads((cohort / "s00.json").read_text())
+    doc["channels"] = str(doc["channels"])
+    (cohort / "s00.json").write_text(json.dumps(doc))
+    code = main(["features", "--in-dir", str(cohort), "--out-dir", str(tmp_path / "f")])
+    assert code == 2
+    assert "s00.json: key 'channels' must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_flag", [["--grid-gamma", "inf"], ["--grid-c", "1,nan"], ["--grid-c", "1,1"]])
+def test_non_finite_or_duplicate_grid_value_returns_2(arts, tmp_path, capsys, grid_flag):
+    code = main([
+        "run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path / "o"),
+        *RUN_FLAGS, *grid_flag,
+    ])
+    assert code == 2
+    assert "grid" in capsys.readouterr().err
+
+
 def test_manifest_entry_without_a_required_key_returns_2(arts, tmp_path, capsys):
     feats = tmp_path / "feats"
     shutil.copytree(arts / "feats", feats)

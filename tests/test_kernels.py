@@ -1,5 +1,7 @@
 """Kernel and Gram-matrix behavior: values, symmetry, positive semi-definiteness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,13 @@ def kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
         return float(a @ b)
     d = a - b
     return float(np.exp(-spec.gamma * (d @ d)))
+
+
+def three_temporary_gaussian_gram(gamma: float, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The out-of-place Gaussian Gram formula: the bitwise oracle for `gram`."""
+    sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * (X @ Z.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
 
 
 def test_gaussian_scalar_values():
@@ -86,3 +95,31 @@ def test_shape_errors():
         gram(spec, np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         gram(spec, np.zeros(3), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("shape_x, shape_z", [((40, 7), (40, 7)), ((33, 5), (17, 5)), ((1, 6), (25, 6))])
+def test_in_place_gaussian_gram_is_bitwise_equal_to_the_out_of_place_formula(gamma, shape_x, shape_z):
+    rng = np.random.default_rng(int(gamma * 1000) + shape_x[0])
+    X = rng.normal(size=shape_x) * 3.0
+    Z = X if shape_x == shape_z else rng.normal(size=shape_z) * 3.0
+    got = gram(KernelSpec("gaussian", gamma), X, Z)
+    want = three_temporary_gaussian_gram(gamma, X, Z)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_gaussian_gram_peaks_at_about_two_output_sizes():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(2000, 8))
+    Z = rng.normal(size=(1000, 8))
+    out_bytes = 2000 * 1000 * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        k = gram(KernelSpec("gaussian", 0.1), X, Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k.nbytes == out_bytes
+    assert peak <= 2.2 * out_bytes

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from emgadapt import lssvm
+from emgadapt.kernels import KernelSpec
 from emgadapt.model_selection import (
     Grid,
     best_candidate,
@@ -84,7 +86,7 @@ def test_select_candidate_ordering():
     rng = np.random.default_rng(1)
     ds = _blobs(rng, n_per=10)
     grid = Grid(C_values=(10.0, 1.0), gamma_values=(1.0, 0.1), folds=2)
-    best, table = select(ds, lssvm_fit_fn("gaussian"), grid)
+    best, table = select(ds, lssvm_fit_fn, grid)
     # table visits C ascending then gamma ascending regardless of input order
     assert [(r["C"], r["gamma"]) for r in table] == [
         (1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0)
@@ -96,7 +98,7 @@ def test_select_finds_workable_parameters():
     rng = np.random.default_rng(8)
     ds = _blobs(rng)
     grid = Grid(C_values=(0.01, 1.0, 100.0), gamma_values=(0.01, 1.0), folds=5)
-    best, _ = select(ds, lssvm_fit_fn("gaussian"), grid)
+    best, _ = select(ds, lssvm_fit_fn, grid)
     assert best["accuracy"] >= 0.95
 
 
@@ -104,8 +106,8 @@ def test_select_is_deterministic():
     rng = np.random.default_rng(12)
     ds = _blobs(rng, n_per=8)
     grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=2, seed=5)
-    a = select(ds, lssvm_fit_fn("gaussian"), grid)
-    b = select(ds, lssvm_fit_fn("gaussian"), grid)
+    a = select(ds, lssvm_fit_fn, grid)
+    b = select(ds, lssvm_fit_fn, grid)
     assert a == b
 
 
@@ -116,3 +118,78 @@ def test_grid_validation():
         Grid(C_values=(1.0,), gamma_values=(-1.0,))
     with pytest.raises(ValueError):
         Grid(folds=1)
+
+
+@pytest.mark.parametrize(
+    "C_values, gamma_values",
+    [
+        ((float("nan"), 1.0), (1.0,)),
+        ((1.0,), (float("inf"),)),
+        ((float("-inf"),), (1.0,)),
+        ((1.0, 10.0, 1.0), (1.0,)),
+        ((1.0,), (0.1, 0.1)),
+        ((float("nan"), 1.0, 1.0), (float("inf"),)),
+    ],
+)
+def test_grid_rejects_non_finite_and_duplicate_values(C_values, gamma_values):
+    with pytest.raises(ValueError, match="grid"):
+        Grid(C_values=C_values, gamma_values=gamma_values)
+
+
+def _reference_table(ds, grid):
+    """Per-candidate CV: one lssvm.fit and one lssvm.predict per (C, gamma, fold)."""
+    candidates = [
+        {"C": c, "gamma": g} for c in sorted(grid.C_values) for g in sorted(grid.gamma_values)
+    ]
+
+    def fit_predict(train_idx, val_idx, cand):
+        model = lssvm.fit(ds.subset(train_idx), KernelSpec("gaussian", cand["gamma"]), cand["C"])
+        return lssvm.predict(model, ds.features[val_idx])[0]
+
+    return cross_validate(ds.labels, candidates, fit_predict, grid.folds, grid.seed)
+
+
+def _noisy_blobs(seed, counts):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(len(counts), 3)) * 1.5
+    feats = np.concatenate([c + rng.normal(size=(n, 3)) for c, n in zip(centers, counts)])
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return Dataset(feats, labels, len(counts), ["a", "b", "c"])
+
+
+@pytest.mark.parametrize(
+    "seed, counts, grid",
+    [
+        (0, (12, 12, 12), Grid(C_values=(0.1, 1.0, 10.0), gamma_values=(0.1, 1.0), folds=3)),
+        (1, (15, 9, 11, 7), Grid(C_values=(100.0, 0.01, 1.0), gamma_values=(3.0, 0.03, 0.3), folds=4, seed=9)),
+        (2, (10, 10, 1), Grid(C_values=(0.5, 5.0, 50.0), gamma_values=(0.2, 2.0), folds=3, seed=4)),
+    ],
+    ids=["sorted-grid", "unsorted-grid", "fold-lacks-a-class"],
+)
+def test_select_table_equals_the_per_candidate_reference(seed, counts, grid):
+    ds = _noisy_blobs(seed, counts)
+    if min(counts) < grid.folds:
+        # some training fold must lack a class, so the default-mask path runs
+        folds = stratified_folds(ds.labels, grid.folds, grid.seed)
+        assert any(len(np.unique(np.delete(ds.labels, f))) < ds.num_classes for f in folds)
+    best, table = select(ds, lssvm_fit_fn, grid)
+    reference = _reference_table(ds, grid)
+    assert table == reference
+    assert best == best_candidate(reference)
+    assert len({row["accuracy"] for row in table}) > 1
+
+
+def test_select_fits_once_per_fold_and_gamma_with_every_C():
+    ds = _noisy_blobs(3, (10, 10, 10))
+    grid = Grid(C_values=(10.0, 0.1, 1.0), gamma_values=(1.0, 0.1), folds=4)
+    calls = []
+
+    def counted(sub, gamma, C_values):
+        calls.append((len(sub), gamma, tuple(C_values)))
+        return lssvm_fit_fn(sub, gamma, C_values)
+
+    select(ds, counted, grid)
+    assert len(calls) == grid.folds * len(grid.gamma_values)
+    assert {c[2] for c in calls} == {(0.1, 1.0, 10.0)}
+    assert [c[1] for c in calls] == [0.1, 1.0] * grid.folds
+

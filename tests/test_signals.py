@@ -1,5 +1,7 @@
 """Windowing, feature extraction, normalization and dataset file formats."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -303,6 +305,29 @@ def test_loaders_reject_an_empty_csv(tmp_path, which):
     (tmp_path / "x.csv").write_text("")
     with pytest.raises(ValueError, match="x.csv: empty CSV, no header"):
         load(tmp_path / "x")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("channels", "2"),
+        ("channels", 2.0),
+        ("channels", True),
+        ("num_classes", "3"),
+        ("num_classes", False),
+        ("sampling_rate_hz", "100"),
+        ("sampling_rate_hz", True),
+        ("sampling_rate_hz", None),
+    ],
+)
+def test_load_recording_rejects_a_header_value_of_the_wrong_type(tmp_path, key, value):
+    save_recording(_toy_recording(seed=8), tmp_path / "rec")
+    meta_path = tmp_path / "rec.json"
+    doc = json.loads(meta_path.read_text())
+    doc[key] = value
+    meta_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"rec.json: key '{key}' must be"):
+        load_recording(tmp_path / "rec")
 
 
 def test_save_recording_is_deterministic(tmp_path):
