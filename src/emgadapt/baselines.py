@@ -13,9 +13,9 @@ import numpy as np
 from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
-from .model_selection import Grid, best_candidate, cross_validate, lssvm_fit_fn, select
+from .model_selection import Grid, cross_validate, lssvm_fit_fn, select
 from .multi_adapt import source_scores
-from .signals import Dataset, NormStats
+from .signals import Dataset, apply_normalizer, fit_normalizer
 
 
 def fit_no_transfer(train: Dataset, grid: Grid) -> LssvmModel:
@@ -46,24 +46,23 @@ def fit_prior_features(
     s_tensor = source_scores_train
     if s_tensor is None:
         s_tensor = source_scores(sources, train.features)
-    flat = prior_feature_matrix(s_tensor)
-    stats = NormStats(mean=flat.mean(axis=0), std=flat.std(axis=0))
     names = [f"src{k + 1}_s{g}" for k in range(s_tensor.shape[1]) for g in range(s_tensor.shape[2])]
-    ds = Dataset(
-        features=stats.apply(flat),
+    raw = Dataset(
+        features=prior_feature_matrix(s_tensor),
         labels=train.labels,
         num_classes=train.num_classes,
         feature_names=names,
     )
+    stats = fit_normalizer(raw)
+    ds = apply_normalizer(raw, stats)
+    C_values = sorted(grid.C_values)
 
-    candidates = [{"C": c} for c in sorted(grid.C_values)]
+    def fit_fold(train_idx, val_idx):
+        models = lssvm.fit_for_each_C(ds.subset(train_idx), KernelSpec("linear"), C_values)
+        return [lssvm.predict(m, ds.features[val_idx])[0] for m in models]
 
-    def fit_predict(train_idx, val_idx, cand):
-        model = lssvm.fit(ds.subset(train_idx), KernelSpec("linear"), cand["C"])
-        return lssvm.predict(model, ds.features[val_idx])[0]
-
-    table = cross_validate(ds.labels, candidates, fit_predict, grid.folds, grid.seed)
-    best = best_candidate(table)
+    candidates = [{"C": c} for c in C_values]
+    best, _ = cross_validate(ds.labels, candidates, fit_fold, grid.folds, grid.seed)
     model = lssvm.fit(ds, KernelSpec("linear"), best["C"])
     model.norm_stats = stats
     return model

@@ -41,7 +41,7 @@ from .hl2l import fit_hl2l, predict_hl2l, stacking_dataset
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
 from .mkal import MkalConfig, fit_mkal, predict_mkal
-from .model_selection import Grid, best_candidate, cross_validate, lssvm_fit_fn, select
+from .model_selection import Grid, check_grid_values, cross_validate, lssvm_fit_fn, select
 from .multi_adapt import fit_ma, predict_ma, source_scores
 from .signals import Dataset, apply_normalizer, fit_normalizer, format_float
 
@@ -57,6 +57,13 @@ class MkalSelection:
     lambda_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
     epochs_online: int = 5
     epochs_batch: int = 20
+
+    def __post_init__(self):
+        check_grid_values("p_grid", self.p_grid)
+        check_grid_values("lambda_grid", self.lambda_grid)
+        for p in self.p_grid:  # MkalConfig checks the ranges of p, lambda and the epochs
+            for lam in self.lambda_grid:
+                MkalConfig(p, lam, epochs_online=self.epochs_online, epochs_batch=self.epochs_batch)
 
 
 @dataclass(frozen=True)
@@ -205,23 +212,22 @@ def _fit_eval_cell(
             {"lam": lam, "p": p} for lam in sorted(sel.lambda_grid) for p in sorted(sel.p_grid)
         ]
 
-        def make_cfg(cand):
-            return MkalConfig(
+        def fit(train, s_train, cand):
+            mkal_cfg = MkalConfig(
                 p=cand["p"], lam=cand["lam"], gamma=shared["gamma"],
                 epochs_online=sel.epochs_online, epochs_batch=sel.epochs_batch, seed=fit_seed,
             )
+            return fit_mkal(train, source_models, mkal_cfg, source_scores_train=s_train)
 
-        def fit_predict(tr, va, cand):
-            mdl = fit_mkal(
-                sub.subset(tr), source_models, make_cfg(cand), source_scores_train=s_sub[tr]
-            )
-            return predict_mkal(mdl, sub.features[va], s_sub[va])[0]
+        def fit_fold(tr, va):
+            sub_tr, s_tr = sub.subset(tr), s_sub[tr]
+            models = (fit(sub_tr, s_tr, cand) for cand in candidates)
+            return [predict_mkal(m, sub.features[va], s_sub[va])[0] for m in models]
 
-        table = cross_validate(
-            sub.labels, candidates, fit_predict, cfg.grid.folds, _seed_int(base, *cell_key, 5)
+        best, _ = cross_validate(
+            sub.labels, candidates, fit_fold, cfg.grid.folds, _seed_int(base, *cell_key, 5)
         )
-        best = best_candidate(table)
-        model = fit_mkal(sub, source_models, make_cfg(best), source_scores_train=s_sub)
+        model = fit(sub, s_sub, best)
         return (
             predict_mkal(model, test.features, s_test)[0],
             {"p": best["p"], "lam": best["lam"], "gamma": shared["gamma"]},

@@ -40,11 +40,14 @@ def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         return X @ Z.T
     # ||x||^2 + ||z||^2 - 2<x,z>, clamped at zero so round-off cannot feed
     # a negative squared distance into exp.  Built in the buffer of X @ Z.T,
-    # so at most two output-sized arrays are alive; every entry goes through
-    # the same operations in the same order as the out-of-place expression.
+    # adding the norm sums 256 rows at a time, so one output-sized array is
+    # alive; each entry sees the same operations as the out-of-place form.
     out = X @ Z.T
     out *= 2.0
-    np.subtract((X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :], out, out=out)
+    xx, zz = (X * X).sum(axis=1), (Z * Z).sum(axis=1)
+    for r in range(0, len(out), 256):
+        rows = slice(r, r + 256)
+        np.subtract(xx[rows, None] + zz[None, :], out[rows], out=out[rows])
     np.maximum(out, 0.0, out=out)
     out *= -spec.gamma
     return np.exp(out, out=out)

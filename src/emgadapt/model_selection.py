@@ -13,6 +13,16 @@ from .kernels import KernelSpec, gram
 from .signals import Dataset
 
 
+def check_grid_values(name: str, values: Sequence[float]) -> None:
+    """Reject an empty grid axis, a non-finite or non-positive value, or a duplicate."""
+    if not values:
+        raise ValueError(f"grid {name} must contain at least one value")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"grid {name} must be finite and positive, got {values}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"grid {name} contains duplicates: {values}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Search grid for (C, gamma) plus folding controls."""
@@ -23,13 +33,8 @@ class Grid:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.C_values or not self.gamma_values:
-            raise ValueError("grid must contain at least one C and one gamma")
-        for name, values in (("C_values", self.C_values), ("gamma_values", self.gamma_values)):
-            if not all(math.isfinite(v) and v > 0 for v in values):
-                raise ValueError(f"grid {name} must be finite and positive, got {values}")
-            if len(set(values)) != len(values):
-                raise ValueError(f"grid {name} contains duplicates: {values}")
+        check_grid_values("C_values", self.C_values)
+        check_grid_values("gamma_values", self.gamma_values)
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
 
@@ -60,42 +65,36 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     return out
 
 
-FitPredict = Callable[[np.ndarray, np.ndarray, dict], np.ndarray]
-
-
 def cross_validate(
     labels: np.ndarray,
     candidates: Sequence[dict],
-    fit_predict: FitPredict,
+    fit_fold: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]],
     folds: int,
     seed: int,
-) -> list[dict]:
-    """Mean CV accuracy for every candidate, in candidate order.
+) -> tuple[dict, list[dict]]:
+    """Pick the candidate with the best mean stratified k-fold accuracy.
 
-    fit_predict(train_idx, val_idx, candidate) must return predicted labels
-    for the validation indices.
+    fit_fold(train_idx, val_idx) is called once per fold, in fold order.  It
+    trains every candidate on the training indices and returns the predicted
+    labels of the validation indices, one array per candidate in candidate
+    order, so a caller can share work across its candidates within a fold.
+
+    Each table row is the candidate plus its accuracy, the mean of the
+    per-fold accuracies in fold order.  The best row is the first with the
+    highest accuracy, so candidate order breaks ties.
+    Returns (best row, full table).
     """
+    if not candidates:
+        raise ValueError("need at least one candidate")
     labels = np.asarray(labels, dtype=int)
     fold_idx = stratified_folds(labels, folds, seed)
-    table = []
-    for cand in candidates:
-        accs = []
-        for f in range(folds):
-            val = fold_idx[f]
-            train = np.concatenate([fold_idx[j] for j in range(folds) if j != f])
-            pred = np.asarray(fit_predict(train, val, cand))
-            accs.append(float(np.mean(pred == labels[val])))
-        table.append(dict(cand, accuracy=float(np.mean(accs))))
-    return table
-
-
-def best_candidate(table: list[dict]) -> dict:
-    """First row with the highest accuracy (candidate order breaks ties)."""
-    best = table[0]
-    for row in table[1:]:
-        if row["accuracy"] > best["accuracy"]:
-            best = row
-    return best
+    accs: list[list[float]] = [[] for _ in candidates]
+    for f, val in enumerate(fold_idx):
+        train = np.concatenate([fold_idx[j] for j in range(folds) if j != f])
+        for acc, pred in zip(accs, fit_fold(train, val), strict=True):
+            acc.append(float(np.mean(np.asarray(pred) == labels[val])))
+    table = [dict(cand, accuracy=float(np.mean(a))) for cand, a in zip(candidates, accs)]
+    return max(table, key=lambda row: row["accuracy"]), table
 
 
 Predictor = Callable[[np.ndarray], list[np.ndarray]]
@@ -106,7 +105,7 @@ def select(
     fit_fn: Callable[[Dataset, float, Sequence[float]], Predictor],
     grid: Grid,
 ) -> tuple[dict, list[dict]]:
-    """Pick (C, gamma) by stratified CV accuracy.
+    """Pick (C, gamma) by stratified CV accuracy through `cross_validate`.
 
     fit_fn(train_subset, gamma, C_values) trains one model per C on the
     subset with that gamma and returns a predictor mapping a feature matrix
@@ -115,29 +114,21 @@ def select(
     can build each Gram once and reuse it for every C.
 
     The table lists the candidates with C ascending then gamma ascending,
-    so ties resolve to the smaller C and then the smaller gamma; each
-    accuracy is the mean of the per-fold accuracies in fold order.
+    so ties resolve to the smaller C and then the smaller gamma.
     Returns (best row, full table).
     """
     C_values = sorted(grid.C_values)
     gamma_values = sorted(grid.gamma_values)
-    labels = train.labels
-    fold_idx = stratified_folds(labels, grid.folds, grid.seed)
-    # accs[i][j] collects the per-fold accuracies of (C_values[i], gamma_values[j])
-    accs = [[[] for _ in gamma_values] for _ in C_values]
-    for f, val in enumerate(fold_idx):
-        sub = train.subset(np.concatenate([fold_idx[j] for j in range(grid.folds) if j != f]))
-        X_val = train.features[val]
-        for j, gamma in enumerate(gamma_values):
-            preds = fit_fn(sub, gamma, C_values)(X_val)
-            for i, pred in enumerate(preds):
-                accs[i][j].append(float(np.mean(pred == labels[val])))
-    table = [
-        {"C": c, "gamma": g, "accuracy": float(np.mean(accs[i][j]))}
-        for i, c in enumerate(C_values)
-        for j, g in enumerate(gamma_values)
-    ]
-    return best_candidate(table), table
+
+    def fit_fold(train_idx, val_idx):
+        sub = train.subset(train_idx)
+        X_val = train.features[val_idx]
+        per_gamma = [fit_fn(sub, gamma, C_values)(X_val) for gamma in gamma_values]
+        # transpose gamma-major predictions into the table's C-major order
+        return [pred for per_C in zip(*per_gamma, strict=True) for pred in per_C]
+
+    candidates = [{"C": c, "gamma": g} for c in C_values for g in gamma_values]
+    return cross_validate(train.labels, candidates, fit_fold, grid.folds, grid.seed)
 
 
 def lssvm_fit_fn(sub: Dataset, gamma: float, C_values: Sequence[float]) -> Predictor:

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from emgadapt import lssvm
 from emgadapt.baselines import fit_no_transfer, fit_prior_features, prior_feature_matrix
 from emgadapt.kernels import KernelSpec
-from emgadapt.model_selection import Grid
+from emgadapt.model_selection import Grid, stratified_folds
 from emgadapt.multi_adapt import source_scores
-from emgadapt.signals import Dataset
+from emgadapt.signals import Dataset, NormStats
 
 
 def _blobs(rng, n_per=20, spread=0.3, centers=((0, 0), (4, 0), (0, 4))):
@@ -76,3 +76,74 @@ def test_prior_features_normalization_is_train_statistics():
     flat = prior_feature_matrix(source_scores([source], train.features))
     assert_allclose(model.norm_stats.mean, flat.mean(axis=0), atol=1e-12)
     assert_allclose(model.norm_stats.std, flat.std(axis=0), atol=1e-12)
+
+
+def _noisy_blobs(rng, counts, shift=0.0):
+    centers = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]])[: len(counts)] + shift
+    feats = np.concatenate([c + rng.normal(size=(n, 2)) for c, n in zip(centers, counts)])
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return Dataset(features=feats, labels=labels, num_classes=3, feature_names=["x", "y"])
+
+
+def _reference_prior_features(train, sources, grid):
+    """Per-(C, fold) CV with lssvm.fit and lssvm.predict on the normalized score dataset."""
+    flat = prior_feature_matrix(source_scores(sources, train.features))
+    stats = NormStats(mean=flat.mean(axis=0), std=flat.std(axis=0))
+    names = [f"s{i}" for i in range(flat.shape[1])]
+    ds = Dataset(stats.apply(flat), train.labels, train.num_classes, names)
+    folds = stratified_folds(ds.labels, grid.folds, grid.seed)
+    accuracies = []
+    for c in sorted(grid.C_values):
+        accs = []
+        for f, val in enumerate(folds):
+            tr = np.concatenate([folds[j] for j in range(grid.folds) if j != f])
+            model = lssvm.fit(ds.subset(tr), KernelSpec("linear"), c)
+            pred = lssvm.predict(model, ds.features[val])[0]
+            accs.append(float(np.mean(pred == ds.labels[val])))
+        accuracies.append(float(np.mean(accs)))
+    best_C = sorted(grid.C_values)[accuracies.index(max(accuracies))]
+    return lssvm.fit(ds, KernelSpec("linear"), best_C), stats, accuracies
+
+
+@pytest.mark.parametrize(
+    "seed, counts, grid",
+    [
+        (0, (14, 12, 13), Grid(C_values=(100.0, 0.001, 0.1, 10.0), folds=3, seed=2)),
+        (1, (12, 12, 1), Grid(C_values=(0.01, 1.0, 100.0), folds=3, seed=5)),
+    ],
+    ids=["balanced", "fold-lacks-a-class"],
+)
+def test_prior_features_equals_the_per_C_reference(seed, counts, grid):
+    rng = np.random.default_rng(seed)
+    sources = [
+        lssvm.fit(_noisy_blobs(rng, (15, 15, 15), shift), KernelSpec("gaussian", 1.0), 1.0)
+        for shift in (0.0, 0.5)
+    ]
+    train = _noisy_blobs(rng, counts)
+    if min(counts) < grid.folds:
+        # some training fold must lack a class, so the default-mask path runs
+        folds = stratified_folds(train.labels, grid.folds, grid.seed)
+        assert any(len(np.unique(np.delete(train.labels, f))) < train.num_classes for f in folds)
+    model = fit_prior_features(train, sources, grid)
+    reference, stats, accuracies = _reference_prior_features(train, sources, grid)
+    assert len(set(accuracies)) > 1
+    assert model.C == reference.C
+    assert model.alphas.tobytes() == reference.alphas.tobytes()
+    assert model.biases.tobytes() == reference.biases.tobytes()
+    assert model.norm_stats.mean.tobytes() == stats.mean.tobytes()
+    assert model.norm_stats.std.tobytes() == stats.std.tobytes()
+
+
+def test_prior_features_builds_one_gram_per_fold(monkeypatch):
+    rng = np.random.default_rng(3)
+    sources = [lssvm.fit(_noisy_blobs(rng, (15, 15, 15)), KernelSpec("gaussian", 1.0), 1.0)]
+    calls = []
+    fit_for_each_C = lssvm.fit_for_each_C
+
+    def counted(train, kernel_spec, C_values):
+        calls.append(tuple(C_values))
+        return fit_for_each_C(train, kernel_spec, C_values)
+
+    monkeypatch.setattr(lssvm, "fit_for_each_C", counted)
+    model = fit_prior_features(_noisy_blobs(rng, (10, 10, 10)), sources, GRID)
+    assert calls == [tuple(sorted(GRID.C_values))] * GRID.folds + [(model.C,)]

@@ -356,6 +356,19 @@ def test_non_finite_or_duplicate_grid_value_returns_2(arts, tmp_path, capsys, gr
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mkal_p, message", [("3", "p must lie in (1, 2]"), ("1.5,1.5", "p_grid contains duplicates")]
+)
+def test_invalid_mkal_p_grid_returns_2(arts, tmp_path, capsys, mkal_p, message):
+    code = main([
+        "run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path / "o"),
+        *RUN_FLAGS, "--mkal-p", mkal_p,
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_manifest_entry_without_a_required_key_returns_2(arts, tmp_path, capsys):
     feats = tmp_path / "feats"
     shutil.copytree(arts / "feats", feats)

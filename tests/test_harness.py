@@ -112,6 +112,36 @@ def test_config_validation():
         ExperimentConfig(experiment="II", jobs=0)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"p_grid": ()}, "p_grid"),
+        ({"lambda_grid": ()}, "lambda_grid"),
+        ({"p_grid": (1.5, float("nan"))}, "p_grid"),
+        ({"lambda_grid": (float("inf"),)}, "lambda_grid"),
+        ({"p_grid": (1.5, 1.25, 1.5)}, "duplicates"),
+        ({"lambda_grid": (1e-2, 1e-2)}, "duplicates"),
+        ({"p_grid": (1.5, 3.0)}, "p must lie"),
+        ({"p_grid": (1.0,)}, "p must lie"),
+        ({"lambda_grid": (-1e-2,)}, "lambda_grid"),
+        ({"epochs_online": -1}, "epoch"),
+        ({"epochs_batch": -1}, "epoch"),
+    ],
+    ids=[
+        "empty-p", "empty-lambda", "nan-p", "inf-lambda", "duplicate-p", "duplicate-lambda",
+        "p-above-2", "p-at-1", "negative-lambda", "negative-online-epochs", "negative-batch-epochs",
+    ],
+)
+def test_mkal_selection_rejects_what_mkal_config_or_the_grid_rejects(fields, message):
+    with pytest.raises(ValueError, match=message):
+        MkalSelection(**fields)
+
+
+def test_mkal_selection_accepts_the_boundary_values():
+    sel = MkalSelection(p_grid=(2.0, 1.0001), lambda_grid=(1e-9,), epochs_online=0, epochs_batch=0)
+    assert sel.p_grid == (2.0, 1.0001)
+
+
 # ---------------------------------------------------------------------------
 # source models
 

@@ -98,7 +98,10 @@ def test_shape_errors():
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("shape_x, shape_z", [((40, 7), (40, 7)), ((33, 5), (17, 5)), ((1, 6), (25, 6))])
+@pytest.mark.parametrize(
+    "shape_x, shape_z",
+    [((40, 7), (40, 7)), ((33, 5), (17, 5)), ((1, 6), (25, 6)), ((600, 4), (30, 4))],
+)
 def test_in_place_gaussian_gram_is_bitwise_equal_to_the_out_of_place_formula(gamma, shape_x, shape_z):
     rng = np.random.default_rng(int(gamma * 1000) + shape_x[0])
     X = rng.normal(size=shape_x) * 3.0
@@ -109,7 +112,7 @@ def test_in_place_gaussian_gram_is_bitwise_equal_to_the_out_of_place_formula(gam
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_gaussian_gram_peaks_at_about_two_output_sizes():
+def test_gaussian_gram_peaks_at_about_one_output_size():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(2000, 8))
     Z = rng.normal(size=(1000, 8))
@@ -122,4 +125,4 @@ def test_gaussian_gram_peaks_at_about_two_output_sizes():
     finally:
         tracemalloc.stop()
     assert k.nbytes == out_bytes
-    assert peak <= 2.2 * out_bytes
+    assert peak <= 1.2 * out_bytes

@@ -7,7 +7,6 @@ from emgadapt import lssvm
 from emgadapt.kernels import KernelSpec
 from emgadapt.model_selection import (
     Grid,
-    best_candidate,
     cross_validate,
     lssvm_fit_fn,
     select,
@@ -62,24 +61,65 @@ def test_folds_errors_and_determinism():
 def test_cross_validate_accuracy_oracle():
     labels = np.array([0, 1] * 10)
 
-    def fit_predict(train_idx, val_idx, cand):
+    def fit_fold(train_idx, val_idx):
         truth = labels[val_idx]
-        return truth if cand["right"] else (truth + 1) % 2
+        return [truth, (truth + 1) % 2]
 
-    table = cross_validate(labels, [{"right": True}, {"right": False}], fit_predict, 4, seed=0)
-    assert table[0]["accuracy"] == 1.0
-    assert table[1]["accuracy"] == 0.0
+    best, table = cross_validate(
+        labels, [{"right": True}, {"right": False}], fit_fold, 4, seed=0
+    )
+    assert table == [{"right": True, "accuracy": 1.0}, {"right": False, "accuracy": 0.0}]
+    assert best is table[0]
 
 
-def test_best_candidate_prefers_earlier_on_ties():
-    table = [
-        {"C": 1.0, "gamma": 0.1, "accuracy": 0.9},
-        {"C": 1.0, "gamma": 1.0, "accuracy": 0.9},
-        {"C": 10.0, "gamma": 0.1, "accuracy": 0.9},
-    ]
-    assert best_candidate(table) == table[0]
-    table[2]["accuracy"] = 0.95
-    assert best_candidate(table)["C"] == 10.0
+def test_cross_validate_prefers_earlier_candidates_on_ties():
+    labels = np.array([0, 1] * 10)
+    candidates = [{"C": 1.0}, {"C": 10.0}, {"C": 100.0}]
+
+    def fit_fold_with(right):
+        def fit_fold(train_idx, val_idx):
+            truth = labels[val_idx]
+            return [truth if r else 1 - truth for r in right]
+
+        return fit_fold
+
+    best, table = cross_validate(labels, candidates, fit_fold_with((True, True, False)), 2, 0)
+    assert best is table[0]
+    best, table = cross_validate(labels, candidates, fit_fold_with((False, True, True)), 2, 0)
+    assert best is table[1]
+
+
+def test_cross_validate_calls_fit_fold_once_per_fold():
+    labels = np.repeat([0, 1, 2], [7, 6, 5])
+    folds = stratified_folds(labels, 3, seed=11)
+    calls = []
+
+    def fit_fold(train_idx, val_idx):
+        calls.append((train_idx, val_idx))
+        return [labels[val_idx], np.zeros_like(val_idx)]
+
+    cross_validate(labels, [{"k": 0}, {"k": 1}], fit_fold, 3, seed=11)
+    assert len(calls) == 3
+    for (train_idx, val_idx), fold in zip(calls, folds):
+        assert np.array_equal(val_idx, fold)
+        assert np.array_equal(np.sort(np.concatenate([train_idx, val_idx])), np.arange(len(labels)))
+
+
+@pytest.mark.parametrize("returned", [0, 1, 3], ids=["none", "too-few", "too-many"])
+def test_cross_validate_rejects_a_wrong_number_of_predictions(returned):
+    labels = np.array([0, 1] * 6)
+
+    def fit_fold(train_idx, val_idx):
+        return [labels[val_idx]] * returned
+
+    with pytest.raises(ValueError):
+        cross_validate(labels, [{"k": 0}, {"k": 1}], fit_fold, 3, seed=0)
+
+
+def test_cross_validate_rejects_an_empty_candidate_list():
+    labels = np.array([0, 1] * 6)
+    with pytest.raises(ValueError, match="candidate"):
+        cross_validate(labels, [], lambda train_idx, val_idx: [], 3, seed=0)
 
 
 def test_select_candidate_ordering():
@@ -138,15 +178,18 @@ def test_grid_rejects_non_finite_and_duplicate_values(C_values, gamma_values):
 
 def _reference_table(ds, grid):
     """Per-candidate CV: one lssvm.fit and one lssvm.predict per (C, gamma, fold)."""
-    candidates = [
-        {"C": c, "gamma": g} for c in sorted(grid.C_values) for g in sorted(grid.gamma_values)
-    ]
-
-    def fit_predict(train_idx, val_idx, cand):
-        model = lssvm.fit(ds.subset(train_idx), KernelSpec("gaussian", cand["gamma"]), cand["C"])
-        return lssvm.predict(model, ds.features[val_idx])[0]
-
-    return cross_validate(ds.labels, candidates, fit_predict, grid.folds, grid.seed)
+    folds = stratified_folds(ds.labels, grid.folds, grid.seed)
+    table = []
+    for c in sorted(grid.C_values):
+        for g in sorted(grid.gamma_values):
+            accs = []
+            for f, val in enumerate(folds):
+                train = np.concatenate([folds[j] for j in range(grid.folds) if j != f])
+                model = lssvm.fit(ds.subset(train), KernelSpec("gaussian", g), c)
+                pred = lssvm.predict(model, ds.features[val])[0]
+                accs.append(float(np.mean(pred == ds.labels[val])))
+            table.append({"C": c, "gamma": g, "accuracy": float(np.mean(accs))})
+    return table
 
 
 def _noisy_blobs(seed, counts):
@@ -175,7 +218,8 @@ def test_select_table_equals_the_per_candidate_reference(seed, counts, grid):
     best, table = select(ds, lssvm_fit_fn, grid)
     reference = _reference_table(ds, grid)
     assert table == reference
-    assert best == best_candidate(reference)
+    top = max(row["accuracy"] for row in reference)
+    assert best == next(row for row in reference if row["accuracy"] == top)
     assert len({row["accuracy"] for row in table}) > 1
 
 
