@@ -59,7 +59,7 @@ def fit_prior_features(
 
     def fit_fold(train_idx, val_idx):
         models = lssvm.fit_for_each_C(ds.subset(train_idx), KernelSpec("linear"), C_values)
-        return [lssvm.predict(m, ds.features[val_idx])[0] for m in models]
+        return lssvm.predict_for_each_C(models, ds.features[val_idx])
 
     candidates = [{"C": c} for c in C_values]
     best, _ = cross_validate(ds.labels, candidates, fit_fold, grid.folds, grid.seed)

@@ -8,6 +8,9 @@ import numpy as np
 
 KERNEL_KINDS = ("gaussian", "linear")
 
+# gram_product's query blocks hold BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows
+BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -51,3 +54,17 @@ def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     np.maximum(out, 0.0, out=out)
     out *= -spec.gamma
     return np.exp(out, out=out)
+
+
+def gram_product(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """`gram(spec, X, Z) @ coeffs`, with at most 2 * BLOCK_ROWS - 1 Gram rows alive.
+
+    The rows of X are split into max(1, len(X) // BLOCK_ROWS) equal,
+    contiguous blocks.  A block's rows can differ from the one-shot product
+    by round-off, since BLAS may sum in an order that depends on the row count.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or len(X) < 2 * BLOCK_ROWS:
+        return gram(spec, X, Z) @ coeffs
+    blocks = np.array_split(X, len(X) // BLOCK_ROWS)
+    return np.concatenate([gram(spec, b, Z) @ coeffs for b in blocks])

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, gram, gram_product
 from .signals import Dataset, NormStats
 
 
@@ -60,10 +60,13 @@ def ova_targets(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def _bordered_matrix(kmat: np.ndarray, C: float) -> np.ndarray:
     n = kmat.shape[0]
-    m = np.zeros((n + 1, n + 1))
+    # one buffer, with no N x N temporaries
+    m = np.empty((n + 1, n + 1))
+    m[0, 0] = 0.0
     m[0, 1:] = 1.0
     m[1:, 0] = 1.0
-    m[1:, 1:] = kmat + np.eye(n) / C
+    m[1:, 1:] = kmat
+    m[1:, 1:][np.diag_indices(n)] += 1.0 / C
     return m
 
 
@@ -143,14 +146,19 @@ def decision_scores(model: LssvmModel, X: np.ndarray) -> np.ndarray:
             f"query dimension {X.shape[1]} does not match model dimension "
             f"{model.support_inputs.shape[1]}"
         )
-    kq = gram(model.kernel, X, model.support_inputs)
-    return kq @ model.alphas + model.biases
+    return gram_product(model.kernel, X, model.support_inputs, model.alphas) + model.biases
 
 
 def predict(model: LssvmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predicted labels and the score matrix; ties go to the smaller class id."""
     scores = decision_scores(model, X)
     return np.argmax(scores, axis=1), scores
+
+
+def predict_for_each_C(models: Sequence[LssvmModel], X: np.ndarray) -> list[np.ndarray]:
+    """Labels of every model of one `fit_for_each_C` call, from one query Gram."""
+    kq = gram(models[0].kernel, X, models[0].support_inputs)
+    return [np.argmax(kq @ m.alphas + m.biases, axis=1) for m in models]
 
 
 def bordered_inverse_block(kmat: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, gram, gram_product
 from .lssvm import LssvmModel
 from .multi_adapt import source_scores
 from .signals import Dataset
@@ -98,13 +98,6 @@ def _block_sq_norms(grams: list[np.ndarray], duals: np.ndarray) -> np.ndarray:
     return np.array([float(np.sum(duals[k] * (km @ duals[k]))) for k, km in enumerate(grams)])
 
 
-def _scores_all(grams: list[np.ndarray], duals: np.ndarray) -> np.ndarray:
-    out = np.zeros(duals.shape[1:])
-    for k, km in enumerate(grams):
-        out += km @ duals[k]
-    return out
-
-
 def _hinge_losses(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample worst-class hinge: max(0, 1 - (f_yi - max_{y != yi} f_y))."""
     n = scores.shape[0]
@@ -113,22 +106,6 @@ def _hinge_losses(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     masked[np.arange(n), labels] = -np.inf
     worst = masked.max(axis=1)
     return np.maximum(0.0, 1.0 - (own - worst))
-
-
-def mkal_objective(
-    train: Dataset,
-    s_tensor: np.ndarray,
-    duals: np.ndarray,
-    kernel0: KernelSpec,
-    p: float,
-    lam: float,
-) -> float:
-    """Full objective recomputed from scratch (independent of the trainer)."""
-    grams = _block_grams(kernel0, train.features, s_tensor)
-    scores = _scores_all(grams, duals)
-    loss = float(np.mean(_hinge_losses(scores, train.labels))) if len(train) else 0.0
-    norms = np.sqrt(np.maximum(_block_sq_norms(grams, duals), 0.0))
-    return lam / 2.0 * group_norm(norms, p) ** 2 + loss
 
 
 def _shrink_factors(sq_norms_true: np.ndarray, p: float, eta: float, lam: float) -> np.ndarray:
@@ -296,15 +273,9 @@ def predict_mkal(
     k = model.num_sources
     if source_scores_x.shape != (X.shape[0], k, model.num_classes):
         raise ValueError("source score tensor has the wrong shape")
-    scores = gram(model.kernel0, X, model.train_inputs) @ model.dual_coeffs[0]
+    scores = gram_product(model.kernel0, X, model.train_inputs, model.dual_coeffs[0])
     for kb in range(k):
         w = model.train_source_scores[:, kb, :].T @ model.dual_coeffs[kb + 1]  # G x G
         scores += source_scores_x[:, kb, :] @ w
     return np.argmax(scores, axis=1), scores
 
-
-def model_objective(model: MkalModel, train: Dataset) -> float:
-    """Objective of a trained model on its own training set."""
-    return mkal_objective(
-        train, model.train_source_scores, model.dual_coeffs, model.kernel0, model.p, model.lam
-    )

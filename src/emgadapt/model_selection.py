@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lssvm
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec
 from .signals import Dataset
 
 
@@ -135,9 +135,4 @@ def lssvm_fit_fn(sub: Dataset, gamma: float, C_values: Sequence[float]) -> Predi
     """`select` fit_fn: gaussian one-vs-all LS-SVMs sharing one train and one query Gram."""
     spec = KernelSpec("gaussian", gamma)
     models = lssvm.fit_for_each_C(sub, spec, C_values)
-
-    def predict(X: np.ndarray) -> list[np.ndarray]:
-        kq = gram(spec, X, sub.features)
-        return [np.argmax(kq @ m.alphas + m.biases, axis=1) for m in models]
-
-    return predict
+    return lambda X: lssvm.predict_for_each_C(models, X)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emgadapt.kernels import KernelSpec, gram
+from emgadapt import kernels
+from emgadapt.kernels import KernelSpec, gram, gram_product
 
 
 def kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
@@ -126,3 +127,41 @@ def test_gaussian_gram_peaks_at_about_one_output_size():
         tracemalloc.stop()
     assert k.nbytes == out_bytes
     assert peak <= 1.2 * out_bytes
+
+
+BLOCKED_ROWS = [0, 1, 2047, 2048, 4095, 4096, 12747]
+
+
+@pytest.mark.parametrize(
+    "spec", [KernelSpec("gaussian", 0.05), KernelSpec("linear")], ids=["gaussian", "linear"]
+)
+@pytest.mark.parametrize("rows", BLOCKED_ROWS)
+def test_gram_product_matches_the_one_shot_product(spec, rows):
+    rng = np.random.default_rng(rows)
+    X = rng.normal(size=(rows, 6))
+    Z = rng.normal(size=(40, 6))
+    coeffs = rng.normal(size=(40, 5))
+    got = gram_product(spec, X, Z, coeffs)
+    want = gram(spec, X, Z) @ coeffs
+    assert got.shape == (rows, 5)
+    # blocks may sum in another order than the one-shot product: round-off only
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))
+    assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+
+@pytest.mark.parametrize("rows", BLOCKED_ROWS)
+def test_gram_product_builds_one_gram_below_4096_rows_and_bounded_blocks_above(rows, monkeypatch):
+    seen = []
+
+    def spy(spec, X, Z):
+        seen.append(len(X))
+        return gram(spec, X, Z)
+
+    monkeypatch.setattr(kernels, "gram", spy)
+    gram_product(KernelSpec("linear"), np.ones((rows, 2)), np.ones((3, 2)), np.ones((3, 1)))
+    assert sum(seen) == rows
+    if rows < 4096:
+        assert seen == [rows]
+    else:
+        assert len(seen) == rows // 2048
+        assert all(2048 <= n <= 4095 for n in seen)

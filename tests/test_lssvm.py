@@ -1,5 +1,7 @@
 """Dual solver correctness: KKT system, dense oracle, exact leave-one-out."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from emgadapt.kernels import KernelSpec, gram
 from emgadapt.lssvm import (
     LssvmModel,
     NumericalError,
+    _bordered_matrix,
     bordered_inverse_block,
     loo_residuals,
     ova_targets,
@@ -178,3 +181,53 @@ def test_degenerate_system_raises_numerical_error():
     kmat = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NumericalError):
         solve_dual_system(kmat, 1.0, np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 400])
+def test_bordered_matrix_equals_the_identity_sum_construction(n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 4))
+    kmat = gram(KernelSpec("gaussian", 0.3), X, X)
+    for C in (1e-3, 0.7, 1.0, 3.0, 1e4):
+        want = np.zeros((n + 1, n + 1))
+        want[0, 1:] = 1.0
+        want[1:, 0] = 1.0
+        want[1:, 1:] = kmat + np.eye(n) / C
+        assert np.array_equal(_bordered_matrix(kmat, C), want)
+
+
+def test_decision_scores_of_a_large_query_peak_far_below_its_full_gram():
+    rng = np.random.default_rng(5)
+    model = LssvmModel(
+        kernel=KernelSpec("gaussian", 0.1),
+        C=1.0,
+        num_classes=8,
+        support_inputs=rng.normal(size=(1000, 8)),
+        alphas=rng.normal(size=(1000, 8)),
+        biases=rng.normal(size=8),
+    )
+    X = rng.normal(size=(20000, 8))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        scores = lssvm.decision_scores(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (20000, 8)
+    # the full 20000 x 1000 query Gram alone would be 160 MB
+    assert peak < 40e6
+
+
+@pytest.mark.parametrize(
+    "spec", [KernelSpec("gaussian", 0.5), KernelSpec("linear")], ids=["gaussian", "linear"]
+)
+def test_predict_for_each_C_equals_predict_of_each_model(spec):
+    rng = np.random.default_rng(9)
+    ds = _random_dataset(rng, n=40, g=4, d=3)
+    models = lssvm.fit_for_each_C(ds, spec, (0.1, 1.0, 10.0))
+    X = rng.normal(size=(25, 3))
+    got = lssvm.predict_for_each_C(models, X)
+    assert len(got) == len(models)
+    for labels, m in zip(got, models):
+        assert np.array_equal(labels, lssvm.predict(m, X)[0])

@@ -10,17 +10,39 @@ from emgadapt import lssvm
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.mkal import (
     MkalConfig,
+    MkalModel,
     _block_grams,
     _block_sq_norms,
     _hinge_losses,
     fit_mkal,
     group_norm,
-    mkal_objective,
-    model_objective,
     predict_mkal,
 )
 from emgadapt.multi_adapt import source_scores
 from emgadapt.signals import Dataset
+
+
+def mkal_objective(
+    train: Dataset,
+    s_tensor: np.ndarray,
+    duals: np.ndarray,
+    kernel0: KernelSpec,
+    p: float,
+    lam: float,
+) -> float:
+    """Full objective recomputed from scratch: the oracle for the trainer's objective."""
+    grams = _block_grams(kernel0, train.features, s_tensor)
+    scores = sum(km @ duals[k] for k, km in enumerate(grams))
+    loss = float(np.mean(_hinge_losses(scores, train.labels))) if len(train) else 0.0
+    norms = np.sqrt(np.maximum(_block_sq_norms(grams, duals), 0.0))
+    return lam / 2.0 * group_norm(norms, p) ** 2 + loss
+
+
+def model_objective(model: MkalModel, train: Dataset) -> float:
+    """Objective of a trained model on its own training set."""
+    return mkal_objective(
+        train, model.train_source_scores, model.dual_coeffs, model.kernel0, model.p, model.lam
+    )
 
 
 def _blobs(rng, n_per=15, spread=0.4, centers=((0, 0), (4, 0), (0, 4))):
