@@ -1,9 +1,10 @@
 """Reference models the adaptive methods are compared against.
 
 No Transfer trains a cross-validated gaussian LS-SVM on target data alone;
-its interface takes no source models at all.  Prior Features discards the
+its interface takes no source scores at all.  Prior Features discards the
 raw features at the classifier input and trains a linear LS-SVM on the
-z-normalized concatenation of all source score vectors.
+z-normalized concatenation of all source score vectors (the (N, K, G)
+tensor of `multi_adapt.source_scores`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
 from .model_selection import Grid, cross_validate, lssvm_fit_fn, select
-from .multi_adapt import source_scores
 from .signals import Dataset, apply_normalizer, fit_normalizer
 
 
@@ -30,22 +30,13 @@ def prior_feature_matrix(scores: np.ndarray) -> np.ndarray:
     return scores.reshape(n, k * g)
 
 
-def fit_prior_features(
-    train: Dataset,
-    sources: list[LssvmModel],
-    grid: Grid,
-    source_scores_train: np.ndarray | None = None,
-) -> LssvmModel:
-    """Linear LS-SVM over normalized source scores; C picked by CV.
+def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> LssvmModel:
+    """Linear LS-SVM over the normalized (N, K, G) source scores; C picked by CV.
 
     The returned model carries the score normalization, so predictions take
     the raw stacked score matrix (see `prior_feature_matrix`).
     """
-    if not sources:
-        raise ValueError("need at least one source model")
-    s_tensor = source_scores_train
-    if s_tensor is None:
-        s_tensor = source_scores(sources, train.features)
+    s_tensor = lssvm.check_score_tensor(train, s_train)
     names = [f"src{k + 1}_s{g}" for k in range(s_tensor.shape[1]) for g in range(s_tensor.shape[2])]
     raw = Dataset(
         features=prior_feature_matrix(s_tensor),

@@ -9,7 +9,10 @@ the target exactly once while the others act as sources:
   AI -- amputee target, all intact subjects are sources
 
 Source machines are cross-validated LS-SVMs trained once per subject on
-its own (optionally capped) training data.  For every random seed the
+its own (optionally capped) training data.  A target sees them only through
+their per-class scores on its windows: `_run_target` computes that (N, K, G)
+tensor once for its pool and once for its test set, and every method takes
+rows of it.  For every random seed the
 target's training pool is permuted once and the size-s training set is the
 first s entries, so smaller sets nest inside larger ones and class
 proportions stay whatever the permutation produced (no balancing).  Per
@@ -18,9 +21,9 @@ shared by No Transfer, Multi Adapt and the H-L2L first layer; MKAL picks
 (p, lambda) by CV; Prior Features picks C; the H-L2L second layer picks
 its own (C, gamma) on the stacked score vectors.
 
-All randomness is derived from (base_seed, target id, seed index, size
+All randomness is derived from (base_seed, target id, seed value, size
 index), so results are identical no matter how work is scheduled across
-processes.
+processes, and a seed's cells do not depend on which other seeds run.
 """
 
 from __future__ import annotations
@@ -86,11 +89,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {unknown}")
         if not self.methods:
             raise ValueError("need at least one method")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods has duplicates: {list(self.methods)}")
         sizes = list(self.size_schedule)
         if not sizes or any(s < 1 for s in sizes) or sorted(set(sizes)) != sizes:
             raise ValueError("size_schedule must be strictly increasing positive ints")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds) or any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be distinct non-negative ints: {list(self.seeds)}")
         if self.source_train_cap is not None and self.source_train_cap < 2:
             raise ValueError("source_train_cap must be >= 2 (or None)")
         if self.jobs < 1:
@@ -188,7 +195,6 @@ def _fit_eval_cell(
     s_sub: np.ndarray | None,
     test: Dataset,
     s_test: np.ndarray | None,
-    source_models: list[LssvmModel],
     shared: dict | None,
     cell_key: tuple[int, ...],
 ) -> tuple[np.ndarray, dict]:
@@ -199,11 +205,11 @@ def _fit_eval_cell(
         return lssvm.predict(model, test.features)[0], dict(shared)
     if method == "PriorFeatures":
         grid = dataclasses.replace(cfg.grid, seed=_seed_int(base, *cell_key, 3))
-        model = fit_prior_features(sub, source_models, grid, source_scores_train=s_sub)
+        model = fit_prior_features(sub, s_sub, grid)
         return lssvm.predict(model, prior_feature_matrix(s_test))[0], {"C": model.C}
     if method == "MA":
         kernel = KernelSpec("gaussian", shared["gamma"])
-        model = fit_ma(sub, source_models, kernel, shared["C"], source_scores_train=s_sub)
+        model = fit_ma(sub, s_sub, kernel, shared["C"])
         return predict_ma(model, test.features, s_test)[0], dict(shared)
     if method == "MKAL":
         sel = cfg.mkal
@@ -217,7 +223,7 @@ def _fit_eval_cell(
                 p=cand["p"], lam=cand["lam"], gamma=shared["gamma"],
                 epochs_online=sel.epochs_online, epochs_batch=sel.epochs_batch, seed=fit_seed,
             )
-            return fit_mkal(train, source_models, mkal_cfg, source_scores_train=s_train)
+            return fit_mkal(train, s_train, mkal_cfg)
 
         def fit_fold(tr, va):
             sub_tr, s_tr = sub.subset(tr), s_sub[tr]
@@ -235,10 +241,7 @@ def _fit_eval_cell(
     if method == "HL2L":
         kernel1 = KernelSpec("gaussian", shared["gamma"])
         split_seed = _seed_int(base, *cell_key, 6)
-        _, raw_stack = stacking_dataset(
-            sub, source_models, kernel1, shared["C"], seed=split_seed,
-            source_scores_train=s_sub,
-        )
+        _, raw_stack = stacking_dataset(sub, s_sub, kernel1, shared["C"], seed=split_seed)
         stack_norm = apply_normalizer(raw_stack, fit_normalizer(raw_stack))
         folds2 = max(2, min(cfg.grid.folds, len(stack_norm)))
         grid2 = dataclasses.replace(
@@ -246,9 +249,8 @@ def _fit_eval_cell(
         )
         best2, _ = select(stack_norm, lssvm_fit_fn, grid2)
         model = fit_hl2l(
-            sub, source_models, kernel1, shared["C"],
-            KernelSpec("gaussian", best2["gamma"]), best2["C"],
-            seed=split_seed, source_scores_train=s_sub,
+            sub, s_sub, kernel1, shared["C"],
+            KernelSpec("gaussian", best2["gamma"]), best2["C"], seed=split_seed,
         )
         return (
             predict_hl2l(model, test.features, s_test)[0],
@@ -277,13 +279,13 @@ def _run_target(
     need_shared = any(m in ("NoTransfer", "MA", "MKAL", "HL2L") for m in cfg.methods)
 
     cells: list[CellResult] = []
-    for seed_index in range(len(cfg.seeds)):
-        perm = _rng(cfg.base_seed, 2, tkey, seed_index).permutation(n_pool)
+    for seed_index, seed in enumerate(cfg.seeds):
+        perm = _rng(cfg.base_seed, 2, tkey, seed).permutation(n_pool)
         for size_index, size in enumerate(sizes):
             idx = perm[:size]
             sub = pool.subset(idx)
             s_sub = s_pool[idx] if s_pool is not None else None
-            cell_key = (3, tkey, seed_index, size_index)
+            cell_key = (3, tkey, seed, size_index)
             shared = None
             if need_shared:
                 grid = dataclasses.replace(
@@ -294,12 +296,12 @@ def _run_target(
             for method in cfg.methods:
                 try:
                     pred, params = _fit_eval_cell(
-                        method, cfg, sub, s_sub, test, s_test, source_models, shared, cell_key
+                        method, cfg, sub, s_sub, test, s_test, shared, cell_key
                     )
                 except ValueError as exc:
                     raise ValueError(
                         f"{method} at size {size} (target {target.subject_id}, "
-                        f"seed {seed_index}): {exc}"
+                        f"seed {seed}): {exc}"
                     ) from exc
                 cm = confusion(pred, test.labels, pool.num_classes)
                 cells.append(

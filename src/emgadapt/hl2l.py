@@ -18,7 +18,6 @@ import numpy as np
 from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
-from .multi_adapt import source_scores
 from .signals import Dataset, apply_normalizer, fit_normalizer
 
 
@@ -70,54 +69,45 @@ def _score_feature_names(num_sources: int, num_classes: int) -> list[str]:
 
 
 def stacking_dataset(
-    train: Dataset,
-    sources: list[LssvmModel],
-    kernel1: KernelSpec,
-    C1: float,
-    seed: int = 0,
-    source_scores_train: np.ndarray | None = None,
+    train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float, seed: int = 0
 ) -> tuple[LssvmModel, Dataset]:
-    """Layer 1 model plus the raw (unnormalized) stacked layer-2 training set."""
-    if not sources:
-        raise ValueError("need at least one source model")
-    n = len(train)
-    if n < len(sources) + 2:
+    """Layer 1 model plus the raw (unnormalized) stacked layer-2 training set.
+
+    `s_train` is the (N, K, G) source score tensor of the training rows.
+    """
+    s_tensor = lssvm.check_score_tensor(train, s_train)
+    k = s_tensor.shape[1]
+    if len(train) < k + 2:
         raise ValueError("not enough training samples for stacking")
     side_a, side_b = stratified_split(train.labels, seed=seed)
     if len(side_b) < 2:
         raise ValueError("insufficient data for stacking: the held-out side is too small")
     layer1 = lssvm.fit(train.subset(side_a), kernel1, C1)
     t_scores = lssvm.decision_scores(layer1, train.features[side_b])
-    s_tensor = source_scores_train
-    if s_tensor is None:
-        s_tensor = source_scores(sources, train.features)
     stacked = stack_scores(t_scores, s_tensor[side_b])
     ds = Dataset(
         features=stacked,
         labels=train.labels[side_b],
         num_classes=train.num_classes,
-        feature_names=_score_feature_names(len(sources), train.num_classes),
+        feature_names=_score_feature_names(k, train.num_classes),
     )
     return layer1, ds
 
 
 def fit_hl2l(
     train: Dataset,
-    sources: list[LssvmModel],
+    s_train: np.ndarray,
     kernel1: KernelSpec,
     C1: float,
     kernel2: KernelSpec,
     C2: float,
     seed: int = 0,
-    source_scores_train: np.ndarray | None = None,
 ) -> Hl2lModel:
-    layer1, raw_ds = stacking_dataset(
-        train, sources, kernel1, C1, seed=seed, source_scores_train=source_scores_train
-    )
+    layer1, raw_ds = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
     stats = fit_normalizer(raw_ds)
     layer2 = lssvm.fit(apply_normalizer(raw_ds, stats), kernel2, C2)
     layer2.norm_stats = stats
-    return Hl2lModel(layer1=layer1, layer2=layer2, num_sources=len(sources))
+    return Hl2lModel(layer1=layer1, layer2=layer2, num_sources=s_train.shape[1])
 
 
 def predict_hl2l(

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, gram, gram_product
-from .lssvm import LssvmModel
-from .multi_adapt import source_scores
+from .lssvm import check_score_tensor
 from .signals import Dataset
 
 
@@ -119,30 +118,19 @@ def _shrink_factors(sq_norms_true: np.ndarray, p: float, eta: float, lam: float)
 
 
 def fit_mkal(
-    train: Dataset,
-    sources: list[LssvmModel],
-    cfg: MkalConfig,
-    *,
-    source_scores_train: np.ndarray | None = None,
-    kernel0: KernelSpec | None = None,
+    train: Dataset, s_train: np.ndarray, cfg: MkalConfig, *, kernel0: KernelSpec | None = None
 ) -> MkalModel:
+    """Train on the (N, K, G) source scores of the training rows."""
     n = len(train)
     g = train.num_classes
     if n < 1:
         raise ValueError("need at least one training sample")
     if g < 2:
         raise ValueError("need at least 2 classes")
-    if not sources:
-        raise ValueError("need at least one source model")
+    s_tensor = check_score_tensor(train, s_train)
+    k = s_tensor.shape[1]
     if kernel0 is None:
         kernel0 = KernelSpec("gaussian", cfg.gamma)
-
-    s_tensor = source_scores_train
-    if s_tensor is None:
-        s_tensor = source_scores(sources, train.features)
-    k = len(sources)
-    if s_tensor.shape != (n, k, g):
-        raise ValueError("source score tensor has the wrong shape")
 
     grams = _block_grams(kernel0, train.features, s_tensor)
     nb = k + 1

@@ -53,11 +53,14 @@ class BetaWeights:
 class MaModel:
     base: LssvmModel
     beta: BetaWeights
-    sources: list[LssvmModel]
 
 
 def source_scores(sources: list[LssvmModel], X: np.ndarray) -> np.ndarray:
-    """Score tensor of shape (M, K, G): every source's per-class scores."""
+    """Score tensor of shape (M, K, G): every source's per-class scores.
+
+    This is the one place source machines become scores; every adaptation
+    method takes this tensor instead of the machines.
+    """
     if not sources:
         raise ValueError("need at least one source model")
     g = sources[0].num_classes
@@ -88,33 +91,20 @@ def loo_hinge_bound(Y: np.ndarray, base_loo: np.ndarray, V: np.ndarray, beta: np
 
 def fit_ma(
     train: Dataset,
-    sources: list[LssvmModel],
+    s_train: np.ndarray,
     kernel_spec: KernelSpec,
     C: float,
     *,
     beta: np.ndarray | None = None,
-    source_scores_train: np.ndarray | None = None,
 ) -> MaModel:
-    """Train Multi Adapt; pass `beta` to skip optimization and fix the mixing.
+    """Train Multi Adapt on the (N, K, G) source scores of the training rows.
 
-    `source_scores_train` may carry a precomputed (N, K, G) score tensor for
-    the training rows to avoid recomputation inside sweeps.
+    Pass `beta` to skip optimization and fix the mixing.
     """
-    n = len(train)
-    if n < 3:
+    if len(train) < 3:
         raise ValueError("need at least 3 training samples")
-    if not sources:
-        raise ValueError("need at least one source model (use the no-transfer baseline otherwise)")
-    g = train.num_classes
-    k = len(sources)
-    if sources[0].num_classes != g:
-        raise ValueError("source class count does not match the training data")
-
-    s_tensor = source_scores_train
-    if s_tensor is None:
-        s_tensor = source_scores(sources, train.features)
-    if s_tensor.shape != (n, k, g):
-        raise ValueError("source score tensor has the wrong shape")
+    s_tensor = lssvm.check_score_tensor(train, s_train)
+    _, k, g = s_tensor.shape
 
     kmat = gram(kernel_spec, train.features, train.features)
     Y = lssvm.ova_targets(train.labels, g)
@@ -157,15 +147,13 @@ def fit_ma(
         alphas=alphas,
         biases=biases,
     )
-    return MaModel(base=base, beta=BetaWeights(beta), sources=list(sources))
+    return MaModel(base=base, beta=BetaWeights(beta))
 
 
-def predict_ma(
-    model: MaModel, X: np.ndarray, source_scores_x: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted labels and scores; ties go to the smaller class id."""
-    if source_scores_x is None:
-        source_scores_x = source_scores(model.sources, X)
+def predict_ma(model: MaModel, X: np.ndarray, s_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and scores of X from its (M, K, G) source scores; ties go to the smaller class."""
+    if np.shape(s_x) != (len(X), *model.beta.values.shape):
+        raise ValueError("source score tensor has the wrong shape")
     scores = lssvm.decision_scores(model.base, X)
-    scores = scores + np.einsum("mkg,kg->mg", source_scores_x, model.beta.values)
+    scores = scores + np.einsum("mkg,kg->mg", s_x, model.beta.values)
     return np.argmax(scores, axis=1), scores

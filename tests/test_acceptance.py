@@ -136,8 +136,8 @@ def test_criterion_03_degenerate_settings_collapse_to_simple_forms():
         spec = KernelSpec("gaussian", float(10.0 ** rng.uniform(-1, 0.5)))
         query = rng.normal(size=(30, 2)) * 2.5
         plain = lssvm.fit(ds, spec, c_reg)
-        ma = fit_ma(ds, [src], spec, c_reg, beta=np.zeros((1, g)))
-        labels_ma, scores_ma = predict_ma(ma, query)
+        ma = fit_ma(ds, source_scores([src], ds.features), spec, c_reg, beta=np.zeros((1, g)))
+        labels_ma, scores_ma = predict_ma(ma, query, source_scores([src], query))
         labels_plain, scores_plain = lssvm.predict(plain, query)
         assert np.array_equal(labels_ma, labels_plain)
         assert np.array_equal(scores_ma, scores_plain)
@@ -145,7 +145,7 @@ def test_criterion_03_degenerate_settings_collapse_to_simple_forms():
     # MKAL whose source blocks never score is the raw-kernel machine alone
     ds = _blob_dataset(rng, 3, 8, dim=2)
     cfg = MkalConfig(lam=1e-2, gamma=0.5, seed=7)
-    model = fit_mkal(ds, [_zero_source(3, 2)], cfg)
+    model = fit_mkal(ds, source_scores([_zero_source(3, 2)], ds.features), cfg)
     query = rng.normal(size=(25, 2)) * 2.0
     single = gram(KernelSpec("gaussian", cfg.gamma), query, ds.features) @ model.dual_coeffs[0]
     pred, scores = predict_mkal(model, query, np.zeros((25, 1, 3)))
@@ -161,7 +161,7 @@ def test_criterion_03_degenerate_settings_collapse_to_simple_forms():
             for _ in range(k)
         ]
         hl = fit_hl2l(
-            train, sources,
+            train, source_scores(sources, train.features),
             KernelSpec("gaussian", 0.5), 10.0,
             KernelSpec("gaussian", 0.1), 10.0,
             seed=k,

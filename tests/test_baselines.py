@@ -52,7 +52,8 @@ def test_prior_features_uses_source_scores_only():
     ]
     target_train = _blobs(rng, n_per=15)
     target_test = _blobs(rng, n_per=15)
-    model = fit_prior_features(target_train, sources, GRID)
+    s_train = source_scores(sources, target_train.features)
+    model = fit_prior_features(target_train, s_train, GRID)
     assert model.kernel.kind == "linear"
     assert model.norm_stats is not None
     # the machine lives in stacked score space: K * G inputs
@@ -65,14 +66,14 @@ def test_prior_features_uses_source_scores_only():
 def test_prior_features_requires_sources():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        fit_prior_features(_blobs(rng), [], GRID)
+        fit_prior_features(_blobs(rng), np.zeros((60, 0, 3)), GRID)
 
 
 def test_prior_features_normalization_is_train_statistics():
     rng = np.random.default_rng(9)
     train = _blobs(rng, n_per=12)
     source = lssvm.fit(_blobs(rng, n_per=20), KernelSpec("gaussian", 1.0), 10.0)
-    model = fit_prior_features(train, [source], GRID)
+    model = fit_prior_features(train, source_scores([source], train.features), GRID)
     flat = prior_feature_matrix(source_scores([source], train.features))
     assert_allclose(model.norm_stats.mean, flat.mean(axis=0), atol=1e-12)
     assert_allclose(model.norm_stats.std, flat.std(axis=0), atol=1e-12)
@@ -124,7 +125,7 @@ def test_prior_features_equals_the_per_C_reference(seed, counts, grid):
         # some training fold must lack a class, so the default-mask path runs
         folds = stratified_folds(train.labels, grid.folds, grid.seed)
         assert any(len(np.unique(np.delete(train.labels, f))) < train.num_classes for f in folds)
-    model = fit_prior_features(train, sources, grid)
+    model = fit_prior_features(train, source_scores(sources, train.features), grid)
     reference, stats, accuracies = _reference_prior_features(train, sources, grid)
     assert len(set(accuracies)) > 1
     assert model.C == reference.C
@@ -145,5 +146,6 @@ def test_prior_features_builds_one_gram_per_fold(monkeypatch):
         return fit_for_each_C(train, kernel_spec, C_values)
 
     monkeypatch.setattr(lssvm, "fit_for_each_C", counted)
-    model = fit_prior_features(_noisy_blobs(rng, (10, 10, 10)), sources, GRID)
+    train = _noisy_blobs(rng, (10, 10, 10))
+    model = fit_prior_features(train, source_scores(sources, train.features), GRID)
     assert calls == [tuple(sorted(GRID.C_values))] * GRID.folds + [(model.C,)]

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from emgadapt import harness
 from emgadapt.cli import _floats, _ints, _sizes, main
+from emgadapt.harness import ExperimentConfig
 
 # at least 6 classes so top-4 set comparisons are non-trivial (with 5 or
 # fewer, any two top-4 sets overlap in >= 3 classes and always "match")
@@ -249,6 +251,12 @@ def test_config_file_with_flag_override(tmp_path):
     assert doc["flags"]["noise_floor"] == 0.15  # untouched default
 
 
+def test_config_path_that_is_a_directory_returns_2(tmp_path, capsys):
+    code = main(["synth", "--config", str(tmp_path), "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"clazzes": 3}))
@@ -292,6 +300,32 @@ def test_value_errors_return_2(arts, tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_duplicate_methods_return_2(arts, tmp_path, capsys):
+    code = main([
+        "run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path),
+        *RUN_FLAGS, "--methods", "MA,MA",
+    ])
+    assert code == 2
+    assert "duplicates" in capsys.readouterr().err
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_run_defaults_equal_the_library_defaults(arts, tmp_path, monkeypatch):
+    seen = []
+
+    def capture(cfg, subjects):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(harness, "run_experiment", capture)
+    with pytest.raises(_Captured):
+        main(["run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path)])
+    assert seen == [ExperimentConfig(experiment="II")]
 
 
 def test_truncated_feature_csv_returns_2(arts, tmp_path, capsys):

@@ -34,7 +34,9 @@ def _blobs(rng, centers, per_class, spread):
     return Dataset(X, labels[perm], num_classes, [f"f{i}" for i in range(dim)])
 
 
-def _cohort(seed=0, intact=3, amputee=0, num_classes=3, dim=4, train_per=8, test_per=5):
+def _cohort(
+    seed=0, intact=3, amputee=0, num_classes=3, dim=4, train_per=8, test_per=5, spread=0.3
+):
     """Subjects share class centers up to a small per-subject offset."""
     rng = np.random.default_rng(seed)
     base = 2.0 * rng.standard_normal((num_classes, dim))
@@ -42,8 +44,8 @@ def _cohort(seed=0, intact=3, amputee=0, num_classes=3, dim=4, train_per=8, test
     conditions = ["intact"] * intact + ["amputee"] * amputee
     for i, condition in enumerate(conditions):
         centers = base + 0.2 * rng.standard_normal(base.shape)
-        train = _blobs(rng, centers, train_per, 0.3)
-        test = _blobs(rng, centers, test_per, 0.3)
+        train = _blobs(rng, centers, train_per, spread)
+        test = _blobs(rng, centers, test_per, spread)
         subjects.append(SubjectData(f"s{i}", condition, train, test))
     return subjects
 
@@ -100,12 +102,18 @@ def test_config_validation():
         ExperimentConfig(experiment="II", methods=("NoTransfer", "Magic"))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="II", methods=())
+    with pytest.raises(ValueError, match="duplicates"):
+        ExperimentConfig(experiment="II", methods=("MA", "MA"))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="II", size_schedule=(40, 40))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="II", size_schedule=(80, 40))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="II", seeds=())
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(experiment="II", seeds=(7, 7))
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(experiment="II", seeds=(0, -1))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="II", source_train_cap=1)
     with pytest.raises(ValueError):
@@ -200,6 +208,24 @@ def test_run_experiment_shape_and_determinism():
     assert res.source_ids == ["s0", "s1", "s2"]
     assert res.subjects == [(s.subject_id, s.condition) for s in subs]
     _same_cells(res.cells, run_experiment(cfg, subs).cells)
+
+
+def test_a_seed_runs_the_same_cells_whatever_seeds_run_beside_it():
+    subs = _cohort(seed=6, train_per=10, test_per=20, spread=1.5)
+    methods = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
+    alone = run_experiment(_small_cfg(methods=methods, size_schedule=(18,), seeds=(1,)), subs)
+    both = run_experiment(_small_cfg(methods=methods, size_schedule=(18,), seeds=(0, 1)), subs)
+    assert {c.seed_index for c in alone.cells} == {0}  # the position in `seeds`
+    first = [c for c in both.cells if c.seed_index == 0]
+    second = [c for c in both.cells if c.seed_index == 1]
+    # the two seeds draw different cells, so matching the second one means something
+    assert [c.accuracy for c in first] != [c.accuracy for c in second]
+    assert len(second) == len(alone.cells) == 3 * len(methods)
+    for a, b in zip(alone.cells, second):
+        assert (a.target_id, a.size, a.method) == (b.target_id, b.size, b.method)
+        assert a.accuracy == b.accuracy
+        assert_array_equal(a.confusion.counts, b.confusion.counts)
+        assert a.params == b.params
 
 
 def test_parallel_run_matches_serial():

@@ -83,7 +83,8 @@ def test_stacking_dataset_dimension_is_k_plus_one_times_g():
     rng = np.random.default_rng(3)
     train = _blobs(rng, n_per=12)
     sources = [_source(rng), _source(rng)]
-    layer1, raw = stacking_dataset(train, sources, KernelSpec("gaussian", 1.0), 10.0, seed=0)
+    s_train = source_scores(sources, train.features)
+    layer1, raw = stacking_dataset(train, s_train, KernelSpec("gaussian", 1.0), 10.0, seed=0)
     g, k = train.num_classes, len(sources)
     assert raw.dim == (k + 1) * g
     # the held-out side is the complement of the layer-1 side
@@ -94,7 +95,9 @@ def test_stacking_requires_enough_samples():
     rng = np.random.default_rng(1)
     tiny = _blobs(rng, n_per=1)  # 3 samples, every class single -> no 37% side
     with pytest.raises(ValueError):
-        stacking_dataset(tiny, [_source(rng)], KernelSpec("gaussian", 1.0), 10.0)
+        stacking_dataset(
+            tiny, source_scores([_source(rng)], tiny.features), KernelSpec("gaussian", 1.0), 10.0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +110,8 @@ def test_fit_predict_end_to_end():
     test = _blobs(rng, n_per=40)
     sources = [_source(rng), _source(rng)]
     model = fit_hl2l(
-        train, sources, KernelSpec("gaussian", 1.0), 10.0, KernelSpec("gaussian", 0.1), 10.0,
-        seed=2,
+        train, source_scores(sources, train.features),
+        KernelSpec("gaussian", 1.0), 10.0, KernelSpec("gaussian", 0.1), 10.0, seed=2,
     )
     pred, scores = predict_hl2l(model, test.features, source_scores(sources, test.features))
     assert pred.shape == (len(test),)
@@ -122,8 +125,9 @@ def test_layer2_normalization_uses_stack_statistics():
     train = _blobs(rng, n_per=10)
     sources = [_source(rng)]
     k1 = KernelSpec("gaussian", 1.0)
-    model = fit_hl2l(train, sources, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=4)
-    _, raw = stacking_dataset(train, sources, k1, 10.0, seed=4)
+    s_train = source_scores(sources, train.features)
+    model = fit_hl2l(train, s_train, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=4)
+    _, raw = stacking_dataset(train, s_train, k1, 10.0, seed=4)
     assert_allclose(model.layer2.norm_stats.mean, raw.features.mean(axis=0), atol=1e-12)
 
 
@@ -131,7 +135,8 @@ def test_fit_is_deterministic_given_seed():
     rng = np.random.default_rng(9)
     train = _blobs(rng, n_per=10)
     sources = [_source(rng)]
-    args = (train, sources, KernelSpec("gaussian", 1.0), 10.0, KernelSpec("gaussian", 0.5), 5.0)
+    s_train = source_scores(sources, train.features)
+    args = (train, s_train, KernelSpec("gaussian", 1.0), 10.0, KernelSpec("gaussian", 0.5), 5.0)
     a = fit_hl2l(*args, seed=3)
     b = fit_hl2l(*args, seed=3)
     assert np.array_equal(a.layer2.alphas, b.layer2.alphas)

@@ -99,7 +99,8 @@ def test_objective_never_exceeds_one():
     train = _blobs(rng, n_per=8)
     sources = [_source(rng)]
     for lam in (1e-3, 1e-1, 1e3):
-        model = fit_mkal(train, sources, MkalConfig(lam=lam, gamma=1.0, seed=2))
+        s_train = source_scores(sources, train.features)
+        model = fit_mkal(train, s_train, MkalConfig(lam=lam, gamma=1.0, seed=2))
         assert model_objective(model, train) <= 1.0 + 1e-9
 
 
@@ -107,7 +108,7 @@ def test_zero_budget_returns_the_zero_model():
     rng = np.random.default_rng(2)
     train = _blobs(rng, n_per=8)
     cfg = MkalConfig(lam=1e-2, gamma=1.0, epochs_online=0, epochs_batch=0)
-    model = fit_mkal(train, [_source(rng)], cfg)
+    model = fit_mkal(train, source_scores([_source(rng)], train.features), cfg)
     assert np.all(model.dual_coeffs == 0.0)
     assert_allclose(model.block_norms, 0.0)
     assert model_objective(model, train) == pytest.approx(1.0)
@@ -116,7 +117,8 @@ def test_zero_budget_returns_the_zero_model():
 def test_absurd_regularization_keeps_the_model_negligible():
     rng = np.random.default_rng(2)
     train = _blobs(rng, n_per=8)
-    model = fit_mkal(train, [_source(rng)], MkalConfig(lam=1e6, gamma=1.0))
+    s_train = source_scores([_source(rng)], train.features)
+    model = fit_mkal(train, s_train, MkalConfig(lam=1e6, gamma=1.0))
     assert np.all(model.block_norms <= 1e-5)
     assert model_objective(model, train) <= 1.0 + 1e-9
 
@@ -126,7 +128,8 @@ def test_trained_model_beats_the_zero_model_and_classifies():
     train = _blobs(rng, n_per=10)
     test = _blobs(rng, n_per=30)
     sources = [_source(rng), _source(rng)]
-    model = fit_mkal(train, sources, MkalConfig(lam=1e-2, gamma=1.0, seed=0))
+    s_train = source_scores(sources, train.features)
+    model = fit_mkal(train, s_train, MkalConfig(lam=1e-2, gamma=1.0, seed=0))
     assert model_objective(model, train) < 1.0
     pred, _ = predict_mkal(model, test.features, source_scores(sources, test.features))
     assert np.mean(pred == test.labels) >= 0.85
@@ -136,8 +139,8 @@ def test_zero_score_sources_reduce_to_a_single_kernel_machine():
     rng = np.random.default_rng(4)
     train = _blobs(rng, n_per=8)
     cfg = MkalConfig(lam=1e-2, gamma=0.5, seed=7)
-    one = fit_mkal(train, [_zero_source()], cfg)
-    two = fit_mkal(train, [_zero_source(), _zero_source()], cfg)
+    one = fit_mkal(train, source_scores([_zero_source()], train.features), cfg)
+    two = fit_mkal(train, source_scores([_zero_source(), _zero_source()], train.features), cfg)
     # dead blocks never influence training: block-0 trajectories coincide
     assert np.array_equal(one.dual_coeffs[0], two.dual_coeffs[0])
 
@@ -158,7 +161,8 @@ def test_identical_sources_get_identical_blocks():
     rng = np.random.default_rng(5)
     train = _blobs(rng, n_per=8)
     src = _source(rng)
-    model = fit_mkal(train, [src, src], MkalConfig(p=2.0, lam=1e-2, gamma=1.0, seed=1))
+    s_train = source_scores([src, src], train.features)
+    model = fit_mkal(train, s_train, MkalConfig(p=2.0, lam=1e-2, gamma=1.0, seed=1))
     assert_allclose(model.block_norms[1], model.block_norms[2], atol=1e-12)
     assert np.array_equal(model.dual_coeffs[1], model.dual_coeffs[2])
 
@@ -168,7 +172,8 @@ def test_informative_source_outweighs_scrambled_source():
     train = _blobs(rng, n_per=10)
     good = _source(rng)
     bad = _source(rng, scramble=True)
-    model = fit_mkal(train, [good, bad], MkalConfig(p=1.25, lam=1e-2, gamma=1.0, seed=0))
+    s_train = source_scores([good, bad], train.features)
+    model = fit_mkal(train, s_train, MkalConfig(p=1.25, lam=1e-2, gamma=1.0, seed=0))
     assert model.block_norms[1] > model.block_norms[2]
 
 
@@ -199,8 +204,8 @@ def test_fit_is_deterministic():
     train = _blobs(rng, n_per=8)
     sources = [_source(rng)]
     cfg = MkalConfig(lam=1e-2, gamma=1.0, seed=3)
-    a = fit_mkal(train, sources, cfg)
-    b = fit_mkal(train, sources, cfg)
+    a = fit_mkal(train, source_scores(sources, train.features), cfg)
+    b = fit_mkal(train, source_scores(sources, train.features), cfg)
     assert np.array_equal(a.dual_coeffs, b.dual_coeffs)
 
 
@@ -208,9 +213,8 @@ def test_custom_raw_kernel_block():
     rng = np.random.default_rng(9)
     train = _blobs(rng, n_per=6)
     sources = [_source(rng)]
-    model = fit_mkal(
-        train, sources, MkalConfig(lam=1e-2, seed=0), kernel0=KernelSpec("linear")
-    )
+    s_train = source_scores(sources, train.features)
+    model = fit_mkal(train, s_train, MkalConfig(lam=1e-2, seed=0), kernel0=KernelSpec("linear"))
     assert model.kernel0 == KernelSpec("linear")
 
 
@@ -324,10 +328,9 @@ def test_fit_matches_the_per_block_reference_trainer(p, lam, n_sources):
     test = _blobs(rng, n_per=10, spread=0.8)
     sources = [_source(rng, scramble=(k == 2)) for k in range(n_sources)]
     cfg = MkalConfig(p=p, lam=lam, gamma=0.5, seed=4)
-    model = fit_mkal(train, sources, cfg)
-    duals, norms = _reference_fit(
-        train, source_scores(sources, train.features), cfg, KernelSpec("gaussian", cfg.gamma)
-    )
+    s_train = source_scores(sources, train.features)
+    model = fit_mkal(train, s_train, cfg)
+    duals, norms = _reference_fit(train, s_train, cfg, KernelSpec("gaussian", cfg.gamma))
     assert_allclose(model.dual_coeffs, duals, rtol=1e-9)
     assert_allclose(model.block_norms, norms, rtol=1e-9)
     ref = dataclasses.replace(model, dual_coeffs=duals, block_norms=norms)
@@ -342,10 +345,9 @@ def test_fit_with_a_linear_raw_block_matches_the_reference_trainer():
     train = _blobs(rng, n_per=10, spread=0.8)
     sources = [_source(rng), _source(rng)]
     cfg = MkalConfig(p=1.5, lam=1e-2, seed=2)
-    model = fit_mkal(train, sources, cfg, kernel0=KernelSpec("linear"))
-    duals, norms = _reference_fit(
-        train, source_scores(sources, train.features), cfg, KernelSpec("linear")
-    )
+    s_train = source_scores(sources, train.features)
+    model = fit_mkal(train, s_train, cfg, kernel0=KernelSpec("linear"))
+    duals, norms = _reference_fit(train, s_train, cfg, KernelSpec("linear"))
     assert_allclose(model.dual_coeffs, duals, rtol=1e-9)
     assert_allclose(model.block_norms, norms, rtol=1e-9)
 

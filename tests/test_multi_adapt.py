@@ -5,8 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from emgadapt import lssvm
+from emgadapt.baselines import fit_prior_features
+from emgadapt.hl2l import fit_hl2l, stacking_dataset
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.lssvm import bordered_inverse_block, ova_targets, solve_dual_system
+from emgadapt.mkal import MkalConfig, fit_mkal
+from emgadapt.model_selection import Grid
 from emgadapt.multi_adapt import (
     BetaWeights,
     fit_ma,
@@ -119,9 +123,10 @@ def test_beta_zero_equals_no_transfer_exactly():
         query = rng.normal(size=(40, 2)) * 3.0
 
         plain = lssvm.fit(train, spec, c)
-        ma = fit_ma(train, sources, spec, c, beta=np.zeros((1, train.num_classes)))
+        s_train = source_scores(sources, train.features)
+        ma = fit_ma(train, s_train, spec, c, beta=np.zeros((1, train.num_classes)))
         labels_plain, scores_plain = lssvm.predict(plain, query)
-        labels_ma, scores_ma = predict_ma(ma, query)
+        labels_ma, scores_ma = predict_ma(ma, query, source_scores(sources, query))
         assert np.array_equal(labels_ma, labels_plain)
         assert np.array_equal(scores_ma, scores_plain)
 
@@ -131,7 +136,8 @@ def test_fitted_beta_prefers_the_informative_source():
     good = _source(rng)
     bad = _source(rng, scramble=True)
     train = _blobs(rng, n_per=4, spread=0.6)  # tiny target set: transfer matters
-    model = fit_ma(train, [good, bad], KernelSpec("gaussian", 1.0), 10.0)
+    s_train = source_scores([good, bad], train.features)
+    model = fit_ma(train, s_train, KernelSpec("gaussian", 1.0), 10.0)
     norms = np.linalg.norm(model.beta.values, axis=1)
     assert norms[0] > norms[1]
 
@@ -143,7 +149,7 @@ def test_fitted_beta_is_no_worse_than_beta_zero_on_the_loo_bound():
         sources = [_source(rng), _source(rng, scramble=True)]
         spec = KernelSpec("gaussian", float(10.0 ** rng.uniform(-1, 1)))
         c = float(10.0 ** rng.uniform(-1, 2))
-        model = fit_ma(train, sources, spec, c)
+        model = fit_ma(train, source_scores(sources, train.features), spec, c)
 
         y = ova_targets(train.labels, train.num_classes)
         h, d = bordered_inverse_block(gram(spec, train.features, train.features), c)
@@ -159,9 +165,10 @@ def test_transfer_helps_small_training_sets():
     train = _blobs(rng, n_per=3, spread=0.9)
     test = _blobs(rng, n_per=40)
     spec = KernelSpec("gaussian", 1.0)
-    ma = fit_ma(train, sources, spec, 10.0)
+    ma = fit_ma(train, source_scores(sources, train.features), spec, 10.0)
     plain = lssvm.fit(train, spec, 10.0)
-    acc_ma = np.mean(predict_ma(ma, test.features)[0] == test.labels)
+    s_test = source_scores(sources, test.features)
+    acc_ma = np.mean(predict_ma(ma, test.features, s_test)[0] == test.labels)
     acc_plain = np.mean(lssvm.predict(plain, test.features)[0] == test.labels)
     assert acc_ma >= acc_plain
 
@@ -171,9 +178,10 @@ def test_predict_adds_borrowed_scores_back():
     train = _blobs(rng, n_per=5)
     sources = [_source(rng)]
     beta = project_beta(rng.uniform(size=(1, 3)))
-    model = fit_ma(train, sources, KernelSpec("gaussian", 1.0), 5.0, beta=beta)
+    s_train = source_scores(sources, train.features)
+    model = fit_ma(train, s_train, KernelSpec("gaussian", 1.0), 5.0, beta=beta)
     query = rng.normal(size=(7, 2))
-    _, scores = predict_ma(model, query)
+    _, scores = predict_ma(model, query, source_scores(sources, query))
     base = lssvm.decision_scores(model.base, query)
     borrowed = np.einsum("mkg,kg->mg", source_scores(sources, query), beta)
     assert_allclose(scores, base + borrowed, atol=1e-12)
@@ -183,8 +191,9 @@ def test_fit_ma_is_deterministic():
     rng = np.random.default_rng(40)
     train = _blobs(rng, n_per=5)
     sources = [_source(rng)]
-    a = fit_ma(train, sources, KernelSpec("gaussian", 1.0), 5.0)
-    b = fit_ma(train, sources, KernelSpec("gaussian", 1.0), 5.0)
+    s_train = source_scores(sources, train.features)
+    a = fit_ma(train, s_train, KernelSpec("gaussian", 1.0), 5.0)
+    b = fit_ma(train, s_train, KernelSpec("gaussian", 1.0), 5.0)
     assert np.array_equal(a.beta.values, b.beta.values)
     assert np.array_equal(a.base.alphas, b.base.alphas)
 
@@ -193,7 +202,41 @@ def test_validation_errors():
     rng = np.random.default_rng(0)
     train = _blobs(rng, n_per=5)
     with pytest.raises(ValueError):
-        fit_ma(train, [], KernelSpec("gaussian", 1.0), 1.0)
+        fit_ma(train, np.zeros((len(train), 0, 3)), KernelSpec("gaussian", 1.0), 1.0)
     src = _source(rng)
+    s_train = source_scores([src], train.features)
     with pytest.raises(ValueError):
-        fit_ma(train, [src], KernelSpec("gaussian", 1.0), 1.0, beta=np.zeros((2, 3)))
+        fit_ma(train, s_train, KernelSpec("gaussian", 1.0), 1.0, beta=np.zeros((2, 3)))
+    model = fit_ma(train, s_train, KernelSpec("gaussian", 1.0), 1.0)
+    query = rng.normal(size=(4, 2))
+    with pytest.raises(ValueError):  # one row of scores must not broadcast over four queries
+        predict_ma(model, query, source_scores([src], query[:1]))
+
+
+# ---------------------------------------------------------------------------
+# the score tensor every method takes
+
+SPEC = KernelSpec("gaussian", 1.0)
+FITS = {
+    "MA": lambda train, s: fit_ma(train, s, SPEC, 1.0),
+    "PriorFeatures": lambda train, s: fit_prior_features(train, s, Grid(C_values=(1.0,), folds=2)),
+    "stacking": lambda train, s: stacking_dataset(train, s, SPEC, 1.0),
+    "HL2L": lambda train, s: fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0),
+    "MKAL": lambda train, s: fit_mkal(train, s, MkalConfig(gamma=1.0)),
+}
+BAD_TENSORS = {
+    "short-N": lambda s: s[:-1],
+    "no-sources": lambda s: s[:, :0],
+    "wrong-G": lambda s: s[:, :, :-1],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TENSORS))
+@pytest.mark.parametrize("method", sorted(FITS))
+def test_methods_reject_a_score_tensor_of_the_wrong_shape(method, bad):
+    rng = np.random.default_rng(50)
+    train = _blobs(rng, n_per=5)
+    s_train = source_scores([_source(rng), _source(rng)], train.features)
+    FITS[method](train, s_train)  # the well-shaped tensor trains
+    with pytest.raises(ValueError, match="source score tensor"):
+        FITS[method](train, BAD_TENSORS[bad](s_train))
