@@ -1,11 +1,16 @@
 """Command-line front end: synth -> features -> run -> analyze.
 
-Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
-keys mirror the long flag names (dashes as underscores).  Explicit flags
-win over the config file, which wins over built-in defaults.  Commands are
-deterministic: the same flags and seeds always produce byte-identical
-output files.  Human-readable progress goes to stdout; machine-readable
-results only to files.
+Each option is declared once, in `build_parser`, with its parser and its
+default; `run` and `features` take their defaults from the library's
+classes, and an option without a default is required.  Every subcommand
+also accepts ``--config FILE`` pointing at a JSON object whose keys mirror
+the long flag names (dashes as underscores).  A config value stands for
+the text of its flag: a string or a number goes through ``str()`` and then
+the flag's own parser, a list is accepted only for ``runs``, and ``null``
+or a boolean is an error.  Explicit flags win over the config file, which
+wins over built-in defaults.  Commands are deterministic: the same flags
+and seeds always produce byte-identical output files.  Human-readable
+progress goes to stdout; machine-readable results only to files.
 """
 
 from __future__ import annotations
@@ -23,16 +28,19 @@ from .signals import (
     WindowSpec, format_float, load_dataset, load_recording, save_dataset, save_recording,
 )
 
+# ---------------------------------------------------------------------------
+# option parsers: each turns the text of one flag into its value
+
 
 def _floats(text: str) -> tuple[float, ...]:
-    vals = tuple(float(x) for x in str(text).split(",") if x.strip())
+    vals = tuple(float(x) for x in text.split(",") if x.strip())
     if not vals:
         raise ValueError(f"empty number list: {text!r}")
     return vals
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    vals = tuple(int(x) for x in str(text).split(",") if x.strip())
+    vals = tuple(int(x) for x in text.split(",") if x.strip())
     if not vals:
         raise ValueError(f"empty integer list: {text!r}")
     return vals
@@ -40,7 +48,6 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _sizes(text: str) -> tuple[int, ...]:
     """Training-size schedule: 'start:stop:step' (inclusive) or 'a,b,c'."""
-    text = str(text)
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -50,6 +57,48 @@ def _sizes(text: str) -> tuple[int, ...]:
             raise ValueError("size range step must be positive")
         return tuple(range(start, stop + 1, step))
     return _ints(text)
+
+
+def _methods(text: str) -> tuple[str, ...]:
+    return METHODS if text.lower() == "all" else tuple(text.split(","))
+
+
+def _cap(text: str) -> int | None:
+    return None if text in ("0", "none", "None") else int(text)
+
+
+def _corr_size(text: str) -> int | str:
+    return text if text == "max" else int(text)
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """The subcommand's options by dest, without the parser's own entries."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config", "func", "parser")}
+
+
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The --config file's values as flag text, keyed by option dest."""
+    error = args.parser.error
+    doc = json.loads(Path(args.config).read_text())
+    if not isinstance(doc, dict):
+        error(f"config file {args.config} must hold a JSON object")
+    unknown = sorted(set(doc) - set(_options(args)))
+    if unknown:
+        error(f"unknown config keys: {', '.join(unknown)}")
+
+    def text(key: str, value) -> str:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            error(f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
+        return str(value)
+
+    for key, value in doc.items():
+        if key == "runs":
+            if not isinstance(value, list):
+                error(f"config key 'runs' must be a list, got {json.dumps(value)}")
+            doc[key] = [text(key, v) for v in value]
+        else:
+            doc[key] = text(key, value)
+    return doc
 
 
 def _manifest_subjects(path: Path, keys: tuple[str, ...]) -> list[dict]:
@@ -66,83 +115,23 @@ def _manifest_subjects(path: Path, keys: tuple[str, ...]) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# flag/config merging
-
-
-def _merge_options(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    defaults: dict,
-    required: tuple[str, ...],
-) -> dict:
-    """defaults < config file < explicit flags; then check required keys."""
-    merged = dict(defaults)
-    merged.update({k: None for k in required if k not in merged})
-    if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
-        if not isinstance(doc, dict):
-            parser.error(f"config file {args.config} must hold a JSON object")
-        unknown = sorted(set(doc) - set(merged))
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(unknown)}")
-        merged.update(doc)
-    for key in merged:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    missing = [k for k in required if merged.get(k) is None]
-    if missing:
-        parser.error("missing required options: " + ", ".join(f"--{k.replace('_', '-')}" for k in missing))
-    return merged
-
-
-# ---------------------------------------------------------------------------
 # synth
 
 
-SYNTH_DEFAULTS = {
-    "subjects": 4,
-    "classes": 8,
-    "channels": 8,
-    "seed": 0,
-    "shift": 0.3,
-    "amputee_fraction": 0.0,
-    "amputee_degradation": 0.2,
-    "noise_floor": 0.15,
-    "profile_min": 0.6,
-    "profile_max": 1.9,
-    "rep_variability": 0.0,
-    "reps": 6,
-    "movement_ms": 3000.0,
-    "rest_ms": 1500.0,
-    "rate_hz": 100.0,
-}
-
-
 def cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    opts = _merge_options(args, parser, SYNTH_DEFAULTS, required=("out_dir",))
     specs = synth.generate_cohort(
-        int(opts["subjects"]),
-        base_seed=int(opts["seed"]),
-        shift_strength=float(opts["shift"]),
-        amputee_fraction=float(opts["amputee_fraction"]),
-        num_classes=int(opts["classes"]),
-        channels=int(opts["channels"]),
-        noise_floor=float(opts["noise_floor"]),
-        amputee_degradation=float(opts["amputee_degradation"]),
-        profile_range=(float(opts["profile_min"]), float(opts["profile_max"])),
-        rep_variability=float(opts["rep_variability"]),
+        args.subjects, base_seed=args.seed, shift_strength=args.shift,
+        amputee_fraction=args.amputee_fraction, num_classes=args.classes, channels=args.channels,
+        noise_floor=args.noise_floor, amputee_degradation=args.amputee_degradation,
+        profile_range=(args.profile_min, args.profile_max), rep_variability=args.rep_variability,
     )
-    outdir = Path(opts["out_dir"])
+    outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     for spec in specs:
         rec = synth.generate_recording(
-            spec,
-            reps=int(opts["reps"]),
-            movement_ms=float(opts["movement_ms"]),
-            rest_ms=float(opts["rest_ms"]),
-            rate_hz=float(opts["rate_hz"]),
+            spec, reps=args.reps, movement_ms=args.movement_ms, rest_ms=args.rest_ms,
+            rate_hz=args.rate_hz,
         )
         save_recording(rec, outdir / spec.subject_id)
         entries.append(
@@ -156,7 +145,7 @@ def cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         )
     manifest = {
         "kind": "cohort",
-        "flags": {k: opts[k] for k in SYNTH_DEFAULTS},
+        "flags": {k: v for k, v in _options(args).items() if k != "out_dir"},
         "subjects": entries,
     }
     (outdir / "cohort.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -168,17 +157,8 @@ def cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # features
 
 
-FEATURES_DEFAULTS = {
-    "window_ms": 200.0,
-    "step_ms": 10.0,
-    "feature_mode": "concat",
-    "test_reps": "5,6",
-}
-
-
 def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    opts = _merge_options(args, parser, FEATURES_DEFAULTS, required=("in_dir", "out_dir"))
-    indir = Path(opts["in_dir"])
+    indir = Path(args.in_dir)
     manifest_path = indir / "cohort.json"
     if manifest_path.exists():
         cohort = _manifest_subjects(manifest_path, ("subject_id", "stem"))
@@ -190,15 +170,14 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if not stems:
         parser.error(f"no recordings found under {indir}")
 
-    spec = WindowSpec(window_ms=float(opts["window_ms"]), step_ms=float(opts["step_ms"]))
-    test_reps = _ints(opts["test_reps"])
-    outdir = Path(opts["out_dir"])
+    spec = WindowSpec(window_ms=args.window_ms, step_ms=args.step_ms)
+    outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     for subject_id, stem in stems:
         rec = load_recording(indir / stem)
         train, test = signals.build_subject_datasets(
-            rec, spec, test_reps=test_reps, feature_mode=str(opts["feature_mode"])
+            rec, spec, test_reps=args.test_reps, feature_mode=args.feature_mode
         )
         save_dataset(train, outdir / f"{subject_id}_train")
         save_dataset(test, outdir / f"{subject_id}_test")
@@ -216,10 +195,10 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         )
     manifest = {
         "kind": "features",
-        "window_ms": float(opts["window_ms"]),
-        "step_ms": float(opts["step_ms"]),
-        "feature_mode": str(opts["feature_mode"]),
-        "test_reps": list(test_reps),
+        "window_ms": spec.window_ms,
+        "step_ms": spec.step_ms,
+        "feature_mode": args.feature_mode,
+        "test_reps": list(args.test_reps),
         "subjects": entries,
     }
     (outdir / "features.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -232,27 +211,8 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 # run
 
 
-RUN_DEFAULTS = {
-    "experiment": "II",
-    "methods": "all",
-    "sizes": "120:2160:120",
-    "num_seeds": 1,
-    "base_seed": 0,
-    "grid_c": "0.01,0.1,1,10,100,1000",
-    "grid_gamma": "0.01,0.1,1,10,100,1000",
-    "folds": 5,
-    "mkal_p": "1.05,1.25,1.5,2.0",
-    "mkal_lambda": "1e-4,1e-3,1e-2,1e-1",
-    "mkal_epochs_online": 5,
-    "mkal_epochs_batch": 20,
-    "source_cap": 1000,
-    "jobs": 1,
-}
-
-
 def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    opts = _merge_options(args, parser, RUN_DEFAULTS, required=("features", "out_dir"))
-    fdir = Path(opts["features"])
+    fdir = Path(args.features)
     manifest_path = fdir / "features.json"
     if not manifest_path.exists():
         parser.error(f"{manifest_path} not found; run the features command first")
@@ -269,31 +229,22 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for e in entries
     ]
 
-    methods = METHODS if str(opts["methods"]).lower() == "all" else tuple(str(opts["methods"]).split(","))
-    cap = opts["source_cap"]
-    cap = None if cap in (None, 0, "0", "none", "None") else int(cap)
     cfg = ExperimentConfig(
-        experiment=str(opts["experiment"]),
-        methods=methods,
-        size_schedule=_sizes(opts["sizes"]),
-        seeds=tuple(range(int(opts["num_seeds"]))),
-        grid=Grid(
-            C_values=_floats(opts["grid_c"]),
-            gamma_values=_floats(opts["grid_gamma"]),
-            folds=int(opts["folds"]),
-        ),
+        experiment=args.experiment,
+        methods=args.methods,
+        size_schedule=args.sizes,
+        seeds=tuple(range(args.num_seeds)),
+        grid=Grid(C_values=args.grid_c, gamma_values=args.grid_gamma, folds=args.folds),
         mkal=MkalSelection(
-            p_grid=_floats(opts["mkal_p"]),
-            lambda_grid=_floats(opts["mkal_lambda"]),
-            epochs_online=int(opts["mkal_epochs_online"]),
-            epochs_batch=int(opts["mkal_epochs_batch"]),
+            p_grid=args.mkal_p, lambda_grid=args.mkal_lambda,
+            epochs_online=args.mkal_epochs_online, epochs_batch=args.mkal_epochs_batch,
         ),
-        source_train_cap=cap,
-        base_seed=int(opts["base_seed"]),
-        jobs=int(opts["jobs"]),
+        source_train_cap=args.source_cap,
+        base_seed=args.base_seed,
+        jobs=args.jobs,
     )
     result = harness.run_experiment(cfg, subjects)
-    written = harness.write_run_outputs(result, opts["out_dir"])
+    written = harness.write_run_outputs(result, args.out_dir)
     curves = harness.learning_curves(result)
     print(f"experiment {cfg.experiment}: {len(result.cells)} cells over "
           f"{len({c.target_id for c in result.cells})} targets")
@@ -303,15 +254,12 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"  {method:<14} {pairs}")
     for w in result.warnings:
         print(f"  warning: {w}")
-    print(f"wrote {len(written)} files to {opts['out_dir']}")
+    print(f"wrote {len(written)} files to {args.out_dir}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # analyze
-
-
-ANALYZE_DEFAULTS = {"corr_size": "max", "runs": None}
 
 
 def _load_run_confusions(run_dir: Path) -> dict[tuple[str, int], "object"]:
@@ -323,8 +271,7 @@ def _load_run_confusions(run_dir: Path) -> dict[tuple[str, int], "object"]:
 
 
 def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    opts = _merge_options(args, parser, ANALYZE_DEFAULTS, required=("out_dir", "runs"))
-    run_dirs = [Path(r) for r in opts["runs"]]
+    run_dirs = [Path(r) for r in args.runs]
     if not run_dirs:
         parser.error("need at least one --runs directory")
     labels = [r.name or str(r) for r in run_dirs]
@@ -342,7 +289,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(f"inputs disagree on class count: {sorted(all_g)}")
     g = all_g.pop()
 
-    outdir = Path(opts["out_dir"])
+    outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
@@ -378,12 +325,9 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         for method, size in per_run[label]:
             by_method.setdefault(method, []).append(size)
         for method in sorted(by_method):
-            if str(opts["corr_size"]) == "max":
-                size = max(by_method[method])
-            else:
-                size = int(opts["corr_size"])
-                if size not in by_method[method]:
-                    parser.error(f"run {label} has no confusion for {method} at size {size}")
+            size = max(by_method[method]) if args.corr_size == "max" else args.corr_size
+            if size not in by_method[method]:
+                parser.error(f"run {label} has no confusion for {method} at size {size}")
             corr_inputs[f"{label}:{method}"] = per_run[label][(method, size)]
     corr_keys, corr = recognition_correlation(corr_inputs)
     lines = ["pair," + ",".join(corr_keys)]
@@ -402,82 +346,98 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 # parser
 
 
+def _subcommand(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    """A subcommand parser with the --config and --out-dir options every command takes."""
+    p = sub.add_parser(name, help=summary, exit_on_error=False)
+    p.add_argument("--config", help="JSON file mirroring the flags")
+    p.add_argument("--out-dir")
+    p.set_defaults(func=func, parser=p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emgadapt",
         description="Synthesize cohorts, extract features, run transfer experiments, analyze results.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic multichannel cohort")
-    p.add_argument("--config", help="JSON file mirroring the flags")
-    p.add_argument("--subjects", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shift", type=float, help="between-subject shift strength")
-    p.add_argument("--amputee-fraction", type=float, dest="amputee_fraction")
-    p.add_argument("--amputee-degradation", type=float, dest="amputee_degradation")
-    p.add_argument("--noise-floor", type=float, dest="noise_floor")
-    p.add_argument("--profile-min", type=float, dest="profile_min")
-    p.add_argument("--profile-max", type=float, dest="profile_max")
-    p.add_argument("--rep-variability", type=float, dest="rep_variability",
+    p = _subcommand(sub, "synth", cmd_synth, "generate a synthetic multichannel cohort")
+    p.add_argument("--subjects", type=int, default=4)
+    p.add_argument("--classes", type=int, default=8)
+    p.add_argument("--channels", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shift", type=float, default=0.3, help="between-subject shift strength")
+    p.add_argument("--amputee-fraction", type=float, default=0.0)
+    p.add_argument("--amputee-degradation", type=float, default=0.2)
+    p.add_argument("--noise-floor", type=float, default=0.15)
+    p.add_argument("--profile-min", type=float, default=0.6)
+    p.add_argument("--profile-max", type=float, default=1.9)
+    p.add_argument("--rep-variability", type=float, default=0.0,
                    help="per-repetition channel amplitude wobble")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--movement-ms", type=float, dest="movement_ms")
-    p.add_argument("--rest-ms", type=float, dest="rest_ms")
-    p.add_argument("--rate-hz", type=float, dest="rate_hz")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--reps", type=int, default=6)
+    p.add_argument("--movement-ms", type=float, default=3000.0)
+    p.add_argument("--rest-ms", type=float, default=1500.0)
+    p.add_argument("--rate-hz", type=float, default=100.0)
 
-    p = sub.add_parser("features", help="window recordings and extract feature datasets")
-    p.add_argument("--config", help="JSON file mirroring the flags")
-    p.add_argument("--in-dir", dest="in_dir")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--window-ms", type=float, dest="window_ms")
-    p.add_argument("--step-ms", type=float, dest="step_ms")
-    p.add_argument("--feature-mode", choices=("concat", "averaged"), dest="feature_mode")
-    p.add_argument("--test-reps", dest="test_reps", help="held-out repetition ids, e.g. 5,6")
-    p.set_defaults(func=cmd_features)
+    p = _subcommand(sub, "features", cmd_features, "window recordings and extract feature datasets")
+    p.add_argument("--in-dir")
+    p.add_argument("--window-ms", type=float, default=WindowSpec.window_ms)
+    p.add_argument("--step-ms", type=float, default=WindowSpec.step_ms)
+    p.add_argument("--feature-mode", choices=("concat", "averaged"), default="concat")
+    p.add_argument("--test-reps", type=_ints, default=(5, 6),
+                   help="held-out repetition ids, e.g. 5,6")
 
-    p = sub.add_parser("run", help="run a cross-subject transfer experiment")
-    p.add_argument("--config", help="JSON file mirroring the flags")
+    p = _subcommand(sub, "run", cmd_run, "run a cross-subject transfer experiment")
     p.add_argument("--features", help="directory produced by the features command")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--experiment", choices=EXPERIMENTS)
-    p.add_argument("--methods", help="'all' or comma list of " + ",".join(METHODS))
-    p.add_argument("--sizes", help="start:stop:step or comma list")
-    p.add_argument("--num-seeds", type=int, dest="num_seeds")
-    p.add_argument("--base-seed", type=int, dest="base_seed")
-    p.add_argument("--grid-c", dest="grid_c", help="comma list of C values")
-    p.add_argument("--grid-gamma", dest="grid_gamma", help="comma list of gamma values")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--mkal-p", dest="mkal_p", help="comma list of p values")
-    p.add_argument("--mkal-lambda", dest="mkal_lambda", help="comma list of lambda values")
-    p.add_argument("--mkal-epochs-online", type=int, dest="mkal_epochs_online")
-    p.add_argument("--mkal-epochs-batch", type=int, dest="mkal_epochs_batch")
-    p.add_argument("--source-cap", dest="source_cap", help="max source training vectors, 'none' to disable")
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=cmd_run)
+    p.add_argument("--experiment", choices=EXPERIMENTS, default="II")
+    p.add_argument("--methods", type=_methods, default=METHODS,
+                   help="'all' or comma list of " + ",".join(METHODS))
+    p.add_argument("--sizes", type=_sizes, default=ExperimentConfig.size_schedule,
+                   help="start:stop:step or comma list")
+    p.add_argument("--num-seeds", type=int, default=1)
+    p.add_argument("--base-seed", type=int, default=ExperimentConfig.base_seed)
+    p.add_argument("--grid-c", type=_floats, default=Grid.C_values,
+                   help="comma list of C values")
+    p.add_argument("--grid-gamma", type=_floats, default=Grid.gamma_values,
+                   help="comma list of gamma values")
+    p.add_argument("--folds", type=int, default=Grid.folds)
+    p.add_argument("--mkal-p", type=_floats, default=MkalSelection.p_grid,
+                   help="comma list of p values")
+    p.add_argument("--mkal-lambda", type=_floats, default=MkalSelection.lambda_grid,
+                   help="comma list of lambda values")
+    p.add_argument("--mkal-epochs-online", type=int, default=MkalSelection.epochs_online)
+    p.add_argument("--mkal-epochs-batch", type=int, default=MkalSelection.epochs_batch)
+    p.add_argument("--source-cap", type=_cap, default=ExperimentConfig.source_train_cap,
+                   help="max source training vectors, 'none' to disable")
+    p.add_argument("--jobs", type=int, default=ExperimentConfig.jobs)
 
-    p = sub.add_parser("analyze", help="compare stored confusion matrices across runs")
-    p.add_argument("--config", help="JSON file mirroring the flags")
+    p = _subcommand(sub, "analyze", cmd_analyze, "compare stored confusion matrices across runs")
     p.add_argument("--runs", nargs="+", help="one or more run output directories")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--corr-size", dest="corr_size",
+    p.add_argument("--corr-size", type=_corr_size, default="max",
                    help="training size whose confusions feed the correlation table ('max' or an int)")
-    p.set_defaults(func=cmd_analyze)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # config values become the subcommand's defaults, so flags parsed again still win
+            args.parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        missing = [k for k, v in _options(args).items()
+                   if v is None and args.parser.get_default(k) is None]
+        if missing:
+            args.parser.error("missing required options: --" + ", --".join(missing).replace("_", "-"))
+        return args.func(args, args.parser)
+    except (argparse.ArgumentError, ValueError, OSError) as exc:
+        # argparse words a rejected flag value; the ValueError behind it says why
+        cause = exc.__context__ if isinstance(exc, argparse.ArgumentError) else None
+        print(f"error: {exc}" + (f" ({cause})" if cause else ""), file=sys.stderr)
         return 2
 
 

@@ -52,6 +52,11 @@ METHODS = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
 EXPERIMENTS = ("II", "AA", "AI")
 
 
+def _is_seed(value) -> bool:
+    """A non-negative integer, numpy integers included and bools excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class MkalSelection:
     """Validation grid and budgets for the multi-kernel method; CV uses the main grid's folds."""
@@ -96,8 +101,10 @@ class ExperimentConfig:
             raise ValueError("size_schedule must be strictly increasing positive ints")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds) or any(s < 0 for s in self.seeds):
+        if not all(map(_is_seed, self.seeds)) or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct non-negative ints: {list(self.seeds)}")
+        if not _is_seed(self.base_seed):
+            raise ValueError(f"base_seed must be a non-negative int, got {self.base_seed!r}")
         if self.source_train_cap is not None and self.source_train_cap < 2:
             raise ValueError("source_train_cap must be >= 2 (or None)")
         if self.jobs < 1:
@@ -273,9 +280,8 @@ def _run_target(
         warnings.append(
             f"target {target.subject_id}: dropped sizes {dropped} beyond pool of {n_pool}"
         )
-    need_sources = any(m != "NoTransfer" for m in cfg.methods)
-    s_pool = source_scores(source_models, pool.features) if need_sources else None
-    s_test = source_scores(source_models, test.features) if need_sources else None
+    s_pool = source_scores(source_models, pool.features) if source_models else None
+    s_test = source_scores(source_models, test.features) if source_models else None
     need_shared = any(m in ("NoTransfer", "MA", "MKAL", "HL2L") for m in cfg.methods)
 
     cells: list[CellResult] = []
@@ -318,8 +324,12 @@ def _run_target(
     return cells, warnings
 
 
-def _target_job(args):
-    return _run_target(*args)
+def _map(jobs: int, fn, *columns: list) -> list:
+    """`fn` over the zipped columns, across `jobs` processes when there is more than one item."""
+    if jobs > 1 and len(columns[0]) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            return list(ex.map(fn, *columns))
+    return list(map(fn, *columns))
 
 
 def run_experiment(cfg: ExperimentConfig, subjects: list[SubjectData]) -> ExperimentResult:
@@ -331,27 +341,15 @@ def run_experiment(cfg: ExperimentConfig, subjects: list[SubjectData]) -> Experi
 
     source_models: dict[str, LssvmModel] = {}
     if need_sources:
-        needed = []
-        for _, sources in pairs:
-            for s in sources:
-                if s.subject_id not in (x.subject_id for x in needed):
-                    needed.append(s)
-        if cfg.jobs > 1 and len(needed) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-                models = list(ex.map(train_source_model, needed, [cfg] * len(needed)))
-        else:
-            models = [train_source_model(s, cfg) for s in needed]
+        needed = list({s.subject_id: s for _, sources in pairs for s in sources}.values())
+        models = _map(cfg.jobs, train_source_model, needed, [cfg] * len(needed))
         source_models = {s.subject_id: m for s, m in zip(needed, models)}
 
-    jobs = [
-        (cfg, target, [source_models[s.subject_id] for s in sources] if need_sources else [])
-        for target, sources in pairs
-    ]
-    if cfg.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            outcomes = list(ex.map(_target_job, jobs))
-    else:
-        outcomes = [_target_job(j) for j in jobs]
+    outcomes = _map(
+        cfg.jobs, _run_target, [cfg] * len(pairs), [t for t, _ in pairs],
+        [[source_models[s.subject_id] for s in sources] if need_sources else []
+         for _, sources in pairs],
+    )
 
     cells: list[CellResult] = []
     warnings: list[str] = []

@@ -333,6 +333,12 @@ def _json_header(path: Path, keys: tuple[str, ...]) -> dict:
     return doc
 
 
+def _number_list(value, length: int) -> bool:
+    """Whether `value` is a JSON list of `length` numbers (bools excluded)."""
+    return (isinstance(value, list) and len(value) == length
+            and all(type(v) in (int, float) for v in value))
+
+
 def _csv_header(reader, path: Path) -> list[str]:
     header = next(reader, None)
     if header is None:
@@ -429,12 +435,24 @@ def load_dataset(stem: str | Path) -> Dataset:
     stem = Path(stem)
     if stem.suffix:
         stem = stem.with_suffix("")
-    sidecar = _json_header(stem.with_suffix(".json"), ("feature_names", "num_classes"))
+    meta_path = stem.with_suffix(".json")
+    sidecar = _json_header(meta_path, ("feature_names", "num_classes"))
+    names, g, stats = sidecar["feature_names"], sidecar["num_classes"], sidecar.get("norm_stats")
+    if type(g) is not int:
+        raise ValueError(f"{meta_path}: key 'num_classes' must be an integer, got {g!r}")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{meta_path}: key 'feature_names' must be a list of strings")
+    d = len(names)
+    if stats is not None and not (
+        isinstance(stats, dict) and all(_number_list(stats.get(k), d) for k in ("mean", "std"))
+    ):
+        raise ValueError(
+            f"{meta_path}: key 'norm_stats' must be null or hold 'mean' and 'std' lists of {d} numbers"
+        )
     path = stem.with_suffix(".csv")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _csv_header(reader, path)
-        d = len(sidecar["feature_names"])
         if header != [f"f_{i + 1}" for i in range(d)] + ["label"]:
             raise ValueError(f"unexpected dataset CSV header in {path}")
         rows, labels = [], []
@@ -445,7 +463,7 @@ def load_dataset(stem: str | Path) -> Dataset:
     return Dataset(
         features=np.array(rows) if rows else np.zeros((0, d)),
         labels=np.array(labels, dtype=int),
-        num_classes=int(sidecar["num_classes"]),
-        feature_names=list(sidecar["feature_names"]),
-        norm_stats=NormStats.from_doc(stats) if stats else None,
+        num_classes=g,
+        feature_names=names,
+        norm_stats=NormStats.from_doc(stats) if stats is not None else None,
     )

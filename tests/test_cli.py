@@ -1,5 +1,6 @@
 """Command-line pipeline: synth -> features -> run -> analyze."""
 
+import inspect
 import json
 import re
 import shutil
@@ -8,9 +9,10 @@ import sys
 
 import pytest
 
-from emgadapt import harness
+from emgadapt import harness, signals, synth
 from emgadapt.cli import _floats, _ints, _sizes, main
 from emgadapt.harness import ExperimentConfig
+from emgadapt.signals import WindowSpec
 
 # at least 6 classes so top-4 set comparisons are non-trivial (with 5 or
 # fewer, any two top-4 sets overlap in >= 3 classes and always "match")
@@ -285,6 +287,46 @@ def test_config_can_satisfy_required_flags(tmp_path):
     assert (tmp_path / "cohort" / "cohort.json").exists()
 
 
+def test_config_numbers_write_the_same_cohort_as_flags(arts, tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({
+        "subjects": 3, "classes": 6, "channels": 3, "reps": 3, "movement_ms": 300,
+        "rest_ms": 200, "rate_hz": 100, "seed": 5, "shift": 0.3,
+    }))
+    assert main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "c")]) == 0
+    for p in sorted((arts / "cohort").iterdir()):
+        assert (tmp_path / "c" / p.name).read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("analyze", {"runs": "abc"}, "config key 'runs' must be a list"),
+        ("analyze", {"runs": None}, "config key 'runs' must be a list"),
+        ("analyze", {"runs": ["a", None]}, "config key 'runs' must be a string or a number"),
+        ("synth", {"subjects": None}, "config key 'subjects' must be a string or a number"),
+        ("synth", {"subjects": True}, "config key 'subjects' must be a string or a number"),
+        ("run", {"grid_c": [1, 10]}, "config key 'grid_c' must be a string or a number"),
+    ],
+    ids=["runs-string", "runs-null", "runs-null-entry", "null", "bool", "list"],
+)
+def test_config_value_of_the_wrong_kind_exits_2(tmp_path, capsys, command, doc, message):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "o")}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_value_its_flag_rejects_returns_2(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"classes": 6.5}))
+    code = main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "argument --classes: invalid int value: '6.5'" in capsys.readouterr().err
+
+
 def test_run_without_features_manifest_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -326,6 +368,62 @@ def test_run_defaults_equal_the_library_defaults(arts, tmp_path, monkeypatch):
     with pytest.raises(_Captured):
         main(["run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path)])
     assert seen == [ExperimentConfig(experiment="II")]
+
+
+def _bound_defaults_differ(fn, args, kwargs) -> list[str]:
+    """The defaulted parameters of `fn` that a call passed a different value or type for."""
+    sig = inspect.signature(fn)
+    bound = sig.bind(*args, **kwargs)
+    return [
+        name for name, p in sig.parameters.items()
+        if p.default is not p.empty and (
+            bound.arguments.get(name, p.default) != p.default
+            or type(bound.arguments.get(name, p.default)) is not type(p.default)
+        )
+    ]
+
+
+def test_synth_and_features_defaults_equal_the_library_defaults(arts, tmp_path, monkeypatch):
+    real_cohort, real_recording = synth.generate_cohort, synth.generate_recording
+    differ = {}
+
+    def cohort(*args, **kwargs):
+        differ["generate_cohort"] = _bound_defaults_differ(real_cohort, args, kwargs)
+        return real_cohort(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        differ["generate_recording"] = _bound_defaults_differ(real_recording, args, kwargs)
+        raise _Captured
+
+    monkeypatch.setattr(synth, "generate_cohort", cohort)
+    monkeypatch.setattr(synth, "generate_recording", recording)
+    with pytest.raises(_Captured):
+        main(["synth", "--out-dir", str(tmp_path / "c")])
+
+    real_build = signals.build_subject_datasets
+    seen = []
+
+    def build(rec, spec, *args, **kwargs):
+        seen.append(spec)
+        differ["build_subject_datasets"] = _bound_defaults_differ(real_build, (rec, spec, *args), kwargs)
+        raise _Captured
+
+    monkeypatch.setattr(signals, "build_subject_datasets", build)
+    with pytest.raises(_Captured):
+        main(["features", "--in-dir", str(arts / "cohort"), "--out-dir", str(tmp_path / "f")])
+    assert seen == [WindowSpec()]
+    assert differ == {"generate_cohort": [], "generate_recording": [], "build_subject_datasets": []}
+
+
+def test_sidecar_norm_stats_without_mean_returns_2(arts, tmp_path, capsys):
+    feats = tmp_path / "feats"
+    shutil.copytree(arts / "feats", feats)
+    doc = json.loads((feats / "s00_train.json").read_text())
+    del doc["norm_stats"]["mean"]
+    (feats / "s00_train.json").write_text(json.dumps(doc))
+    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 2
+    assert "s00_train.json: key 'norm_stats' must be" in capsys.readouterr().err
 
 
 def test_truncated_feature_csv_returns_2(arts, tmp_path, capsys):

@@ -114,6 +114,13 @@ def test_config_validation():
         ExperimentConfig(experiment="II", seeds=(7, 7))
     with pytest.raises(ValueError, match="seeds"):
         ExperimentConfig(experiment="II", seeds=(0, -1))
+    for seeds in [(1.5,), (True,), ("1",)]:
+        with pytest.raises(ValueError, match="seeds"):
+            ExperimentConfig(experiment="II", seeds=seeds)
+    for base_seed in [1.5, -1, True, "0"]:
+        with pytest.raises(ValueError, match="base_seed"):
+            ExperimentConfig(experiment="II", base_seed=base_seed)
+    assert ExperimentConfig(experiment="II", seeds=(np.int64(3),), base_seed=np.int32(2)).seeds == (3,)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="II", source_train_cap=1)
     with pytest.raises(ValueError):

@@ -330,6 +330,54 @@ def test_load_recording_rejects_a_header_value_of_the_wrong_type(tmp_path, key, 
         load_recording(tmp_path / "rec")
 
 
+def _with_stats(**fields):
+    return lambda doc: {**doc["norm_stats"], **{k: f(doc) for k, f in fields.items()}}
+
+
+@pytest.mark.parametrize(
+    "key, damage",
+    [
+        ("num_classes", lambda doc: 2.7),
+        ("num_classes", lambda doc: True),
+        ("num_classes", lambda doc: "3"),
+        ("feature_names", lambda doc: "ab"),
+        ("feature_names", lambda doc: [1] * len(doc["feature_names"])),
+        ("norm_stats", lambda doc: {"std": doc["norm_stats"]["std"]}),
+        ("norm_stats", lambda doc: [doc["norm_stats"]["mean"], doc["norm_stats"]["std"]]),
+        ("norm_stats", lambda doc: {}),
+        ("norm_stats", _with_stats(mean=lambda doc: doc["norm_stats"]["mean"][:-1])),
+        ("norm_stats", _with_stats(std=lambda doc: ["1"] * len(doc["feature_names"]))),
+        ("norm_stats", _with_stats(std=lambda doc: [True] * len(doc["feature_names"]))),
+    ],
+    ids=[
+        "classes-float", "classes-bool", "classes-str", "names-str", "names-ints",
+        "stats-no-mean", "stats-list", "stats-empty", "stats-short-mean", "stats-str-std",
+        "stats-bool-std",
+    ],
+)
+def test_load_dataset_rejects_a_sidecar_value_of_the_wrong_type(tmp_path, key, damage):
+    train, _ = build_subject_datasets(_toy_recording(seed=9), WindowSpec(10.0, 5.0))
+    save_dataset(train, tmp_path / "ds")
+    meta_path = tmp_path / "ds.json"
+    doc = json.loads(meta_path.read_text())
+    doc[key] = damage(doc)
+    meta_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"ds.json: key '{key}' must be"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_load_dataset_accepts_null_norm_stats(tmp_path):
+    train, _ = build_subject_datasets(_toy_recording(seed=9), WindowSpec(10.0, 5.0))
+    save_dataset(train, tmp_path / "ds")
+    meta_path = tmp_path / "ds.json"
+    doc = json.loads(meta_path.read_text())
+    doc["norm_stats"] = None
+    meta_path.write_text(json.dumps(doc))
+    back = load_dataset(tmp_path / "ds")
+    assert back.norm_stats is None
+    assert np.array_equal(back.features, train.features)
+
+
 def test_save_recording_is_deterministic(tmp_path):
     rec = _toy_recording(seed=5)
     save_recording(rec, tmp_path / "a")
