@@ -52,9 +52,11 @@ METHODS = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
 EXPERIMENTS = ("II", "AA", "AI")
 
 
-def _is_seed(value) -> bool:
-    """A non-negative integer, numpy integers included and bools excluded."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+def _as_int(name: str, value, low: int) -> int:
+    """`value` as a Python int >= `low`; numpy integers pass, and floats, bools and others raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name}: expected an int >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -96,19 +98,16 @@ class ExperimentConfig:
             raise ValueError("need at least one method")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods has duplicates: {list(self.methods)}")
-        sizes = list(self.size_schedule)
-        if not sizes or any(s < 1 for s in sizes) or sorted(set(sizes)) != sizes:
+        # plain Python ints, so that the manifest can dump the config as JSON
+        for name, low in (("size_schedule", 1), ("seeds", 0)):
+            object.__setattr__(self, name, tuple(_as_int(name, v, low) for v in getattr(self, name)))
+        for name, low in (("base_seed", 0), ("jobs", 1), ("source_train_cap", 2)):
+            if getattr(self, name) is not None or name != "source_train_cap":  # no cap is None
+                object.__setattr__(self, name, _as_int(name, getattr(self, name), low))
+        if not self.size_schedule or sorted(set(self.size_schedule)) != list(self.size_schedule):
             raise ValueError("size_schedule must be strictly increasing positive ints")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if not all(map(_is_seed, self.seeds)) or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct non-negative ints: {list(self.seeds)}")
-        if not _is_seed(self.base_seed):
-            raise ValueError(f"base_seed must be a non-negative int, got {self.base_seed!r}")
-        if self.source_train_cap is not None and self.source_train_cap < 2:
-            raise ValueError("source_train_cap must be >= 2 (or None)")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be one or more distinct non-negative ints: {list(self.seeds)}")
 
 
 @dataclass

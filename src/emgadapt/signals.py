@@ -5,7 +5,8 @@ per sample (label 0 is rest).  The pipeline cuts the signal into
 overlapping fixed-length windows, summarizes every window per channel with
 three amplitude features -- mean absolute value, variance and waveform
 length -- and z-normalizes feature columns with statistics fitted on
-training data only.
+training data only.  Features are computed per recording, over strided
+windows; for C = 1 they differ from numpy's per-window sums by round-off.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,10 +98,18 @@ def ms_to_samples(ms: float, rate_hz: float) -> int:
     return n
 
 
-class Window(NamedTuple):
-    values: np.ndarray  # W x C slice of the recording
-    label: int
-    repetition: int
+@dataclass(frozen=True)
+class Windows:
+    """The windows a recording keeps: offsets (multiples of `step`) and majority ids."""
+
+    offsets: np.ndarray      # first sample of each window
+    labels: np.ndarray       # majority class per window
+    repetitions: np.ndarray  # majority repetition id per window
+    width: int               # samples per window
+    step: int                # samples between candidate offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets)
 
 
 @dataclass
@@ -120,8 +128,7 @@ class NormStats:
     def scale(self) -> np.ndarray:
         # dimensions with (numerically) zero spread are mapped to constant 0
         degenerate = self.std <= 1e-12 * (np.abs(self.mean) + 1.0)
-        inv = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, self.std))
-        return inv
+        return np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, self.std))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -186,68 +193,73 @@ class Dataset:
 # segmentation and features
 
 
-def segment(rec: Recording, spec: WindowSpec) -> list[Window]:
+def segment(rec: Recording, spec: WindowSpec) -> Windows:
     """Cut a recording into overlapping windows with majority labels.
 
     Window offsets are 0, S, 2S, ... while the window still fits; windows
     that span more than one non-rest class (movement transitions) are
-    dropped.  Majority ties resolve to the smaller class id, so rest wins
-    an exact tie at a rest/movement boundary.
+    dropped.  Majority ties resolve to the smaller class (repetition) id, so
+    rest wins an exact tie at a rest/movement boundary.
     """
-    w = spec.window_samples(rec.sampling_rate_hz)
-    s = spec.step_samples(rec.sampling_rate_hz)
-    t = rec.num_samples
+    w, s = spec.window_samples(rec.sampling_rate_hz), spec.step_samples(rec.sampling_rate_hz)
+    t, g = rec.num_samples, rec.num_classes
     if t < w:
         raise ValueError(f"recording too short: {t} samples < window of {w}")
-    out: list[Window] = []
-    for start in range(0, t - w + 1, s):
-        lab = rec.labels[start : start + w]
-        counts = np.bincount(lab, minlength=rec.num_classes)
-        if np.count_nonzero(counts[1:]) > 1:
-            continue  # spans two different movements
-        rep_counts = np.bincount(rec.repetitions[start : start + w])
-        out.append(
-            Window(
-                values=rec.samples[start : start + w],
-                label=int(np.argmax(counts)),
-                repetition=int(np.argmax(rep_counts)),
-            )
-        )
-    return out
+    rep_ids = np.unique(rec.repetitions)
+    # per-window counts of each class, then of each repetition id, one cumulative count at a time
+    counts = np.empty((window_count(t, w, s), g + len(rep_ids)), dtype=np.int64)
+    cum = np.zeros(t + 1, dtype=np.int64)
+    columns = [(rec.labels, c) for c in range(g)] + [(rec.repetitions, r) for r in rep_ids]
+    for j, (ids, value) in enumerate(columns):
+        np.cumsum(ids == value, out=cum[1:])
+        np.subtract(cum[w::s], cum[: t + 1 - w : s], out=counts[:, j])
+    keep = np.count_nonzero(counts[:, 1:g], axis=1) <= 1  # else spans two movements
+    return Windows(s * np.flatnonzero(keep), np.argmax(counts[keep, :g], axis=1),
+                   rep_ids[np.argmax(counts[keep, g:], axis=1)], w, s)
 
 
 def window_count(num_samples: int, window: int, step: int) -> int:
-    """Number of window offsets: floor((T - W) / S) + 1 (requires T >= W)."""
-    if num_samples < window:
-        return 0
-    return (num_samples - window) // step + 1
+    """Number of window offsets: floor((T - W) / S) + 1, or 0 when T < W."""
+    return max(0, (num_samples - window) // step + 1)
 
 
-def extract_features(window: np.ndarray) -> np.ndarray:
-    """Per-channel MAV, variance and waveform length of one window.
+def extract_features(samples: np.ndarray, width: int, step: int) -> np.ndarray:
+    """Per-channel MAV, variance and waveform length of every window of a T x C signal.
 
-    For a channel x of length W:
-      mav = mean(|x|)
-      var = sum((x - mean(x))^2) / (W - 1)
-      wl  = sum(|x[t+1] - x[t]|)
-    Output ordering is [mav_1..mav_C, var_1..var_C, wl_1..wl_C].
+    Windows of W = `width` samples start at 0, step, 2*step, ... while they
+    fit.  Per channel x of a window: mav = sum(|x|) / W, var = sum((x -
+    sum(x) / W)^2) / (W - 1), wl = sum(|x[t+1] - x[t]|).  Each sum runs over
+    k = 0..W-1 on strided views of the whole signal, in the order of numpy's
+    axis-0 reductions of a C-ordered W x C window: for C >= 2 the values
+    equal np.mean(|x|), np.var(x, ddof=1) and np.sum(|np.diff(x)|) bit for
+    bit.  For C = 1 numpy sums the lone column pairwise, so from W = 8 on
+    they differ by round-off (at most 2e-12 absolute at W = 400).
+    Output rows are [mav_1..mav_C, var_1..var_C, wl_1..wl_C].
     """
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2:
-        raise ValueError("window must be a W x C array")
-    if window.shape[0] < 2:
+    if width < 2:
         raise ValueError("window must contain at least 2 samples")
-    mav = np.mean(np.abs(window), axis=0)
-    var = np.var(window, axis=0, ddof=1)
-    wl = np.sum(np.abs(np.diff(window, axis=0)), axis=0)
-    return np.concatenate([mav, var, wl])
+    x = np.asarray(samples, dtype=float)
+    n, c = window_count(len(x), width, step), x.shape[1]
+    at = [x[k::step][:n] for k in range(width)]  # sample k of each window: strided n x C views
+    # sums start at 0.0, which adds exactly (a first term's -0.0 only flips a zero mean's sign)
+    out = np.zeros((n, 3 * c))
+    mav, var, wl = np.split(out, 3, axis=1)  # views, filled in place
+    total, tmp = np.zeros((n, c)), np.empty((n, c))
+    for k in range(width):
+        total += at[k]
+        mav += np.abs(at[k], out=tmp)
+    for k in range(width - 1):
+        wl += np.abs(np.subtract(at[k + 1], at[k], out=tmp), out=tmp)
+    total /= width  # the window means
+    for k in range(width):
+        var += np.square(np.subtract(at[k], total, out=tmp), out=tmp)
+    mav /= width
+    var /= width - 1
+    return out
 
 
 def feature_names(channels: int) -> list[str]:
-    names = []
-    for block in ("mav", "var", "wl"):
-        names.extend(f"{block}_ch{c + 1}" for c in range(channels))
-    return names
+    return [f"{block}_ch{c + 1}" for block in ("mav", "var", "wl") for c in range(channels)]
 
 
 def fit_normalizer(train: Dataset) -> NormStats:
@@ -267,12 +279,7 @@ def average_feature_blocks(ds: Dataset) -> Dataset:
         raise ValueError("feature dimension is not divisible into three blocks")
     c = d // 3
     avg = (ds.features[:, :c] + ds.features[:, c : 2 * c] + ds.features[:, 2 * c :]) / 3.0
-    return Dataset(
-        features=avg,
-        labels=ds.labels,
-        num_classes=ds.num_classes,
-        feature_names=[f"avg_ch{i + 1}" for i in range(c)],
-    )
+    return Dataset(avg, ds.labels, ds.num_classes, [f"avg_ch{i + 1}" for i in range(c)])
 
 
 def build_subject_datasets(
@@ -292,20 +299,15 @@ def build_subject_datasets(
         raise ValueError(f"unknown feature_mode: {feature_mode!r}")
     test_reps = tuple(int(r) for r in test_reps)
     windows = segment(rec, spec)
-    train_w = [w for w in windows if w.repetition not in test_reps]
-    test_w = [w for w in windows if w.repetition in test_reps]
-    if not train_w or not test_w:
+    is_test = np.isin(windows.repetitions, test_reps)
+    if is_test.all() or not is_test.any():
         raise ValueError("no data: repetition holdout left an empty split")
-
-    def _to_dataset(ws: list[Window]) -> Dataset:
-        return Dataset(
-            features=np.array([extract_features(w.values) for w in ws]),
-            labels=np.array([w.label for w in ws], dtype=int),
-            num_classes=rec.num_classes,
-            feature_names=feature_names(rec.channels),
-        )
-
-    train, test = _to_dataset(train_w), _to_dataset(test_w)
+    features = extract_features(rec.samples, windows.width, windows.step)  # all window offsets
+    train, test = (
+        Dataset(features[windows.offsets[rows] // windows.step], windows.labels[rows],
+                rec.num_classes, feature_names(rec.channels))
+        for rows in (~is_test, is_test)
+    )
     stats = fit_normalizer(train)
     train, test = apply_normalizer(train, stats), apply_normalizer(test, stats)
     if feature_mode == "averaged":
@@ -320,7 +322,7 @@ def build_subject_datasets(
 
 
 def format_float(v: float) -> str:
-    """Shortest text that reads back as exactly `v`; every CSV writer uses it."""
+    """Shortest text that reads back as exactly `v`; every CSV writer writes floats so."""
     return repr(float(v))
 
 
@@ -356,6 +358,14 @@ def _data_rows(reader, header: list[str], path: Path):
         yield row
 
 
+def _write_csv(path: Path, header: list[str], values: np.ndarray, *int_columns: np.ndarray) -> None:
+    """Write the bytes csv.writer gives for `header` and format_float rows plus int columns."""
+    with open(path, "w", newline="") as fh:  # row by row: the text of a whole file can be large
+        fh.write(",".join(header) + "\r\n")
+        rows = zip(values, np.column_stack(int_columns))
+        fh.writelines(",".join(map(repr, v.tolist() + i.tolist())) + "\r\n" for v, i in rows)
+
+
 def save_recording(rec: Recording, stem: str | Path) -> None:
     """Write <stem>.json (metadata) and <stem>.csv (samples)."""
     stem = Path(stem)
@@ -367,14 +377,8 @@ def save_recording(rec: Recording, stem: str | Path) -> None:
         "num_classes": rec.num_classes,
     }
     stem.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    with open(stem.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"ch_{c + 1}" for c in range(rec.channels)] + ["label", "repetition"])
-        for i in range(rec.num_samples):
-            writer.writerow(
-                [format_float(v) for v in rec.samples[i]]
-                + [int(rec.labels[i]), int(rec.repetitions[i])]
-            )
+    header = [f"ch_{c + 1}" for c in range(rec.channels)] + ["label", "repetition"]
+    _write_csv(stem.with_suffix(".csv"), header, rec.samples, rec.labels, rec.repetitions)
 
 
 def load_recording(stem: str | Path) -> Recording:
@@ -424,11 +428,8 @@ def save_dataset(ds: Dataset, stem: str | Path) -> None:
         "norm_stats": ds.norm_stats.to_doc() if ds.norm_stats is not None else None,
     }
     stem.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    with open(stem.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f_{i + 1}" for i in range(ds.dim)] + ["label"])
-        for i in range(len(ds)):
-            writer.writerow([format_float(v) for v in ds.features[i]] + [int(ds.labels[i])])
+    _write_csv(stem.with_suffix(".csv"), [f"f_{i + 1}" for i in range(ds.dim)] + ["label"],
+               ds.features, ds.labels)
 
 
 def load_dataset(stem: str | Path) -> Dataset:
@@ -459,7 +460,6 @@ def load_dataset(stem: str | Path) -> Dataset:
         for row in _data_rows(reader, header, path):
             rows.append([float(v) for v in row[:d]])
             labels.append(int(row[d]))
-    stats = sidecar.get("norm_stats")
     return Dataset(
         features=np.array(rows) if rows else np.zeros((0, d)),
         labels=np.array(labels, dtype=int),

@@ -478,6 +478,31 @@ def test_json_header_value_of_the_wrong_type_returns_2(arts, tmp_path, capsys):
     assert "s00.json: key 'channels' must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_recording_sample_returns_2(arts, tmp_path, capsys, value):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(arts / "cohort", cohort)
+    csv_path = cohort / "s01.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[5] = ",".join([value] + lines[5].split(",")[1:])
+    csv_path.write_text("\n".join(lines) + "\n")
+    code = main([
+        "features", "--in-dir", str(cohort), "--out-dir", str(tmp_path / "f"), "--test-reps", "3",
+    ])
+    assert code == 2
+    assert "samples contain non-finite values" in capsys.readouterr().err
+
+
+def test_window_shorter_than_two_samples_returns_2(arts, tmp_path, capsys):
+    # 10 ms at the cohort's 100 Hz is one sample per window
+    code = main([
+        "features", "--in-dir", str(arts / "cohort"), "--out-dir", str(tmp_path / "f"),
+        "--window-ms", "10", "--step-ms", "10", "--test-reps", "3",
+    ])
+    assert code == 2
+    assert "at least 2 samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid_flag", [["--grid-gamma", "inf"], ["--grid-c", "1,nan"], ["--grid-c", "1,1"]])
 def test_non_finite_or_duplicate_grid_value_returns_2(arts, tmp_path, capsys, grid_flag):
     code = main([

@@ -1,5 +1,6 @@
 """Experiment harness: role assignment, determinism, aggregation, outputs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -125,6 +126,31 @@ def test_config_validation():
         ExperimentConfig(experiment="II", source_train_cap=1)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="II", jobs=0)
+
+
+def test_config_turns_numpy_integers_into_ints_the_manifest_can_dump():
+    cfg = ExperimentConfig(
+        experiment="II", size_schedule=(np.int64(40), np.int32(80)), seeds=[np.int64(1), np.uint8(2)],
+        base_seed=np.int64(5), jobs=np.int16(2), source_train_cap=np.int64(300),
+    )
+    doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert (doc["size_schedule"], doc["seeds"], doc["base_seed"]) == ([40, 80], [1, 2], 5)
+    assert (doc["jobs"], doc["source_train_cap"]) == (2, 300)
+    assert all(type(v) is int for v in (*cfg.size_schedule, *cfg.seeds, cfg.base_seed, cfg.jobs))
+    assert ExperimentConfig(experiment="II", source_train_cap=None).source_train_cap is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("jobs", 1.5), ("jobs", 2.0), ("jobs", True), ("jobs", np.float64(2.0)),
+        ("size_schedule", (40.0,)), ("size_schedule", (40, True)),
+        ("source_train_cap", 300.0), ("base_seed", np.float32(1.0)),
+    ],
+)
+def test_config_rejects_floats_and_bools_in_int_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(experiment="II", **{field: value})
 
 
 @pytest.mark.parametrize(

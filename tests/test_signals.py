@@ -1,11 +1,16 @@
 """Windowing, feature extraction, normalization and dataset file formats."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from emgadapt import synth
 from emgadapt.signals import (
     Dataset,
     NormStats,
@@ -17,6 +22,7 @@ from emgadapt.signals import (
     extract_features,
     feature_names,
     fit_normalizer,
+    format_float,
     load_dataset,
     load_recording,
     save_dataset,
@@ -83,6 +89,55 @@ def test_window_spec_validation():
 
 
 # ---------------------------------------------------------------------------
+# per-window reference: the window-at-a-time pipeline the batch path replaces
+
+
+def _reference_segment(rec, spec):
+    """(offset, label, repetition) of every kept window, one window at a time."""
+    w = spec.window_samples(rec.sampling_rate_hz)
+    s = spec.step_samples(rec.sampling_rate_hz)
+    out = []
+    for start in range(0, rec.num_samples - w + 1, s):
+        counts = np.bincount(rec.labels[start : start + w], minlength=rec.num_classes)
+        if np.count_nonzero(counts[1:]) > 1:
+            continue
+        rep_counts = np.bincount(rec.repetitions[start : start + w])
+        out.append((start, int(np.argmax(counts)), int(np.argmax(rep_counts))))
+    return out
+
+
+def _reference_features(window):
+    """Per-channel MAV, VAR (ddof=1) and WL of one W x C window."""
+    mav = np.mean(np.abs(window), axis=0)
+    var = np.var(window, axis=0, ddof=1)
+    wl = np.sum(np.abs(np.diff(window, axis=0)), axis=0)
+    return np.concatenate([mav, var, wl])
+
+
+def _reference_datasets(rec, spec, test_reps):
+    """Normalized train/test sets of the per-window pipeline, or None for an empty split."""
+    w = spec.window_samples(rec.sampling_rate_hz)
+    split = {True: ([], []), False: ([], [])}
+    for start, label, rep in _reference_segment(rec, spec):
+        feats, labels = split[rep in test_reps]
+        feats.append(_reference_features(rec.samples[start : start + w]))
+        labels.append(label)
+    if not split[True][1] or not split[False][1]:
+        return None
+    train, test = (
+        Dataset(np.array(x), np.array(y), rec.num_classes, feature_names(rec.channels))
+        for x, y in (split[False], split[True])
+    )
+    stats = fit_normalizer(train)
+    return apply_normalizer(train, stats), apply_normalizer(test, stats)
+
+
+def _features_of_one_window(window):
+    window = np.asarray(window, dtype=float)
+    return extract_features(window, len(window), 1)[0]
+
+
+# ---------------------------------------------------------------------------
 # segmentation
 
 
@@ -93,19 +148,20 @@ def test_segment_majority_label_and_count():
     spec = WindowSpec(window_ms=4.0, step_ms=2.0)
     wins = segment(rec, spec)
     assert len(wins) == 4
+    assert wins.offsets.tolist() == [0, 2, 4, 6] and (wins.width, wins.step) == (4, 2)
     # offsets 0: 3 rest/1 move -> 0; 2: 1 rest/3 move -> 1; 4: 2/2 tie -> rest
-    assert [w.label for w in wins] == [0, 1, 1, 0]
+    assert wins.labels.tolist() == [0, 1, 1, 0]
 
 
 def test_segment_drops_windows_spanning_two_movements():
     labels = [1, 1, 2, 2]
     rec = _recording(np.arange(4.0), labels, [1] * 4, rate=1000.0, num_classes=3)
     wins = segment(rec, WindowSpec(window_ms=4.0, step_ms=4.0))
-    assert wins == []
+    assert len(wins) == 0
     # rest in between does not rescue a window that still sees both movements
     labels = [1, 0, 2, 0]
     rec = _recording(np.arange(4.0), labels, [1] * 4, rate=1000.0, num_classes=3)
-    assert segment(rec, WindowSpec(window_ms=4.0, step_ms=4.0)) == []
+    assert len(segment(rec, WindowSpec(window_ms=4.0, step_ms=4.0))) == 0
 
 
 def test_segment_repetition_is_window_majority():
@@ -113,7 +169,12 @@ def test_segment_repetition_is_window_majority():
     reps = [1, 2, 2, 2]
     rec = _recording(np.arange(4.0), labels, reps, rate=1000.0, num_classes=2)
     wins = segment(rec, WindowSpec(window_ms=4.0, step_ms=4.0))
-    assert len(wins) == 1 and wins[0].repetition == 2
+    assert len(wins) == 1 and wins.repetitions.tolist() == [2]
+
+
+def test_segment_repetition_tie_goes_to_the_smaller_id():
+    rec = _recording(np.arange(4.0), [1] * 4, [7, 7, 3, 3], rate=1000.0, num_classes=2)
+    assert segment(rec, WindowSpec(window_ms=4.0, step_ms=4.0)).repetitions.tolist() == [3]
 
 
 def test_segment_too_short_recording_raises():
@@ -122,13 +183,84 @@ def test_segment_too_short_recording_raises():
         segment(rec, WindowSpec(window_ms=5.0, step_ms=1.0))
 
 
+@st.composite
+def _gapped_recordings(draw):
+    """A recording made of runs of rest and gapped movement and repetition ids, with its
+    window geometry and held-out repetitions.
+
+    Run lengths of W/2 and W put exact label ties on rest/movement boundaries.
+    """
+    c = draw(st.integers(1, 12))
+    w = draw(st.integers(2, 48))
+    s = draw(st.integers(1, w))
+    num_classes = draw(st.integers(2, 12))
+    label_ids = [0] + draw(st.lists(st.integers(1, num_classes - 1), max_size=3, unique=True))
+    rep_ids = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True))
+    run = st.tuples(
+        st.sampled_from(label_ids), st.sampled_from(rep_ids),
+        st.one_of(st.sampled_from([w // 2, w]), st.integers(1, 2 * w)),
+    )
+    runs = draw(st.lists(run, min_size=1, max_size=12))
+    labels = np.concatenate([np.full(n, g) for g, _, n in runs])
+    reps = np.concatenate([np.full(n, r) for _, r, n in runs])
+    pad = max(0, w - len(labels))  # at least one window
+    labels, reps = np.pad(labels, (0, pad), mode="edge"), np.pad(reps, (0, pad), mode="edge")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.standard_normal((len(labels), c)) * rng.uniform(0.1, 10.0, size=c)
+    rec = _recording(samples, labels, reps, rate=1000.0, num_classes=num_classes)
+    test_reps = tuple(draw(st.lists(st.sampled_from(rep_ids), min_size=1, max_size=len(rep_ids) - 1,
+                                    unique=True)))
+    return rec, WindowSpec(window_ms=float(w), step_ms=float(s)), test_reps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gapped_recordings())
+def test_batch_windows_and_features_match_the_per_window_reference(case):
+    rec, spec, test_reps = case
+    wins = segment(rec, spec)
+    ref = _reference_segment(rec, spec)
+    assert len(wins) == len(ref)
+    assert list(zip(wins.offsets.tolist(), wins.labels.tolist(), wins.repetitions.tolist())) == ref
+    if not ref:
+        return
+    feats = extract_features(rec.samples, wins.width, wins.step)[wins.offsets // wins.step]
+    ref_feats = np.array([_reference_features(rec.samples[o : o + wins.width]) for o, _, _ in ref])
+    if rec.channels == 1:  # numpy sums a lone contiguous column pairwise
+        assert_allclose(feats, ref_feats, rtol=1e-12)
+    else:
+        assert np.array_equal(feats, ref_feats)
+
+    ref_sets = _reference_datasets(rec, spec, test_reps)
+    if ref_sets is None:
+        with pytest.raises(ValueError, match="empty split"):
+            build_subject_datasets(rec, spec, test_reps=test_reps)
+        return
+    for ds, ref_ds in zip(build_subject_datasets(rec, spec, test_reps=test_reps), ref_sets):
+        assert np.array_equal(ds.labels, ref_ds.labels)
+        if rec.channels == 1:
+            assert_allclose(ds.features, ref_ds.features, rtol=1e-9, atol=1e-9)
+        else:
+            assert np.array_equal(ds.features, ref_ds.features)
+
+
+@pytest.mark.parametrize("channels", [10, 12])
+def test_batch_features_of_a_2khz_recording_equal_the_per_window_reference(channels):
+    spec = synth.generate_cohort(1, base_seed=3, num_classes=4, channels=channels)[0]
+    rec = synth.generate_recording(spec, reps=2, movement_ms=600.0, rest_ms=300.0, rate_hz=2000.0)
+    window = WindowSpec()  # 200 ms / 10 ms: 400-sample windows, 20-sample step
+    for ds, ref_ds in zip(build_subject_datasets(rec, window, test_reps=(2,)),
+                          _reference_datasets(rec, window, (2,))):
+        assert np.array_equal(ds.labels, ref_ds.labels)
+        assert np.array_equal(ds.features, ref_ds.features)
+
+
 # ---------------------------------------------------------------------------
 # features
 
 
 def test_feature_values_alternating_signs():
     w = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-    mav, var, wl = extract_features(w)
+    mav, var, wl = _features_of_one_window(w)
     assert mav == pytest.approx(1.0)
     assert var == pytest.approx(4.0 / 3.0)  # ddof = 1
     assert wl == pytest.approx(6.0)
@@ -136,7 +268,7 @@ def test_feature_values_alternating_signs():
 
 def test_feature_values_ramp():
     w = np.array([0.0, 1.0, 2.0, 3.0])[:, None]
-    mav, var, wl = extract_features(w)
+    mav, var, wl = _features_of_one_window(w)
     assert mav == pytest.approx(1.5)
     assert var == pytest.approx(5.0 / 3.0)
     assert wl == pytest.approx(3.0)
@@ -145,7 +277,7 @@ def test_feature_values_ramp():
 def test_feature_block_ordering_and_names():
     # channel 0 constant 2, channel 1 ramp 0..3
     w = np.stack([np.full(4, 2.0), np.arange(4.0)], axis=1)
-    feats = extract_features(w)
+    feats = _features_of_one_window(w)
     assert_allclose(feats, [2.0, 1.5, 0.0, 5.0 / 3.0, 0.0, 3.0])
     assert feature_names(2) == ["mav_ch1", "mav_ch2", "var_ch1", "var_ch2", "wl_ch1", "wl_ch2"]
 
@@ -153,7 +285,13 @@ def test_feature_block_ordering_and_names():
 def test_feature_dimension_is_three_per_channel():
     rng = np.random.default_rng(0)
     for c in (1, 4, 8):
-        assert extract_features(rng.normal(size=(12, c))).shape == (3 * c,)
+        assert _features_of_one_window(rng.normal(size=(12, c))).shape == (3 * c,)
+    assert extract_features(rng.normal(size=(30, 4)), 12, 5).shape == (4, 12)  # offsets 0, 5, 10, 15
+
+
+def test_features_need_windows_of_at_least_two_samples():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        extract_features(np.ones((10, 3)), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +414,67 @@ def test_dataset_round_trip(tmp_path):
     assert back.feature_names == train.feature_names
     assert back.norm_stats is not None
     assert_allclose(back.norm_stats.mean, train.norm_stats.mean)
+
+
+def _reference_csv(header, rows):
+    """The bytes csv.writer writes for `header` and `rows` of format_float values and ints."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for floats, ints in rows:
+        writer.writerow([format_float(v) for v in floats] + [int(i) for i in ints])
+    return buf.getvalue().encode()
+
+
+_EDGE_VALUES = np.array([
+    [-0.0, 5e-324, 1e300, -2.5],
+    [0.1, -1e-300, 123456789.125, -0.0],
+    [1.0 / 3.0, -7.0, 2.0**-1074 * 3, 1e16],
+])
+
+
+def test_save_recording_writes_the_csv_writer_bytes(tmp_path):
+    rec = Recording(
+        subject_id="edge", condition="amputee", sampling_rate_hz=100.0, channels=4, num_classes=12,
+        samples=_EDGE_VALUES, labels=[11, 0, 10], repetitions=[1, 17, 3],
+    )
+    save_recording(rec, tmp_path / "rec")
+    header = ["ch_1", "ch_2", "ch_3", "ch_4", "label", "repetition"]
+    rows = zip(rec.samples, zip(rec.labels, rec.repetitions))
+    assert (tmp_path / "rec.csv").read_bytes() == _reference_csv(header, rows)
+    back = load_recording(tmp_path / "rec")
+    assert np.array_equal(back.samples, rec.samples)
+    assert np.array_equal(np.signbit(back.samples), np.signbit(rec.samples))
+    assert back.labels.tolist() == [11, 0, 10] and back.repetitions.tolist() == [1, 17, 3]
+
+
+def test_save_dataset_writes_the_csv_writer_bytes(tmp_path):
+    ds = Dataset(features=_EDGE_VALUES, labels=[10, 11, 3], num_classes=12,
+                 feature_names=["a", "b", "c", "d"])
+    save_dataset(ds, tmp_path / "ds")
+    rows = zip(ds.features, ds.labels[:, None])
+    assert (tmp_path / "ds.csv").read_bytes() == _reference_csv(["f_1", "f_2", "f_3", "f_4", "label"], rows)
+    empty = ds.subset(np.array([], dtype=int))
+    save_dataset(empty, tmp_path / "empty")
+    assert (tmp_path / "empty.csv").read_bytes() == _reference_csv(["f_1", "f_2", "f_3", "f_4", "label"], [])
+    assert len(load_dataset(tmp_path / "empty")) == 0
+
+
+def test_loaders_accept_lf_line_ends(tmp_path):
+    rec = _toy_recording(seed=2)
+    save_recording(rec, tmp_path / "rec")
+    train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
+    save_dataset(train, tmp_path / "ds")
+    for stem in (tmp_path / "rec", tmp_path / "ds"):
+        csv_path = stem.with_suffix(".csv")
+        text = csv_path.read_bytes().decode()
+        assert text.count("\r\n") == text.count("\n") > 1
+        csv_path.write_bytes(text.replace("\r\n", "\n").encode())
+    back = load_recording(tmp_path / "rec")
+    assert np.array_equal(back.samples, rec.samples) and np.array_equal(back.labels, rec.labels)
+    assert np.array_equal(back.repetitions, rec.repetitions)
+    back = load_dataset(tmp_path / "ds")
+    assert np.array_equal(back.features, train.features) and np.array_equal(back.labels, train.labels)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "overlong"])
