@@ -18,8 +18,9 @@ first s entries, so smaller sets nest inside larger ones and class
 proportions stay whatever the permutation produced (no balancing).  Per
 cell, (C, gamma) are re-selected by CV on the current training subset and
 shared by No Transfer, Multi Adapt and the H-L2L first layer; MKAL picks
-(p, lambda) by CV; Prior Features picks C; the H-L2L second layer picks
-its own (C, gamma) on the stacked score vectors.
+(p, lambda) by CV, training a fold's candidates in lockstep; Prior Features
+picks C; the H-L2L second layer picks its own (C, gamma) on the stacked
+score vectors.
 
 All randomness is derived from (base_seed, target id, seed value, size
 index), so results are identical no matter how work is scheduled across
@@ -43,20 +44,13 @@ from .baselines import fit_no_transfer, fit_prior_features, prior_feature_matrix
 from .hl2l import fit_hl2l, predict_hl2l, stacking_dataset
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
-from .mkal import MkalConfig, fit_mkal, predict_mkal
-from .model_selection import Grid, check_grid_values, cross_validate, lssvm_fit_fn, select
+from .mkal import MkalConfig, fit_for_each_config, fit_mkal, predict_mkal
+from .model_selection import Grid, as_int, check_grid_values, cross_validate, lssvm_fit_fn, select
 from .multi_adapt import fit_ma, predict_ma, source_scores
 from .signals import Dataset, apply_normalizer, fit_normalizer, format_float
 
 METHODS = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
 EXPERIMENTS = ("II", "AA", "AI")
-
-
-def _as_int(name: str, value, low: int) -> int:
-    """`value` as a Python int >= `low`; numpy integers pass, and floats, bools and others raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name}: expected an int >= {low}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -71,6 +65,8 @@ class MkalSelection:
     def __post_init__(self):
         check_grid_values("p_grid", self.p_grid)
         check_grid_values("lambda_grid", self.lambda_grid)
+        for name in ("epochs_online", "epochs_batch"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), 0))
         for p in self.p_grid:  # MkalConfig checks the ranges of p, lambda and the epochs
             for lam in self.lambda_grid:
                 MkalConfig(p, lam, epochs_online=self.epochs_online, epochs_batch=self.epochs_batch)
@@ -100,10 +96,10 @@ class ExperimentConfig:
             raise ValueError(f"methods has duplicates: {list(self.methods)}")
         # plain Python ints, so that the manifest can dump the config as JSON
         for name, low in (("size_schedule", 1), ("seeds", 0)):
-            object.__setattr__(self, name, tuple(_as_int(name, v, low) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(as_int(name, v, low) for v in getattr(self, name)))
         for name, low in (("base_seed", 0), ("jobs", 1), ("source_train_cap", 2)):
             if getattr(self, name) is not None or name != "source_train_cap":  # no cap is None
-                object.__setattr__(self, name, _as_int(name, getattr(self, name), low))
+                object.__setattr__(self, name, as_int(name, getattr(self, name), low))
         if not self.size_schedule or sorted(set(self.size_schedule)) != list(self.size_schedule):
             raise ValueError("size_schedule must be strictly increasing positive ints")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -224,22 +220,22 @@ def _fit_eval_cell(
             {"lam": lam, "p": p} for lam in sorted(sel.lambda_grid) for p in sorted(sel.p_grid)
         ]
 
-        def fit(train, s_train, cand):
-            mkal_cfg = MkalConfig(
+        def mkal_cfg(cand):
+            return MkalConfig(
                 p=cand["p"], lam=cand["lam"], gamma=shared["gamma"],
                 epochs_online=sel.epochs_online, epochs_batch=sel.epochs_batch, seed=fit_seed,
             )
-            return fit_mkal(train, s_train, mkal_cfg)
+
+        cfgs = [mkal_cfg(cand) for cand in candidates]
 
         def fit_fold(tr, va):
-            sub_tr, s_tr = sub.subset(tr), s_sub[tr]
-            models = (fit(sub_tr, s_tr, cand) for cand in candidates)
+            models = fit_for_each_config(sub.subset(tr), s_sub[tr], cfgs)
             return [predict_mkal(m, sub.features[va], s_sub[va])[0] for m in models]
 
         best, _ = cross_validate(
             sub.labels, candidates, fit_fold, cfg.grid.folds, _seed_int(base, *cell_key, 5)
         )
-        model = fit(sub, s_sub, best)
+        model = fit_mkal(sub, s_sub, mkal_cfg(best))
         return (
             predict_mkal(model, test.features, s_test)[0],
             {"p": best["p"], "lam": best["lam"], "gamma": shared["gamma"]},

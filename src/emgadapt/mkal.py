@@ -28,12 +28,25 @@ shrink only rescales the scalar m_k), the training scores f_hat_k = K_k c_hat_k,
 and the squared norms ||c_hat_k||_K^2, updated from f_hat_k and the step.  An
 online step reads one Gram column per block and costs O((K+1) * N); a batch
 epoch costs one K_k @ du product per block.  Block norms are recomputed from
-scratch only once per online epoch, when the caches are refreshed.
+scratch only once per online epoch, when the caches are refreshed.  The best
+objective and the epoch it came from are kept on the model.
+
+Lockstep: `fit_for_each_config` trains several (p, lam) configs that share
+the rows, gamma, seed (so the sample order) and epoch counts at once.  The
+block Grams are built once, and the cached state carries a leading candidate
+axis, so a step costs a fixed number of array operations whatever the
+number of candidates.  Every operation keeps the float form of a one-config
+fit, so each model is bit for bit the one `fit_mkal` returns: candidates are
+grouped by p so that powers keep a scalar exponent, the group norm's root is
+taken one candidate at a time, block sums stay outer-axis and norm sums
+inner-axis reductions, and a step updates only the candidates whose margin
+it violates.  `fit_mkal` is the one-config case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,6 +83,8 @@ class MkalModel:
     train_source_scores: np.ndarray  # N x K x G
     dual_coeffs: np.ndarray          # (K+1) x N x G
     block_norms: np.ndarray          # K+1
+    best_objective: float            # training objective of the kept iterate, <= 1
+    best_epoch: int | None           # its epoch, from 1, online then batch; None: zero model
 
     @property
     def num_sources(self) -> int:
@@ -84,43 +99,67 @@ def group_norm(block_norms: np.ndarray, p: float) -> float:
     return float(np.sum(block_norms**p) ** (1.0 / p))
 
 
-def _block_grams(kernel0: KernelSpec, X: np.ndarray, s_tensor: np.ndarray) -> list[np.ndarray]:
+def _block_grams(kernel0: KernelSpec, X: np.ndarray, s_tensor: np.ndarray) -> np.ndarray:
+    """The (K+1, N, N) stack of block Grams: kernel0 on X, then each source's score Gram."""
     grams = [gram(kernel0, X, X)]
     for k in range(s_tensor.shape[1]):
         sk = s_tensor[:, k, :]
         grams.append(sk @ sk.T)
-    return grams
+    return np.stack(grams)
 
 
-def _block_sq_norms(grams: list[np.ndarray], duals: np.ndarray) -> np.ndarray:
-    """Exact per-block squared RKHS norms sum_y c_y^T K c_y."""
-    return np.array([float(np.sum(duals[k] * (km @ duals[k]))) for k, km in enumerate(grams)])
+def _block_sq_norms(grams: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """Exact per-block squared RKHS norms sum_y c_y^T K c_y; `duals` may carry leading axes."""
+    return np.sum(duals * (grams @ duals), axis=(-2, -1))
 
 
 def _hinge_losses(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample worst-class hinge: max(0, 1 - (f_yi - max_{y != yi} f_y))."""
-    n = scores.shape[0]
-    own = scores[np.arange(n), labels]
+    """Per-sample worst-class hinge: max(0, 1 - (f_yi - max_{y != yi} f_y)).
+
+    `scores` is (..., N, G); leading axes are candidates."""
+    rows = np.arange(scores.shape[-2])
+    own = scores[..., rows, labels]
     masked = scores.copy()
-    masked[np.arange(n), labels] = -np.inf
-    worst = masked.max(axis=1)
+    masked[..., rows, labels] = -np.inf
+    worst = masked.max(axis=-1)
     return np.maximum(0.0, 1.0 - (own - worst))
 
 
-def _shrink_factors(sq_norms_true: np.ndarray, p: float, eta: float, lam: float) -> np.ndarray:
-    norms = np.sqrt(np.maximum(sq_norms_true, 0.0))
-    # group_norm without its input check: these norms are square roots
-    q = float((norms**p).sum() ** (1.0 / p))
-    if q <= 0.0:
-        return np.ones_like(norms)
-    g = np.where(norms > 0.0, (np.where(norms > 0.0, norms, 1.0) / q) ** (p - 2.0), 0.0)
-    return np.maximum(0.0, 1.0 - eta * lam * g)
+def _fold_small_multipliers(
+    m: np.ndarray, c_hat: np.ndarray, f_hat: np.ndarray, sq_hat: np.ndarray
+) -> None:
+    """Fold multipliers below 1e-6 into the stored duals, scores and squared
+    norms and reset them to 1, so that 1/m stays tame."""
+    for j, kb in zip(*np.nonzero(m < 1e-6)):
+        c_hat[j, kb] *= m[j, kb]
+        f_hat[j, kb] *= m[j, kb]
+        sq_hat[j, kb] *= m[j, kb] * m[j, kb]
+        m[j, kb] = 1.0
 
 
 def fit_mkal(
     train: Dataset, s_train: np.ndarray, cfg: MkalConfig, *, kernel0: KernelSpec | None = None
 ) -> MkalModel:
     """Train on the (N, K, G) source scores of the training rows."""
+    return fit_for_each_config(train, s_train, [cfg], kernel0=kernel0)[0]
+
+
+def fit_for_each_config(
+    train: Dataset,
+    s_train: np.ndarray,
+    cfgs: Sequence[MkalConfig],
+    *,
+    kernel0: KernelSpec | None = None,
+) -> list[MkalModel]:
+    """One model per config, trained in lockstep on the same rows; input order.
+
+    The configs may differ in p and lam only: they share gamma, the seed
+    (so the sample order) and the epoch counts, else ValueError.
+    """
+    if not cfgs:
+        raise ValueError("need at least one config")
+    if len({(c.gamma, c.seed, c.epochs_online, c.epochs_batch) for c in cfgs}) > 1:
+        raise ValueError("configs must share gamma, seed, epochs_online and epochs_batch")
     n = len(train)
     g = train.num_classes
     if n < 1:
@@ -128,128 +167,173 @@ def fit_mkal(
     if g < 2:
         raise ValueError("need at least 2 classes")
     s_tensor = check_score_tensor(train, s_train)
-    k = s_tensor.shape[1]
+    first = cfgs[0]
     if kernel0 is None:
-        kernel0 = KernelSpec("gaussian", cfg.gamma)
+        kernel0 = KernelSpec("gaussian", first.gamma)
+
+    # candidates sorted by p, so each p is a contiguous slice of the
+    # candidate axis and every power keeps a scalar exponent
+    order = sorted(range(len(cfgs)), key=lambda j: cfgs[j].p)
+    cands = [cfgs[j] for j in order]
+    nc = len(cands)
+    lams = np.array([c.lam for c in cands])
+    inv_p = [1.0 / c.p for c in cands]
+    p_slices: list[tuple[float, slice]] = []
+    for j, c in enumerate(cands):
+        start = p_slices.pop()[1].start if p_slices and p_slices[-1][0] == c.p else j
+        p_slices.append((c.p, slice(start, j + 1)))
 
     grams = _block_grams(kernel0, train.features, s_tensor)
-    nb = k + 1
+    nb = grams.shape[0]
     labels = train.labels
     # cols[kb, i] is column i of block kb's Gram and diag[kb, i] its entry
     # i, so one online step updates every block with a few array ops
-    cols = np.stack([km.T for km in grams])
-    diag = np.stack([np.diag(km) for km in grams])
+    cols = np.ascontiguousarray(grams.transpose(0, 2, 1))
+    diag = np.diagonal(grams, axis1=1, axis2=2).copy()
 
-    # Lazily scaled state: true duals = m[k] * c_hat[k]; f_hat caches the
-    # unscaled training scores K_k @ c_hat[k]; sq_hat the unscaled sq norms.
-    c_hat = np.zeros((nb, n, g))
-    f_hat = np.zeros((nb, n, g))
-    sq_hat = np.zeros(nb)
-    m = np.ones(nb)
+    # Lazily scaled state per candidate j and block k: true duals =
+    # m[j, k] * c_hat[j, k] (rows x classes); f_hat caches the unscaled
+    # training scores K_k @ c_hat[j, k], stored classes x rows so that an
+    # online step's class columns are contiguous; sq_hat holds the
+    # unscaled squared norms.
+    c_hat = np.zeros((nc, nb, n, g))
+    f_hat = np.zeros((nc, nb, g, n))
+    sq_hat = np.zeros((nc, nb))
+    m = np.ones((nc, nb))
+    m_col = m[:, :, None]  # m only ever changes in place
+    cand_idx = np.arange(nc)
+    row_idx = np.arange(n)
 
-    def materialize() -> np.ndarray:
-        return m[:, None, None] * c_hat
+    def group_norms(norms: np.ndarray) -> list[float]:
+        """Each candidate's group_norm, without its input check (these norms are square roots)."""
+        sums: list[float] = []
+        for p, sl in p_slices:
+            sums += (norms[sl] ** p).sum(axis=1).tolist()
+        return [s**ip for s, ip in zip(sums, inv_p)]
 
-    def refresh_caches():
-        nonlocal sq_hat
-        for kb in range(nb):
-            f_hat[kb] = grams[kb] @ c_hat[kb]
-        sq_hat = _block_sq_norms(grams, c_hat)
-
-    def apply_shrink(eta: float):
-        nonlocal m
-        m = m * _shrink_factors(m * m * sq_hat, cfg.p, eta, cfg.lam)
-        # fold small multipliers back into the stored duals so 1/m stays tame
-        small = m < 1e-6
-        if not small.any():
-            return
-        for kb in np.flatnonzero(small):
-            c_hat[kb] *= m[kb]
-            f_hat[kb] *= m[kb]
-            sq_hat[kb] *= m[kb] * m[kb]
-            m[kb] = 1.0
-
-    def objective_now() -> float:
-        scores = (m[:, None, None] * f_hat).sum(axis=0)
-        loss = float(np.mean(_hinge_losses(scores, labels)))
+    def shrink_factors(eta_lam: np.ndarray) -> np.ndarray:
         norms = np.sqrt(np.maximum(m * m * sq_hat, 0.0))
-        return cfg.lam / 2.0 * group_norm(norms, cfg.p) ** 2 + loss
+        q = group_norms(norms)
+        pos = norms > 0.0
+        if 0.0 in q:  # a candidate with a zero group norm is not shrunk
+            pos[np.array(q) == 0.0] = False
+            q = [qj or 1.0 for qj in q]
+        base = np.where(pos, norms, 1.0) / np.array(q)[:, None]
+        for p, sl in p_slices:
+            base[sl] = base[sl] ** (p - 2.0)
+        return np.maximum(0.0, 1.0 - eta_lam[:, None] * np.where(pos, base, 0.0))
+
+    def apply_shrink(eta_lam: np.ndarray):
+        m[...] = m * shrink_factors(eta_lam)
+        if (m < 1e-6).any():
+            _fold_small_multipliers(m, c_hat, f_hat, sq_hat)
+
+    def scores_now() -> np.ndarray:
+        """Training scores, candidates x rows x classes (a transposed view)."""
+        return (m[:, :, None, None] * f_hat).sum(axis=1).transpose(0, 2, 1)
 
     # the zero model scores objective exactly 1 and is always a candidate
-    best_obj = 1.0
-    best_duals = np.zeros((nb, n, g))
+    best_obj = [1.0] * nc
+    best_epoch: list[int | None] = [None] * nc
+    best_duals = np.zeros((nc, nb, n, g))
 
-    rng = np.random.default_rng(cfg.seed)
+    def keep_best(epoch: int) -> np.ndarray:
+        """Keep each candidate's iterate if it beats its best objective; returns the scores."""
+        scores = scores_now()
+        loss = _hinge_losses(scores, labels).mean(axis=1).tolist()
+        q = group_norms(np.sqrt(np.maximum(m * m * sq_hat, 0.0)))
+        for j, c in enumerate(cands):
+            obj = c.lam / 2.0 * q[j] ** 2 + loss[j]
+            if obj < best_obj[j]:
+                best_obj[j], best_epoch[j] = obj, epoch
+                best_duals[j] = m[j, :, None, None] * c_hat[j]
+        return scores
+
+    # step sizes 1 / (lam * t) at every step t = 1, 2, ... of both phases
+    steps = np.arange(1, first.epochs_online * n + first.epochs_batch + 1)
+    etas = 1.0 / (lams * steps[:, None])
+    eta_lams = etas * lams
+
+    rng = np.random.default_rng(first.seed)
     t = 0
-    for _ in range(cfg.epochs_online):
+    for epoch in range(1, first.epochs_online + 1):
         for i in rng.permutation(n):
             t += 1
-            fi = (m[:, None] * f_hat[:, i, :]).sum(axis=0)
+            fi = (m_col * f_hat[:, :, :, i]).sum(axis=1)
             yi = labels[i]
             masked = fi.copy()
-            masked[yi] = -np.inf
-            yhat = int(np.argmax(masked))
-            violated = 1.0 - (fi[yi] - fi[yhat]) > 0.0
-            eta = 1.0 / (cfg.lam * t)
+            masked[:, yi] = -np.inf
+            yhat = masked.argmax(axis=1)
+            v = (1.0 - (fi[:, yi] - fi[cand_idx, yhat]) > 0.0).nonzero()[0]
             # the regularizer part of the step applies whether or not the
             # margin is violated, otherwise separated iterates never shrink
-            apply_shrink(eta)
-            if not violated:
+            apply_shrink(eta_lams[t - 1])
+            if not len(v):
                 continue
-            delta = eta / m
-            sq_hat += (
-                2.0 * delta * (f_hat[:, i, yi] - f_hat[:, i, yhat])
-                + 2.0 * delta * delta * diag[:, i]
+            yh = yhat[v]
+            delta = etas[t - 1, v, None] / m[v]
+            two_delta = 2.0 * delta
+            sq_hat[v] += (
+                two_delta * (f_hat[v, :, yi, i] - f_hat[v, :, yh, i])
+                + two_delta * delta * diag[:, i]
             )
-            c_hat[:, i, yi] += delta
-            c_hat[:, i, yhat] -= delta
-            step = delta[:, None] * cols[:, i]
-            f_hat[:, :, yi] += step
-            f_hat[:, :, yhat] -= step
-        refresh_caches()
-        obj = objective_now()
-        if obj < best_obj:
-            best_obj, best_duals = obj, materialize()
+            c_hat[v, :, i, yi] += delta
+            c_hat[v, :, i, yh] -= delta
+            step = delta[:, :, None] * cols[:, i]
+            f_hat[v, :, yi] += step
+            f_hat[v, :, yh] -= step
+        block_scores = grams @ c_hat
+        sq_hat[...] = np.sum(c_hat * block_scores, axis=(2, 3))
+        f_hat[...] = block_scores.transpose(0, 1, 3, 2)
+        keep_best(epoch)
 
-    for _ in range(cfg.epochs_batch):
+    scores = scores_now()
+    for epoch in range(first.epochs_online + 1, first.epochs_online + first.epochs_batch + 1):
         t += 1
-        eta = 1.0 / (cfg.lam * t)
-        scores = (m[:, None, None] * f_hat).sum(axis=0)
-        own = scores[np.arange(n), labels]
+        own = scores[:, row_idx, labels]
         masked = scores.copy()
-        masked[np.arange(n), labels] = -np.inf
-        yhat = np.argmax(masked, axis=1)
-        violated = (1.0 - (own - masked[np.arange(n), yhat])) > 0.0
-        apply_shrink(eta)
-        if np.any(violated):
-            du = np.zeros((n, g))
-            rows = np.flatnonzero(violated)
-            np.add.at(du, (rows, labels[rows]), 1.0)
-            np.add.at(du, (rows, yhat[rows]), -1.0)
-            for kb in range(nb):
-                delta = eta / (n * m[kb])
-                kdu = grams[kb] @ du
-                # ||c + delta du||_K^2 = ||c||_K^2 + 2 delta <K c, du> + delta^2 <du, K du>
-                sq_hat[kb] += (
-                    2.0 * delta * np.vdot(f_hat[kb], du) + delta * delta * np.vdot(du, kdu)
-                )
-                c_hat[kb] += delta * du
-                f_hat[kb] += delta * kdu
-        obj = objective_now()
-        if obj < best_obj:
-            best_obj, best_duals = obj, materialize()
+        masked[:, row_idx, labels] = -np.inf
+        yhat = masked.argmax(axis=2)
+        worst = np.take_along_axis(masked, yhat[:, :, None], axis=2)[:, :, 0]
+        violated = (1.0 - (own - worst)) > 0.0
+        apply_shrink(eta_lams[t - 1])
+        v = violated.any(axis=1).nonzero()[0]
+        if len(v):
+            # du[a] is +1 at (row, own class) and -1 at (row, worst class)
+            # for every violated row of candidate v[a]
+            du = np.zeros((len(v), n, g))
+            which, rows = np.nonzero(violated[v])
+            du[which, rows, labels[rows]] = 1.0
+            du[which, rows, yhat[v][which, rows]] = -1.0
+            kdu = grams @ du[:, None]
+            delta = etas[t - 1, v, None] / (n * m[v])
+            # ||c + delta du||_K^2 = ||c||_K^2 + 2 delta <K c, du> + delta^2 <du, K du>,
+            # the inner products taken over rows x classes as the duals are stored
+            cross = [[np.vdot(f_hat[j, kb].T, du[a]) for kb in range(nb)] for a, j in enumerate(v)]
+            quad = [[np.vdot(du[a], kdu[a, kb]) for kb in range(nb)] for a in range(len(v))]
+            sq_hat[v] += 2.0 * delta * np.array(cross) + delta * delta * np.array(quad)
+            c_hat[v] += delta[:, :, None, None] * du[:, None]
+            f_hat[v] += (delta[:, :, None, None] * kdu).transpose(0, 1, 3, 2)
+        scores = keep_best(epoch)
 
     final_norms = np.sqrt(np.maximum(_block_sq_norms(grams, best_duals), 0.0))
-    return MkalModel(
-        p=cfg.p,
-        lam=cfg.lam,
-        kernel0=kernel0,
-        num_classes=g,
-        train_inputs=train.features.copy(),
-        train_source_scores=s_tensor.copy(),
-        dual_coeffs=best_duals,
-        block_norms=final_norms,
-    )
+    inputs, scores_copy = train.features.copy(), s_tensor.copy()
+    models = [
+        MkalModel(
+            p=c.p,
+            lam=c.lam,
+            kernel0=kernel0,
+            num_classes=g,
+            train_inputs=inputs,
+            train_source_scores=scores_copy,
+            dual_coeffs=best_duals[j],
+            block_norms=final_norms[j],
+            best_objective=best_obj[j],
+            best_epoch=best_epoch[j],
+        )
+        for j, c in enumerate(cands)
+    ]
+    return [models[order.index(j)] for j in range(nc)]
 
 
 def predict_mkal(

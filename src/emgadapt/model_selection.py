@@ -13,6 +13,13 @@ from .kernels import KernelSpec
 from .signals import Dataset
 
 
+def as_int(name: str, value, low: int) -> int:
+    """`value` as a Python int >= `low`; numpy integers pass, and floats, bools and others raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name}: expected an int >= {low}, got {value!r}")
+    return int(value)
+
+
 def check_grid_values(name: str, values: Sequence[float]) -> None:
     """Reject an empty grid axis, a non-finite or non-positive value, or a duplicate."""
     if not values:
@@ -35,8 +42,9 @@ class Grid:
     def __post_init__(self):
         check_grid_values("C_values", self.C_values)
         check_grid_values("gamma_values", self.gamma_values)
-        if self.folds < 2:
-            raise ValueError("need at least 2 folds")
+        # plain Python ints, so that a run manifest can dump the grid as JSON
+        object.__setattr__(self, "folds", as_int("folds", self.folds, 2))
+        object.__setattr__(self, "seed", as_int("seed", self.seed, 0))
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:

@@ -407,13 +407,17 @@ def load_recording(stem: str | Path) -> Recording:
             samples.append([float(v) for v in row[:c]])
             labels.append(int(row[c]))
             reps.append(int(row[c + 1]))
+    samples = np.array(samples, dtype=float).reshape(len(samples), c)
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():  # data row r is on line r + 2, after the header
+        raise ValueError(f"{path} line {np.argmin(finite) + 2}: samples contain non-finite values")
     return Recording(
         subject_id=meta["subject_id"],
         condition=meta["condition"],
         sampling_rate_hz=float(rate),
         channels=c,
         num_classes=meta["num_classes"],
-        samples=np.array(samples),
+        samples=samples,
         labels=np.array(labels, dtype=int),
         repetitions=np.array(reps, dtype=int),
     )

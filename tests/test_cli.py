@@ -490,7 +490,9 @@ def test_non_finite_recording_sample_returns_2(arts, tmp_path, capsys, value):
         "features", "--in-dir", str(cohort), "--out-dir", str(tmp_path / "f"), "--test-reps", "3",
     ])
     assert code == 2
-    assert "samples contain non-finite values" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "samples contain non-finite values" in err
+    assert "s01.csv line 6" in err
 
 
 def test_window_shorter_than_two_samples_returns_2(arts, tmp_path, capsys):

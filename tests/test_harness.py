@@ -153,6 +153,39 @@ def test_config_rejects_floats_and_bools_in_int_fields(field, value):
         ExperimentConfig(experiment="II", **{field: value})
 
 
+def test_grid_and_mkal_selection_ints_reach_the_manifest_as_ints():
+    cfg = ExperimentConfig(
+        experiment="II",
+        grid=Grid(folds=np.int64(3), seed=np.int64(1)),
+        mkal=MkalSelection(epochs_online=np.int32(2), epochs_batch=np.uint8(4)),
+    )
+    doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert (doc["grid"]["folds"], doc["grid"]["seed"]) == (3, 1)
+    assert (doc["mkal"]["epochs_online"], doc["mkal"]["epochs_batch"]) == (2, 4)
+    ints = (cfg.grid.folds, cfg.grid.seed, cfg.mkal.epochs_online, cfg.mkal.epochs_batch)
+    assert all(type(v) is int for v in ints)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: Grid(folds=2.5), "folds"),
+        (lambda: Grid(folds=True), "folds"),
+        (lambda: Grid(folds=1), "folds"),
+        (lambda: Grid(seed=1.0), "seed"),
+        (lambda: Grid(seed=-1), "seed"),
+        (lambda: MkalSelection(epochs_online=1.5), "epochs_online"),
+        (lambda: MkalSelection(epochs_batch=np.float64(2.0)), "epochs_batch"),
+        (lambda: MkalSelection(epochs_batch=False), "epochs_batch"),
+    ],
+    ids=["folds-float", "folds-bool", "folds-1", "seed-float", "seed-negative",
+         "online-float", "batch-numpy-float", "batch-bool"],
+)
+def test_grid_and_mkal_selection_reject_floats_and_bools_in_int_fields(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [

@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from emgadapt import lssvm
+from emgadapt import lssvm, mkal
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.mkal import (
     MkalConfig,
@@ -14,6 +16,7 @@ from emgadapt.mkal import (
     _block_grams,
     _block_sq_norms,
     _hinge_losses,
+    fit_for_each_config,
     fit_mkal,
     group_norm,
     predict_mkal,
@@ -362,3 +365,118 @@ def test_block_sq_norms_match_the_einsum_form():
     for km, c in zip(grams, duals):
         got = _block_sq_norms([km], c[None])
         assert_allclose(got, _einsum_sq_norms([km], c[None]), rtol=1e-12)
+
+
+def test_model_reports_the_objective_and_epoch_it_kept():
+    rng = np.random.default_rng(13)
+    train = _blobs(rng, n_per=8)
+    s_train = source_scores([_source(rng), _source(rng)], train.features)
+    for lam in (1e-3, 1e-2, 1e-1):
+        model = fit_mkal(train, s_train, MkalConfig(p=1.5, lam=lam, gamma=1.0, seed=1))
+        assert abs(model.best_objective - model_objective(model, train)) <= 1e-12
+        assert model.best_objective < 1.0 and 1 <= model.best_epoch <= 25
+
+
+def test_zero_budget_reports_the_zero_model():
+    rng = np.random.default_rng(14)
+    train = _blobs(rng, n_per=4)
+    cfg = MkalConfig(lam=1e-2, epochs_online=0, epochs_batch=0)
+    model = fit_mkal(train, source_scores([_source(rng)], train.features), cfg)
+    assert (model.best_objective, model.best_epoch) == (1.0, None)
+
+
+def _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs, kernel0=None):
+    models = fit_for_each_config(train, s_train, cfgs, kernel0=kernel0)
+    assert len(models) == len(cfgs)
+    for cfg, model in zip(cfgs, models):
+        alone = fit_mkal(train, s_train, cfg, kernel0=kernel0)
+        assert (model.p, model.lam) == (cfg.p, cfg.lam)
+        assert np.array_equal(model.dual_coeffs, alone.dual_coeffs)
+        assert np.array_equal(model.block_norms, alone.block_norms)
+        assert model.best_objective == alone.best_objective
+        assert model.best_epoch == alone.best_epoch
+
+
+def _random_problem(rng, n, k, g, absent_class=False):
+    labels = rng.integers(0, g - 1 if absent_class else g, size=n)
+    feats = rng.normal(size=(n, 3)) + labels[:, None]
+    s_train = rng.normal(size=(n, k, g)) + 2.0 * (np.arange(g) == labels[:, None])[:, None, :]
+    return Dataset(feats, labels, g, ["a", "b", "c"]), s_train
+
+
+def _configs(grid, **shared):
+    return [MkalConfig(p=p, lam=lam, gamma=0.5, seed=3, **shared) for p, lam in grid]
+
+
+LOCKSTEP_CASES = {
+    "unsorted-p": dict(grid=[(2.0, 1e-2), (1.05, 1e-2), (1.5, 1e-2), (1.25, 1e-2)]),
+    "repeated-p": dict(grid=[(1.25, 1e-1), (2.0, 1e-3), (1.25, 1e-3), (1.25, 1e-2)]),
+    "absent-class": dict(grid=[(1.25, 1e-2), (2.0, 1e-2)], absent_class=True),
+    "no-online-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs_online=0),
+    "no-batch-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs_batch=0),
+    "one-source": dict(grid=[(1.05, 1e-3), (1.5, 1e-2), (2.0, 1e-1)], k=1),
+    "linear-raw-block": dict(grid=[(1.25, 1e-2), (2.0, 1e-2)], kernel0=KernelSpec("linear")),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+def test_lockstep_fit_matches_one_fit_per_config(case):
+    spec = dict(LOCKSTEP_CASES[case])
+    rng = np.random.default_rng(15)
+    train, s_train = _random_problem(
+        rng, 30, spec.pop("k", 3), 4, absent_class=spec.pop("absent_class", False)
+    )
+    kernel0 = spec.pop("kernel0", None)
+    cfgs = _configs(spec.pop("grid"), **spec)
+    _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs, kernel0)
+
+
+def test_lockstep_fit_matches_when_multipliers_fold_back(monkeypatch):
+    folds = []
+    real = mkal._fold_small_multipliers
+
+    def spy(m, *state):
+        folds.append(int(np.sum(m < 1e-6)))
+        real(m, *state)
+
+    monkeypatch.setattr(mkal, "_fold_small_multipliers", spy)
+    rng = np.random.default_rng(16)
+    train, s_train = _random_problem(rng, 25, 4, 3)
+    cfgs = _configs([(1.05, 1e-1), (2.0, 1e3), (1.25, 1e3)])
+    fit_for_each_config(train, s_train, cfgs)
+    assert sum(folds) > 0
+    _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [dict(gamma=2.0), dict(seed=4), dict(epochs_online=2), dict(epochs_batch=3)],
+    ids=["gamma", "seed", "epochs-online", "epochs-batch"],
+)
+def test_lockstep_fit_rejects_configs_that_do_not_share_rows_order_or_budget(other):
+    rng = np.random.default_rng(17)
+    train, s_train = _random_problem(rng, 10, 2, 3)
+    base = MkalConfig(p=1.5, lam=1e-2)
+    with pytest.raises(ValueError, match="share"):
+        fit_for_each_config(train, s_train, [base, dataclasses.replace(base, p=2.0, **other)])
+    with pytest.raises(ValueError, match="at least one config"):
+        fit_for_each_config(train, s_train, [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 24),
+    k=st.integers(1, 3),
+    g=st.integers(2, 4),
+    grid=st.lists(
+        st.tuples(st.sampled_from([1.05, 1.25, 1.5, 2.0]), st.sampled_from([1e-3, 1e-1, 1e3])),
+        min_size=1, max_size=6, unique=True,
+    ),
+    epochs=st.tuples(st.integers(0, 3), st.integers(0, 4)),
+)
+def test_every_lockstep_model_equals_its_own_fit(seed, n, k, g, grid, epochs):
+    rng = np.random.default_rng(seed)
+    train, s_train = _random_problem(rng, n, k, g)
+    cfgs = _configs(grid, epochs_online=epochs[0], epochs_batch=epochs[1])
+    _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs)
