@@ -17,7 +17,9 @@ target's training pool is permuted once and the size-s training set is the
 first s entries, so smaller sets nest inside larger ones and class
 proportions stay whatever the permutation produced (no balancing).  Per
 cell, (C, gamma) are re-selected by CV on the current training subset and
-shared by No Transfer, Multi Adapt and the H-L2L first layer; MKAL picks
+shared by No Transfer, Multi Adapt and the H-L2L first layer (`select` scores
+every fold and C of a gamma from one eigendecomposition where that costs
+fewer LU-equivalents than a solve per (fold, C)); MKAL picks
 (p, lambda) by CV, training a fold's candidates in lockstep; Prior Features
 picks C; the H-L2L second layer picks its own (C, gamma) on the stacked
 score vectors.

@@ -12,6 +12,9 @@ over the per-class scores.  The inverse of the same bordered matrix M
 gives exact leave-one-out residuals without retraining:
 
     y_i - f_without_i(x_i) = a_i / inv(M)[i+1, i+1]
+
+and `kfold_scores` extends that to whole folds at every C from one
+eigendecomposition of K.
 """
 
 from __future__ import annotations
@@ -187,14 +190,69 @@ def bordered_inverse_block(kmat: np.ndarray, C: float) -> tuple[np.ndarray, np.n
     return h, d
 
 
-def loo_residuals(train: Dataset, kernel_spec: KernelSpec, C: float) -> np.ndarray:
-    """Exact leave-one-out residuals y_i - f_without_i(x_i), one column per class."""
-    if not C > 0:
+def kfold_scores(
+    train: Dataset,
+    kernel_spec: KernelSpec,
+    C_values: Sequence[float],
+    folds: Sequence[np.ndarray],
+) -> list[list[np.ndarray]]:
+    """Exact held-out scores of every fold at every C, from one eigendecomposition.
+
+    out[f][j] holds the scores on the rows folds[f] of the model that
+    `fit(train.subset(rest), kernel_spec, C_values[j])` trains on the other
+    rows, up to round-off.  A class absent from those rows scores exactly -1,
+    its default solution's constant.  With K = V diag(lam) V^T, d = 1/(lam + 1/C),
+    A = K + I/C, u = A^-1 1, s = 1^T u and the full set's duals
+    alpha = A^-1 Y - u (u^T Y) / s, fold F's held-out scores are
+    Y_F - H_FF^-1 alpha_F with H_FF = W_F W_F^T - u_F u_F^T / s, W = V diag(sqrt(d))
+    (An, Liu & Venkatesh, Pattern Recognition 40, 2007).  Singleton folds
+    give exact leave-one-out.  The folds need not cover every row.
+
+    Raises NumericalError where lam + 1/C is not resolved above the
+    eigenvalues' round-off, n * eps * max|lam| (duplicated rows at a huge C),
+    or a held-out score is not finite.
+    """
+    if not all(C > 0 for C in C_values):
         raise ValueError("C must be > 0")
-    if len(train) < 3:
-        raise ValueError("need at least 3 samples for leave-one-out residuals")
-    kmat = gram(kernel_spec, train.features, train.features)
-    h, d = bordered_inverse_block(kmat, C)
-    targets = ova_targets(train.labels, train.num_classes)
-    alphas = h @ targets
-    return alphas / d[:, None]
+    n = len(train)
+    if any(len(f) == 0 or n - len(f) < 2 for f in folds):
+        raise ValueError("every fold needs at least 1 row and at least 2 training rows outside it")
+    g = train.num_classes
+    targets = ova_targets(train.labels, g)
+    lam, vecs = np.linalg.eigh(gram(kernel_spec, train.features, train.features))
+    floor = n * np.finfo(float).eps * float(np.abs(lam).max())
+    # V^T [1 Y] once; each C rescales it by d and maps it back
+    proj = vecs.T @ np.column_stack((np.ones(n), targets))
+    per_C = []
+    for C in C_values:
+        shifted = lam + 1.0 / C
+        if shifted.min() <= floor:
+            raise NumericalError(
+                f"K + I/C is singular to working precision at C={C}: smallest eigenvalue "
+                f"{shifted.min():.3g} <= round-off {floor:.3g}"
+            )
+        d = 1.0 / shifted
+        sol = vecs @ (d[:, None] * proj)
+        u = sol[:, 0]
+        s = u.sum()
+        per_C.append((np.sqrt(d), u, s, sol[:, 1:] - np.outer(u, u @ targets) / s))
+    out = []
+    for f in folds:
+        absent = np.ones(g, dtype=bool)
+        absent[np.delete(train.labels, f)] = False
+        vf = vecs[f]
+        scores = []
+        for root_d, u, s, alphas in per_C:
+            w = vf * root_d
+            # w @ w.T is one symmetric rank-k update, half the flops of a general product
+            h = w @ w.T - np.outer(u[f], u[f]) / s
+            try:
+                held_out = targets[f] - np.linalg.solve(h, alphas[f])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"held-out block is singular: {exc}") from exc
+            held_out[:, absent] = -1.0
+            if not np.isfinite(held_out).all():
+                raise NumericalError("held-out scores are not finite")
+            scores.append(held_out)
+        out.append(scores)
+    return out

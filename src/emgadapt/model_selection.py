@@ -73,6 +73,11 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     return out
 
 
+def training_rows(folds: Sequence[np.ndarray], f: int) -> np.ndarray:
+    """Indices of every fold except fold f, in fold order."""
+    return np.concatenate([rows for j, rows in enumerate(folds) if j != f])
+
+
 def cross_validate(
     labels: np.ndarray,
     candidates: Sequence[dict],
@@ -98,28 +103,29 @@ def cross_validate(
     fold_idx = stratified_folds(labels, folds, seed)
     accs: list[list[float]] = [[] for _ in candidates]
     for f, val in enumerate(fold_idx):
-        train = np.concatenate([fold_idx[j] for j in range(folds) if j != f])
+        train = training_rows(fold_idx, f)
         for acc, pred in zip(accs, fit_fold(train, val), strict=True):
             acc.append(float(np.mean(np.asarray(pred) == labels[val])))
     table = [dict(cand, accuracy=float(np.mean(a))) for cand, a in zip(candidates, accs)]
     return max(table, key=lambda row: row["accuracy"]), table
 
 
-Predictor = Callable[[np.ndarray], list[np.ndarray]]
+FoldLabels = Sequence[Sequence[np.ndarray]]  # [fold][C] -> predicted labels of the fold's rows
 
 
 def select(
     train: Dataset,
-    fit_fn: Callable[[Dataset, float, Sequence[float]], Predictor],
+    fit_fn: Callable[[Dataset, float, list[float], list[np.ndarray]], FoldLabels],
     grid: Grid,
 ) -> tuple[dict, list[dict]]:
     """Pick (C, gamma) by stratified CV accuracy through `cross_validate`.
 
-    fit_fn(train_subset, gamma, C_values) trains one model per C on the
-    subset with that gamma and returns a predictor mapping a feature matrix
-    to a list of label arrays, one per C in `C_values` order.  It is called
-    once per (fold, gamma), with the C values ascending, so a kernel fit_fn
-    can build each Gram once and reuse it for every C.
+    fit_fn(train, gamma, C_values, folds) is called once per gamma, ascending,
+    with the C values ascending and the validation index arrays of the
+    `stratified_folds` that `cross_validate` deals.  It returns, per fold in
+    order, the predicted labels of that fold's rows from one model per C
+    trained on the other folds, so a kernel fit_fn can share one Gram (or one
+    eigendecomposition) across every fold and C of a gamma.
 
     The table lists the candidates with C ascending then gamma ascending,
     so ties resolve to the smaller C and then the smaller gamma.
@@ -127,20 +133,58 @@ def select(
     """
     C_values = sorted(grid.C_values)
     gamma_values = sorted(grid.gamma_values)
+    folds = stratified_folds(train.labels, grid.folds, grid.seed)
+    per_gamma = [fit_fn(train, gamma, C_values, folds) for gamma in gamma_values]
+    # cross_validate deals the same folds and asks for them in order
+    per_fold = iter(zip(*per_gamma, strict=True))
 
     def fit_fold(train_idx, val_idx):
-        sub = train.subset(train_idx)
-        X_val = train.features[val_idx]
-        per_gamma = [fit_fn(sub, gamma, C_values)(X_val) for gamma in gamma_values]
         # transpose gamma-major predictions into the table's C-major order
-        return [pred for per_C in zip(*per_gamma, strict=True) for pred in per_C]
+        return [pred for per_C in zip(*next(per_fold), strict=True) for pred in per_C]
 
     candidates = [{"C": c, "gamma": g} for c in C_values for g in gamma_values]
     return cross_validate(train.labels, candidates, fit_fold, grid.folds, grid.seed)
 
 
-def lssvm_fit_fn(sub: Dataset, gamma: float, C_values: Sequence[float]) -> Predictor:
-    """`select` fit_fn: gaussian one-vs-all LS-SVMs sharing one train and one query Gram."""
+# eigh of an n x n matrix costs about this many LU factorizations of the same
+# size (5.1-8.1 measured for n = 40..1000, numpy 2.4 on single-threaded OpenBLAS)
+EIGH_LU_EQUIVALENTS = 6.0
+
+
+def spectral_cv_is_cheaper(n: int, folds: int, num_C: int) -> bool:
+    """Whether `lssvm.kfold_scores` is cheaper than one LU solve per (fold, C).
+
+    Counted in LU-equivalents, with an LU of size m costing m^3 and a fold
+    holding n / folds rows: the direct path factors folds * num_C systems of
+    the n - n / folds training rows; the spectral path pays one eigh of size n
+    and folds * num_C products of size |F| x n x |F| (3 |F|^2 n: a product
+    does 2 flops per term where an LU does 2/3).  Every term scales as n^3,
+    so the choice rests on folds and num_C: 5 folds x 6 C is spectral,
+    3 folds x 3 C direct.
+    """
+    fold = n / folds
+    direct = folds * num_C * (n - fold) ** 3
+    spectral = EIGH_LU_EQUIVALENTS * n**3 + folds * num_C * 3 * fold**2 * n
+    return spectral < direct
+
+
+def lssvm_fit_fn(
+    train: Dataset, gamma: float, C_values: Sequence[float], folds: Sequence[np.ndarray]
+) -> list[list[np.ndarray]]:
+    """`select` fit_fn: gaussian one-vs-all LS-SVM labels of every fold at every C.
+
+    Takes the cheaper path by `spectral_cv_is_cheaper`: the exact held-out
+    scores of `lssvm.kfold_scores`, from one eigendecomposition of the whole
+    set's Gram, or per fold one `fit_for_each_C` and one query Gram.  The two
+    paths' scores agree to round-off, so labels can differ only where two
+    classes' scores tie to round-off.
+    """
     spec = KernelSpec("gaussian", gamma)
-    models = lssvm.fit_for_each_C(sub, spec, C_values)
-    return lambda X: lssvm.predict_for_each_C(models, X)
+    if spectral_cv_is_cheaper(len(train), len(folds), len(C_values)):
+        scores = lssvm.kfold_scores(train, spec, C_values, folds)
+        return [[np.argmax(s, axis=1) for s in per_C] for per_C in scores]
+    labels = []
+    for f, val in enumerate(folds):
+        models = lssvm.fit_for_each_C(train.subset(training_rows(folds, f)), spec, C_values)
+        labels.append(lssvm.predict_for_each_C(models, train.features[val]))
+    return labels

@@ -53,6 +53,7 @@ class BetaWeights:
 class MaModel:
     base: LssvmModel
     beta: BetaWeights
+    loo_bound: float | None = None  # hinge LOO bound at beta; None when beta was given
 
 
 def source_scores(sources: list[LssvmModel], X: np.ndarray) -> np.ndarray:
@@ -129,6 +130,7 @@ def fit_ma(
                 best_beta = b.copy()
         beta = best_beta
     else:
+        best_val = None
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (k, g):
             raise ValueError("beta must be K x G")
@@ -147,7 +149,7 @@ def fit_ma(
         alphas=alphas,
         biases=biases,
     )
-    return MaModel(base=base, beta=BetaWeights(beta))
+    return MaModel(base=base, beta=BetaWeights(beta), loo_bound=best_val)
 
 
 def predict_ma(model: MaModel, X: np.ndarray, s_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

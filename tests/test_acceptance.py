@@ -83,8 +83,10 @@ def test_criterion_01_closed_form_loo_equals_explicit_retraining():
         ds = _blob_dataset(rng, g, n_per)
         c_reg = float(10.0 ** rng.uniform(-1, 2))
         spec = KernelSpec("gaussian", float(10.0 ** rng.uniform(-1.5, 0)))
-        residuals = lssvm.loo_residuals(ds, spec, c_reg)
+        singletons = [np.array([i]) for i in range(len(ds))]
+        held_out = lssvm.kfold_scores(ds, spec, [c_reg], singletons)
         targets = lssvm.ova_targets(ds.labels, g)
+        residuals = targets - np.concatenate([f[0] for f in held_out])
         for i in range(len(ds)):
             keep = np.delete(np.arange(len(ds)), i)
             model = lssvm.fit(ds.subset(keep), spec, c_reg)

@@ -13,7 +13,7 @@ from emgadapt.lssvm import (
     NumericalError,
     _bordered_matrix,
     bordered_inverse_block,
-    loo_residuals,
+    kfold_scores,
     ova_targets,
     solve_dual_system,
 )
@@ -135,6 +135,13 @@ def test_separable_data_classified_perfectly():
     assert np.mean(pred == labels) == 1.0
 
 
+def _loo_residuals(ds, spec, c):
+    """Leave-one-out residuals y_i - f_without_i(x_i) from the scorer's singleton folds."""
+    folds = [np.array([i]) for i in range(len(ds))]
+    scores = kfold_scores(ds, spec, [c], folds)
+    return ova_targets(ds.labels, ds.num_classes) - np.concatenate([f[0] for f in scores])
+
+
 def test_loo_residuals_match_explicit_retraining():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -142,7 +149,7 @@ def test_loo_residuals_match_explicit_retraining():
         c = float(10.0 ** rng.uniform(-1, 2))
         gamma = float(10.0 ** rng.uniform(-1, 1))
         spec = KernelSpec("gaussian", gamma)
-        got = loo_residuals(ds, spec, c)
+        got = _loo_residuals(ds, spec, c)
         y = ova_targets(ds.labels, ds.num_classes)
         n = len(ds)
         for i in range(int(rng.integers(2, 5))):  # spot-check a few rows per instance
@@ -163,7 +170,7 @@ def test_loo_residuals_use_the_inverse_diagonal():
     h, d = bordered_inverse_block(kmat, 5.0)
     y = ova_targets(ds.labels, ds.num_classes)
     expect = (h @ y) / d[:, None]
-    assert_allclose(loo_residuals(ds, spec, 5.0), expect, atol=1e-12)
+    assert_allclose(_loo_residuals(ds, spec, 5.0), expect, atol=1e-12)
 
 
 def test_validation_errors():
@@ -173,7 +180,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         lssvm.fit(_dataset([[0.0]], [0], num_classes=1), KernelSpec("linear"), 1.0)
     with pytest.raises(ValueError):
-        loo_residuals(ds, KernelSpec("linear"), 1.0)  # needs >= 3 samples
+        _loo_residuals(ds, KernelSpec("linear"), 1.0)  # needs >= 3 samples
 
 
 def test_degenerate_system_raises_numerical_error():

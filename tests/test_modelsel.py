@@ -1,16 +1,20 @@
 """Stratified folding and grid search behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from emgadapt import lssvm
+from emgadapt import lssvm, model_selection
 from emgadapt.kernels import KernelSpec
 from emgadapt.model_selection import (
     Grid,
     cross_validate,
     lssvm_fit_fn,
     select,
+    spectral_cv_is_cheaper,
     stratified_folds,
+    training_rows,
 )
 from emgadapt.signals import Dataset
 
@@ -200,15 +204,16 @@ def _noisy_blobs(seed, counts):
     return Dataset(feats, labels, len(counts), ["a", "b", "c"])
 
 
-@pytest.mark.parametrize(
-    "seed, counts, grid",
-    [
-        (0, (12, 12, 12), Grid(C_values=(0.1, 1.0, 10.0), gamma_values=(0.1, 1.0), folds=3)),
-        (1, (15, 9, 11, 7), Grid(C_values=(100.0, 0.01, 1.0), gamma_values=(3.0, 0.03, 0.3), folds=4, seed=9)),
-        (2, (10, 10, 1), Grid(C_values=(0.5, 5.0, 50.0), gamma_values=(0.2, 2.0), folds=3, seed=4)),
-    ],
-    ids=["sorted-grid", "unsorted-grid", "fold-lacks-a-class"],
-)
+SELECT_CASES = [
+    (0, (12, 12, 12), Grid(C_values=(0.1, 1.0, 10.0), gamma_values=(0.1, 1.0), folds=3)),
+    (1, (15, 9, 11, 7), Grid(C_values=(100.0, 0.01, 1.0), gamma_values=(3.0, 0.03, 0.3), folds=4, seed=9)),
+    (2, (10, 10, 1), Grid(C_values=(0.5, 5.0, 50.0), gamma_values=(0.2, 2.0), folds=3, seed=4)),
+    (4, (14, 13, 12, 11), Grid(C_values=(1000.0, 0.01, 10.0, 0.1, 100.0, 1.0), gamma_values=(0.05, 0.5), folds=5, seed=2)),
+]
+SELECT_IDS = ["sorted-grid", "unsorted-grid", "fold-lacks-a-class", "5-folds-6-C"]
+
+
+@pytest.mark.parametrize("seed, counts, grid", SELECT_CASES, ids=SELECT_IDS)
 def test_select_table_equals_the_per_candidate_reference(seed, counts, grid):
     ds = _noisy_blobs(seed, counts)
     if min(counts) < grid.folds:
@@ -223,17 +228,96 @@ def test_select_table_equals_the_per_candidate_reference(seed, counts, grid):
     assert len({row["accuracy"] for row in table}) > 1
 
 
+@pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
+@pytest.mark.parametrize("seed, counts, grid", SELECT_CASES, ids=SELECT_IDS)
+def test_select_table_equals_the_reference_on_either_path(seed, counts, grid, spectral, monkeypatch):
+    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
+    ds = _noisy_blobs(seed, counts)
+    assert select(ds, lssvm_fit_fn, grid)[1] == _reference_table(ds, grid)
+
+
+@pytest.mark.parametrize("seed, counts, grid", SELECT_CASES, ids=SELECT_IDS)
+def test_kfold_scores_equal_per_fold_retraining(seed, counts, grid):
+    ds = _noisy_blobs(seed, counts)
+    folds = stratified_folds(ds.labels, grid.folds, grid.seed)
+    for gamma in grid.gamma_values:
+        spec = KernelSpec("gaussian", gamma)
+        got = lssvm.kfold_scores(ds, spec, grid.C_values, folds)
+        assert len(got) == len(folds)
+        for f, val in enumerate(folds):
+            assert len(got[f]) == len(grid.C_values)
+            for C, scores in zip(grid.C_values, got[f]):
+                model = lssvm.fit(ds.subset(training_rows(folds, f)), spec, C)
+                want = lssvm.predict(model, ds.features[val])[1]
+                assert np.max(np.abs(scores - want)) <= 1e-8
+                # an absent class keeps its default solution's constant exactly
+                absent = np.setdiff1d(np.arange(ds.num_classes), ds.labels[training_rows(folds, f)])
+                assert np.all(scores[:, absent] == -1.0)
+
+
+@pytest.mark.parametrize("n", [40, 100, 160, 250, 500, 600, 1000])
+def test_cost_rule_picks_direct_for_the_cohort_grid_and_spectral_for_the_cli_grid(n):
+    assert not spectral_cv_is_cheaper(n, 3, 3)
+    assert spectral_cv_is_cheaper(n, 5, 6)
+
+
+def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time():
+    rng = np.random.default_rng(6)
+    n = 400
+    ds = _noisy_blobs(7, (100, 100, 100, 100))
+    ds = Dataset(ds.features + rng.normal(size=ds.features.shape), ds.labels, 4, ds.feature_names)
+    grid = Grid(C_values=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), gamma_values=(0.01, 0.1, 1.0, 10.0), folds=5)
+    assert spectral_cv_is_cheaper(n, grid.folds, len(grid.C_values))
+    select(ds, lssvm_fit_fn, grid)  # first-call allocations that outlive it stay out of the count
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        select(ds, lssvm_fit_fn, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured 2.07 N x N arrays: one gamma's Gram while eigh writes its
+    # eigenvectors, plus fold-sized work; keeping every gamma's eigenvectors
+    # alive would reach 5
+    assert peak < 2.5 * n * n * 8
+
+
+def test_kfold_scores_reject_a_shift_below_the_eigenvalue_round_off():
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(50, 3))
+    ds = Dataset(np.concatenate([X, X]), rng.integers(0, 3, size=100), 3, ["a", "b", "c"])
+    folds = stratified_folds(ds.labels, 5, 0)
+    spec = KernelSpec("gaussian", 0.01)
+    with pytest.raises(lssvm.NumericalError, match="singular"):
+        lssvm.kfold_scores(ds, spec, [1.0, 1e12], folds)
+    assert all(np.isfinite(s).all() for per_C in lssvm.kfold_scores(ds, spec, [1e3], folds) for s in per_C)
+
+
+def test_kfold_scores_validation():
+    ds = _noisy_blobs(0, (3, 3))
+    spec = KernelSpec("gaussian", 1.0)
+    with pytest.raises(ValueError, match="C must be"):
+        lssvm.kfold_scores(ds, spec, [1.0, 0.0], [np.arange(3)])
+    with pytest.raises(ValueError, match="fold"):
+        lssvm.kfold_scores(ds, spec, [1.0], [np.arange(5)])
+    with pytest.raises(ValueError, match="fold"):
+        lssvm.kfold_scores(ds, spec, [1.0], [np.arange(0)])
+
+
 def test_select_fits_once_per_fold_and_gamma_with_every_C():
     ds = _noisy_blobs(3, (10, 10, 10))
     grid = Grid(C_values=(10.0, 0.1, 1.0), gamma_values=(1.0, 0.1), folds=4)
     calls = []
 
-    def counted(sub, gamma, C_values):
-        calls.append((len(sub), gamma, tuple(C_values)))
-        return lssvm_fit_fn(sub, gamma, C_values)
+    def counted(train, gamma, C_values, folds):
+        calls.append((train, gamma, tuple(C_values), folds))
+        return lssvm_fit_fn(train, gamma, C_values, folds)
 
     select(ds, counted, grid)
-    assert len(calls) == grid.folds * len(grid.gamma_values)
-    assert {c[2] for c in calls} == {(0.1, 1.0, 10.0)}
-    assert [c[1] for c in calls] == [0.1, 1.0] * grid.folds
-
+    # one call per gamma covers every fold and every C
+    assert [c[1] for c in calls] == [0.1, 1.0]
+    assert all(c[0] is ds and c[2] == (0.1, 1.0, 10.0) for c in calls)
+    want = stratified_folds(ds.labels, grid.folds, grid.seed)
+    for c in calls:
+        assert len(c[3]) == grid.folds
+        assert all(np.array_equal(a, b) for a, b in zip(c[3], want))

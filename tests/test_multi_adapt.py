@@ -159,6 +159,23 @@ def test_fitted_beta_is_no_worse_than_beta_zero_on_the_loo_bound():
         assert fitted <= loo_hinge_bound(y, base_loo, v, np.zeros_like(model.beta.values))
 
 
+def test_model_keeps_the_loo_bound_of_its_beta():
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        train = _blobs(rng, n_per=int(rng.integers(3, 7)), spread=0.9)
+        s_train = source_scores([_source(rng), _source(rng, scramble=True)], train.features)
+        spec = KernelSpec("gaussian", float(10.0 ** rng.uniform(-1, 1)))
+        c = float(10.0 ** rng.uniform(-1, 2))
+        model = fit_ma(train, s_train, spec, c)
+
+        y = ova_targets(train.labels, train.num_classes)
+        h, d = bordered_inverse_block(gram(spec, train.features, train.features), c)
+        base_loo = y - (h @ y) / d[:, None]
+        v = np.einsum("ij,jkg->ikg", h, s_train) / d[:, None, None]
+        assert model.loo_bound == loo_hinge_bound(y, base_loo, v, model.beta.values)
+        assert fit_ma(train, s_train, spec, c, beta=model.beta.values).loo_bound is None
+
+
 def test_transfer_helps_small_training_sets():
     rng = np.random.default_rng(5)
     sources = [_source(rng) for _ in range(3)]
