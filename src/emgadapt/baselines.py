@@ -9,18 +9,20 @@ tensor of `multi_adapt.source_scores`).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
-from .model_selection import Grid, cross_validate, lssvm_fit_fn, select
+from .model_selection import Grid, cross_validate, kfold_labels, select
 from .signals import Dataset, apply_normalizer, fit_normalizer
 
 
 def fit_no_transfer(train: Dataset, grid: Grid) -> LssvmModel:
     """Gaussian LS-SVM on target data with (C, gamma) picked by CV."""
-    best, _ = select(train, lssvm_fit_fn, grid)
+    best, _ = select(train, kfold_labels, grid)
     return lssvm.fit(train, KernelSpec("gaussian", best["gamma"]), best["C"])
 
 
@@ -47,13 +49,9 @@ def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> Lssvm
     stats = fit_normalizer(raw)
     ds = apply_normalizer(raw, stats)
     C_values = sorted(grid.C_values)
-
-    def fit_fold(train_idx, val_idx):
-        models = lssvm.fit_for_each_C(ds.subset(train_idx), KernelSpec("linear"), C_values)
-        return lssvm.predict_for_each_C(models, ds.features[val_idx])
-
     candidates = [{"C": c} for c in C_values]
-    best, _ = cross_validate(ds.labels, candidates, fit_fold, grid.folds, grid.seed)
+    fold_labels = partial(kfold_labels, ds, KernelSpec("linear"), C_values)
+    best, _ = cross_validate(ds.labels, candidates, fold_labels, grid.folds, grid.seed)
     model = lssvm.fit(ds, KernelSpec("linear"), best["C"])
     model.norm_stats = stats
     return model

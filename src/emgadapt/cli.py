@@ -23,6 +23,7 @@ from pathlib import Path
 from . import harness, signals, synth
 from .analysis import confusion_diff, recognition_correlation, similarity_cell, top4_similarity
 from .harness import EXPERIMENTS, METHODS, ExperimentConfig, MkalSelection, SubjectData
+from .lssvm import NumericalError
 from .model_selection import Grid
 from .signals import (
     WindowSpec, format_float, load_dataset, load_recording, save_dataset, save_recording,
@@ -434,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         if missing:
             args.parser.error("missing required options: --" + ", --".join(missing).replace("_", "-"))
         return args.func(args, args.parser)
-    except (argparse.ArgumentError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, ValueError, OSError, NumericalError) as exc:
         # argparse words a rejected flag value; the ValueError behind it says why
         cause = exc.__context__ if isinstance(exc, argparse.ArgumentError) else None
         print(f"error: {exc}" + (f" ({cause})" if cause else ""), file=sys.stderr)

@@ -17,12 +17,11 @@ target's training pool is permuted once and the size-s training set is the
 first s entries, so smaller sets nest inside larger ones and class
 proportions stay whatever the permutation produced (no balancing).  Per
 cell, (C, gamma) are re-selected by CV on the current training subset and
-shared by No Transfer, Multi Adapt and the H-L2L first layer (`select` scores
-every fold and C of a gamma from one eigendecomposition where that costs
-fewer LU-equivalents than a solve per (fold, C)); MKAL picks
-(p, lambda) by CV, training a fold's candidates in lockstep; Prior Features
-picks C; the H-L2L second layer picks its own (C, gamma) on the stacked
-score vectors.
+shared by No Transfer, Multi Adapt and the H-L2L first layer; Prior Features
+picks C, and the H-L2L second layer its own (C, gamma) on the stacked score
+vectors, all through `kfold_labels`.  MKAL picks (p, lambda) through the
+same `cross_validate`, training a fold's candidates in lockstep.  Errors
+name the cell's method (or the shared selection), size, target and seed.
 
 All randomness is derived from (base_seed, target id, seed value, size
 index), so results are identical no matter how work is scheduled across
@@ -35,6 +34,7 @@ import dataclasses
 import json
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,9 +45,11 @@ from .analysis import ConfusionMatrix, confusion
 from .baselines import fit_no_transfer, fit_prior_features, prior_feature_matrix
 from .hl2l import fit_hl2l, predict_hl2l, stacking_dataset
 from .kernels import KernelSpec
-from .lssvm import LssvmModel
+from .lssvm import LssvmModel, NumericalError
 from .mkal import MkalConfig, fit_for_each_config, fit_mkal, predict_mkal
-from .model_selection import Grid, as_int, check_grid_values, cross_validate, lssvm_fit_fn, select
+from .model_selection import (
+    Grid, as_int, check_grid_values, cross_validate, kfold_labels, select, training_rows,
+)
 from .multi_adapt import fit_ma, predict_ma, source_scores
 from .signals import Dataset, apply_normalizer, fit_normalizer, format_float
 
@@ -189,7 +191,8 @@ def train_source_model(subject: SubjectData, cfg: ExperimentConfig) -> LssvmMode
         idx = np.sort(rng.choice(len(data), size=cfg.source_train_cap, replace=False))
         data = data.subset(idx)
     grid = dataclasses.replace(cfg.grid, seed=_seed_int(cfg.base_seed, 1, key))
-    return fit_no_transfer(data, grid)
+    with _context(f"source model {subject.subject_id}"):
+        return fit_no_transfer(data, grid)
 
 
 def _fit_eval_cell(
@@ -230,12 +233,17 @@ def _fit_eval_cell(
 
         cfgs = [mkal_cfg(cand) for cand in candidates]
 
-        def fit_fold(tr, va):
-            models = fit_for_each_config(sub.subset(tr), s_sub[tr], cfgs)
-            return [predict_mkal(m, sub.features[va], s_sub[va])[0] for m in models]
+        def fold_labels(folds):
+            out = []
+            for f, va in enumerate(folds):
+                tr = training_rows(folds, f)
+                # no name holds a fold's models, so they are freed before the next fold trains
+                out.append([predict_mkal(m, sub.features[va], s_sub[va])[0]
+                            for m in fit_for_each_config(sub.subset(tr), s_sub[tr], cfgs)])
+            return out
 
         best, _ = cross_validate(
-            sub.labels, candidates, fit_fold, cfg.grid.folds, _seed_int(base, *cell_key, 5)
+            sub.labels, candidates, fold_labels, cfg.grid.folds, _seed_int(base, *cell_key, 5)
         )
         model = fit_mkal(sub, s_sub, mkal_cfg(best))
         return (
@@ -248,10 +256,8 @@ def _fit_eval_cell(
         _, raw_stack = stacking_dataset(sub, s_sub, kernel1, shared["C"], seed=split_seed)
         stack_norm = apply_normalizer(raw_stack, fit_normalizer(raw_stack))
         folds2 = max(2, min(cfg.grid.folds, len(stack_norm)))
-        grid2 = dataclasses.replace(
-            cfg.grid, folds=folds2, seed=_seed_int(base, *cell_key, 7)
-        )
-        best2, _ = select(stack_norm, lssvm_fit_fn, grid2)
+        grid2 = dataclasses.replace(cfg.grid, folds=folds2, seed=_seed_int(base, *cell_key, 7))
+        best2, _ = select(stack_norm, kfold_labels, grid2)
         model = fit_hl2l(
             sub, s_sub, kernel1, shared["C"],
             KernelSpec("gaussian", best2["gamma"]), best2["C"], seed=split_seed,
@@ -261,6 +267,16 @@ def _fit_eval_cell(
             {"C1": shared["C"], "gamma1": shared["gamma"], "C2": best2["C"], "gamma2": best2["gamma"]},
         )
     raise ValueError(f"unknown method: {method}")
+
+
+@contextmanager
+def _context(where: str):
+    """Prefix a ValueError or NumericalError raised in the block with `where`."""
+    try:
+        yield
+    except (ValueError, NumericalError) as exc:
+        kind = NumericalError if isinstance(exc, NumericalError) else ValueError
+        raise kind(f"{where}: {exc}") from exc
 
 
 def _run_target(
@@ -289,23 +305,18 @@ def _run_target(
             sub = pool.subset(idx)
             s_sub = s_pool[idx] if s_pool is not None else None
             cell_key = (3, tkey, seed, size_index)
+            where = f"at size {size} (target {target.subject_id}, seed {seed})"
             shared = None
             if need_shared:
-                grid = dataclasses.replace(
-                    cfg.grid, seed=_seed_int(cfg.base_seed, *cell_key, 2)
-                )
-                best, _ = select(sub, lssvm_fit_fn, grid)
+                grid = dataclasses.replace(cfg.grid, seed=_seed_int(cfg.base_seed, *cell_key, 2))
+                with _context(f"(C, gamma) selection {where}"):
+                    best, _ = select(sub, kfold_labels, grid)
                 shared = {"C": best["C"], "gamma": best["gamma"]}
             for method in cfg.methods:
-                try:
+                with _context(f"{method} {where}"):
                     pred, params = _fit_eval_cell(
                         method, cfg, sub, s_sub, test, s_test, shared, cell_key
                     )
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{method} at size {size} (target {target.subject_id}, "
-                        f"seed {seed}): {exc}"
-                    ) from exc
                 cm = confusion(pred, test.labels, pool.num_classes)
                 cells.append(
                     CellResult(

@@ -167,12 +167,6 @@ def predict(model: LssvmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(scores, axis=1), scores
 
 
-def predict_for_each_C(models: Sequence[LssvmModel], X: np.ndarray) -> list[np.ndarray]:
-    """Labels of every model of one `fit_for_each_C` call, from one query Gram."""
-    kq = gram(models[0].kernel, X, models[0].support_inputs)
-    return [np.argmax(kq @ m.alphas + m.biases, axis=1) for m in models]
-
-
 def bordered_inverse_block(kmat: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower-right N x N block H of inv(M) and its diagonal.
 

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lssvm
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram
 from .signals import Dataset
 
 
@@ -81,16 +81,15 @@ def training_rows(folds: Sequence[np.ndarray], f: int) -> np.ndarray:
 def cross_validate(
     labels: np.ndarray,
     candidates: Sequence[dict],
-    fit_fold: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]],
+    fold_labels: Callable[[list[np.ndarray]], Sequence[Sequence[np.ndarray]]],
     folds: int,
     seed: int,
 ) -> tuple[dict, list[dict]]:
     """Pick the candidate with the best mean stratified k-fold accuracy.
 
-    fit_fold(train_idx, val_idx) is called once per fold, in fold order.  It
-    trains every candidate on the training indices and returns the predicted
-    labels of the validation indices, one array per candidate in candidate
-    order, so a caller can share work across its candidates within a fold.
+    fold_labels(val_folds) is called once with the `stratified_folds` index
+    arrays.  It returns, per fold in order, the labels of that fold's rows
+    from each candidate, in order, trained on the other folds' rows.
 
     Each table row is the candidate plus its accuracy, the mean of the
     per-fold accuracies in fold order.  The best row is the first with the
@@ -100,32 +99,26 @@ def cross_validate(
     if not candidates:
         raise ValueError("need at least one candidate")
     labels = np.asarray(labels, dtype=int)
-    fold_idx = stratified_folds(labels, folds, seed)
+    val_folds = stratified_folds(labels, folds, seed)
     accs: list[list[float]] = [[] for _ in candidates]
-    for f, val in enumerate(fold_idx):
-        train = training_rows(fold_idx, f)
-        for acc, pred in zip(accs, fit_fold(train, val), strict=True):
+    for val, preds in zip(val_folds, fold_labels(val_folds), strict=True):
+        for acc, pred in zip(accs, preds, strict=True):
             acc.append(float(np.mean(np.asarray(pred) == labels[val])))
     table = [dict(cand, accuracy=float(np.mean(a))) for cand, a in zip(candidates, accs)]
     return max(table, key=lambda row: row["accuracy"]), table
 
 
-FoldLabels = Sequence[Sequence[np.ndarray]]  # [fold][C] -> predicted labels of the fold's rows
-
-
 def select(
     train: Dataset,
-    fit_fn: Callable[[Dataset, float, list[float], list[np.ndarray]], FoldLabels],
+    fit_fn: Callable[[Dataset, KernelSpec, list[float], list[np.ndarray]], list[list[np.ndarray]]],
     grid: Grid,
 ) -> tuple[dict, list[dict]]:
     """Pick (C, gamma) by stratified CV accuracy through `cross_validate`.
 
-    fit_fn(train, gamma, C_values, folds) is called once per gamma, ascending,
-    with the C values ascending and the validation index arrays of the
-    `stratified_folds` that `cross_validate` deals.  It returns, per fold in
-    order, the predicted labels of that fold's rows from one model per C
-    trained on the other folds, so a kernel fit_fn can share one Gram (or one
-    eigendecomposition) across every fold and C of a gamma.
+    fit_fn(train, KernelSpec("gaussian", gamma), C_values, folds) is called
+    once per gamma, ascending, with the C values ascending and the folds that
+    `cross_validate` deals, and returns per fold the labels at every C, as
+    `kfold_labels` does, so one call can share work across folds and C.
 
     The table lists the candidates with C ascending then gamma ascending,
     so ties resolve to the smaller C and then the smaller gamma.
@@ -133,17 +126,17 @@ def select(
     """
     C_values = sorted(grid.C_values)
     gamma_values = sorted(grid.gamma_values)
-    folds = stratified_folds(train.labels, grid.folds, grid.seed)
-    per_gamma = [fit_fn(train, gamma, C_values, folds) for gamma in gamma_values]
-    # cross_validate deals the same folds and asks for them in order
-    per_fold = iter(zip(*per_gamma, strict=True))
 
-    def fit_fold(train_idx, val_idx):
-        # transpose gamma-major predictions into the table's C-major order
-        return [pred for per_C in zip(*next(per_fold), strict=True) for pred in per_C]
+    def fold_labels(folds):
+        per_gamma = [fit_fn(train, KernelSpec("gaussian", g), C_values, folds) for g in gamma_values]
+        # per fold, transpose gamma-major labels into the table's C-major order
+        return [
+            [pred for per_C in zip(*per_fold, strict=True) for pred in per_C]
+            for per_fold in zip(*per_gamma, strict=True)
+        ]
 
     candidates = [{"C": c, "gamma": g} for c in C_values for g in gamma_values]
-    return cross_validate(train.labels, candidates, fit_fold, grid.folds, grid.seed)
+    return cross_validate(train.labels, candidates, fold_labels, grid.folds, grid.seed)
 
 
 # eigh of an n x n matrix costs about this many LU factorizations of the same
@@ -168,23 +161,23 @@ def spectral_cv_is_cheaper(n: int, folds: int, num_C: int) -> bool:
     return spectral < direct
 
 
-def lssvm_fit_fn(
-    train: Dataset, gamma: float, C_values: Sequence[float], folds: Sequence[np.ndarray]
+def kfold_labels(
+    train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float], folds: Sequence[np.ndarray]
 ) -> list[list[np.ndarray]]:
-    """`select` fit_fn: gaussian one-vs-all LS-SVM labels of every fold at every C.
+    """One-vs-all LS-SVM labels of every fold's rows at every C, trained on the other folds.
 
-    Takes the cheaper path by `spectral_cv_is_cheaper`: the exact held-out
-    scores of `lssvm.kfold_scores`, from one eigendecomposition of the whole
-    set's Gram, or per fold one `fit_for_each_C` and one query Gram.  The two
-    paths' scores agree to round-off, so labels can differ only where two
-    classes' scores tie to round-off.
+    out[f][j] labels the rows folds[f] by `lssvm.fit` at C_values[j] on the
+    rows `training_rows(folds, f)`.  Takes the cheaper path by
+    `spectral_cv_is_cheaper`: `lssvm.kfold_scores`, or per fold one
+    `fit_for_each_C` and one query Gram.  Their scores agree to round-off, so
+    labels can differ only where two classes' scores tie to round-off.
     """
-    spec = KernelSpec("gaussian", gamma)
     if spectral_cv_is_cheaper(len(train), len(folds), len(C_values)):
-        scores = lssvm.kfold_scores(train, spec, C_values, folds)
+        scores = lssvm.kfold_scores(train, kernel_spec, C_values, folds)
         return [[np.argmax(s, axis=1) for s in per_C] for per_C in scores]
     labels = []
     for f, val in enumerate(folds):
-        models = lssvm.fit_for_each_C(train.subset(training_rows(folds, f)), spec, C_values)
-        labels.append(lssvm.predict_for_each_C(models, train.features[val]))
+        models = lssvm.fit_for_each_C(train.subset(training_rows(folds, f)), kernel_spec, C_values)
+        kq = gram(kernel_spec, train.features[val], models[0].support_inputs)
+        labels.append([np.argmax(kq @ m.alphas + m.biases, axis=1) for m in models])
     return labels

@@ -353,6 +353,28 @@ def test_duplicate_methods_return_2(arts, tmp_path, capsys):
     assert "duplicates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, gamma, where",
+    [
+        # a tiny gamma makes the 16-row Gram nearly rank one
+        ("NoTransfer", "0.000001", "(C, gamma) selection at size 16"),
+        # 12 score features for 16 rows: the linear Gram is rank deficient
+        ("PriorFeatures", "1", "PriorFeatures at size 16"),
+    ],
+)
+def test_numerical_error_in_cross_validation_returns_2(arts, tmp_path, capsys, method, gamma, where):
+    # 5 folds x 6 C take the spectral path, whose guard rejects 1/C = 1e-15
+    code = main([
+        "run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path),
+        "--experiment", "II", "--methods", method, "--sizes", "16", "--folds", "5",
+        "--grid-c", "0.01,0.1,1,10,100,1e15", "--grid-gamma", gamma, "--source-cap", "none",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where} (target ")
+    assert "singular to working precision" in err
+
+
 class _Captured(Exception):
     pass
 

@@ -1,6 +1,8 @@
-"""Lint: every module of the package uses each name it imports."""
+"""Lint: every module of the package uses each name it imports, and every
+top-level function of the package is read somewhere."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,18 @@ import pytest
 import emgadapt
 
 PACKAGE_DIR = Path(emgadapt.__file__).parent
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Top-level functions that only tests call, each kept as an oracle.
+ORACLES = [
+    "mkal.group_norm",  # the checked (2, p) norm that the batched trainer's group_norms must equal
+]
+
+
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
 
 
 def unused_imports(source: str) -> list[str]:
@@ -22,11 +36,43 @@ def unused_imports(source: str) -> list[str]:
             imported.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        elif _is_all(node):
             used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often `tree` reads each name, bare or as an attribute; `__all__` entries count once."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif _is_all(node):
+            reads.update(ast.literal_eval(node.value))
+    return reads
+
+
+def unused_functions(package: dict[str, str], others: list[str]) -> list[str]:
+    """`module.function` for each top-level function of `package` (module name -> source)
+    whose name no source of `package` or `others` reads outside the function's own body.
+
+    Names are matched without their module, so a read of any attribute of
+    that name counts: the lint misses a dead function that shares its name
+    with a live one, and never flags a live one.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        reads += _reads(tree)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and reads[node.name] == _reads(node)[node.name]
+    )
 
 
 def test_lint_flags_an_unused_import():
@@ -34,6 +80,25 @@ def test_lint_flags_an_unused_import():
     assert unused_imports(source) == ["d", "os"]
 
 
+def test_lint_flags_a_function_nothing_reads():
+    package = {
+        "a": "def called():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+             "def exported():\n    pass\n\n__all__ = ['exported']\n",
+        "b": "from .a import called\n\ncalled()\n\ndef dead():\n    pass\n\n"
+             "def read_as_attribute():\n    pass\n",
+    }
+    others = ["from pkg import b\n\nb.read_as_attribute()\n"]
+    assert unused_functions(package, others) == ["a.recursive", "b.dead"]
+    assert unused_functions(package, []) == ["a.recursive", "b.dead", "b.read_as_attribute"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_function_of_the_package_is_read_outside_the_tests():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    others = [p.read_text() for p in sorted(PERFBENCH_DIR.glob("*.py"))]
+    # an oracle that the package starts to call leaves the list
+    assert unused_functions(package, others) == ORACLES

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emgadapt import lssvm
+from emgadapt import lssvm, model_selection
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.lssvm import (
     LssvmModel,
@@ -229,12 +229,16 @@ def test_decision_scores_of_a_large_query_peak_far_below_its_full_gram():
 @pytest.mark.parametrize(
     "spec", [KernelSpec("gaussian", 0.5), KernelSpec("linear")], ids=["gaussian", "linear"]
 )
-def test_predict_for_each_C_equals_predict_of_each_model(spec):
+def test_kfold_labels_direct_path_equals_predict_of_each_model(spec, monkeypatch):
+    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: False)
     rng = np.random.default_rng(9)
     ds = _random_dataset(rng, n=40, g=4, d=3)
-    models = lssvm.fit_for_each_C(ds, spec, (0.1, 1.0, 10.0))
-    X = rng.normal(size=(25, 3))
-    got = lssvm.predict_for_each_C(models, X)
-    assert len(got) == len(models)
-    for labels, m in zip(got, models):
-        assert np.array_equal(labels, lssvm.predict(m, X)[0])
+    C_values = (0.1, 1.0, 10.0)
+    folds = model_selection.stratified_folds(ds.labels, 3, seed=2)
+    got = model_selection.kfold_labels(ds, spec, C_values, folds)
+    assert len(got) == len(folds)
+    for f, val in enumerate(folds):
+        assert len(got[f]) == len(C_values)
+        train = ds.subset(model_selection.training_rows(folds, f))
+        for labels, C in zip(got[f], C_values):
+            assert np.array_equal(labels, lssvm.predict(lssvm.fit(train, spec, C), ds.features[val])[0])

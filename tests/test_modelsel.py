@@ -10,7 +10,7 @@ from emgadapt.kernels import KernelSpec
 from emgadapt.model_selection import (
     Grid,
     cross_validate,
-    lssvm_fit_fn,
+    kfold_labels,
     select,
     spectral_cv_is_cheaper,
     stratified_folds,
@@ -65,12 +65,11 @@ def test_folds_errors_and_determinism():
 def test_cross_validate_accuracy_oracle():
     labels = np.array([0, 1] * 10)
 
-    def fit_fold(train_idx, val_idx):
-        truth = labels[val_idx]
-        return [truth, (truth + 1) % 2]
+    def fold_labels(folds):
+        return [[labels[val], (labels[val] + 1) % 2] for val in folds]
 
     best, table = cross_validate(
-        labels, [{"right": True}, {"right": False}], fit_fold, 4, seed=0
+        labels, [{"right": True}, {"right": False}], fold_labels, 4, seed=0
     )
     assert table == [{"right": True, "accuracy": 1.0}, {"right": False, "accuracy": 0.0}]
     assert best is table[0]
@@ -80,57 +79,67 @@ def test_cross_validate_prefers_earlier_candidates_on_ties():
     labels = np.array([0, 1] * 10)
     candidates = [{"C": 1.0}, {"C": 10.0}, {"C": 100.0}]
 
-    def fit_fold_with(right):
-        def fit_fold(train_idx, val_idx):
-            truth = labels[val_idx]
-            return [truth if r else 1 - truth for r in right]
+    def fold_labels_with(right):
+        def fold_labels(folds):
+            return [[labels[val] if r else 1 - labels[val] for r in right] for val in folds]
 
-        return fit_fold
+        return fold_labels
 
-    best, table = cross_validate(labels, candidates, fit_fold_with((True, True, False)), 2, 0)
+    best, table = cross_validate(labels, candidates, fold_labels_with((True, True, False)), 2, 0)
     assert best is table[0]
-    best, table = cross_validate(labels, candidates, fit_fold_with((False, True, True)), 2, 0)
+    best, table = cross_validate(labels, candidates, fold_labels_with((False, True, True)), 2, 0)
     assert best is table[1]
 
 
-def test_cross_validate_calls_fit_fold_once_per_fold():
+def test_cross_validate_calls_fold_labels_once_with_the_stratified_folds():
     labels = np.repeat([0, 1, 2], [7, 6, 5])
-    folds = stratified_folds(labels, 3, seed=11)
+    want = stratified_folds(labels, 3, seed=11)
     calls = []
 
-    def fit_fold(train_idx, val_idx):
-        calls.append((train_idx, val_idx))
-        return [labels[val_idx], np.zeros_like(val_idx)]
+    def fold_labels(folds):
+        calls.append(folds)
+        return [[labels[val], np.zeros_like(val)] for val in folds]
 
-    cross_validate(labels, [{"k": 0}, {"k": 1}], fit_fold, 3, seed=11)
-    assert len(calls) == 3
-    for (train_idx, val_idx), fold in zip(calls, folds):
-        assert np.array_equal(val_idx, fold)
-        assert np.array_equal(np.sort(np.concatenate([train_idx, val_idx])), np.arange(len(labels)))
+    best, table = cross_validate(labels, [{"k": 0}, {"k": 1}], fold_labels, 3, seed=11)
+    assert len(calls) == 1
+    assert len(calls[0]) == len(want)
+    assert all(np.array_equal(got, fold) for got, fold in zip(calls[0], want))
+    assert best is table[0] and table[0]["accuracy"] == 1.0
 
 
 @pytest.mark.parametrize("returned", [0, 1, 3], ids=["none", "too-few", "too-many"])
 def test_cross_validate_rejects_a_wrong_number_of_predictions(returned):
     labels = np.array([0, 1] * 6)
 
-    def fit_fold(train_idx, val_idx):
-        return [labels[val_idx]] * returned
+    def fold_labels(folds):
+        return [[labels[val]] * returned for val in folds]
 
     with pytest.raises(ValueError):
-        cross_validate(labels, [{"k": 0}, {"k": 1}], fit_fold, 3, seed=0)
+        cross_validate(labels, [{"k": 0}, {"k": 1}], fold_labels, 3, seed=0)
+
+
+@pytest.mark.parametrize("returned", [2, 4], ids=["too-few", "too-many"])
+def test_cross_validate_rejects_a_wrong_number_of_folds(returned):
+    labels = np.array([0, 1] * 6)
+
+    def fold_labels(folds):
+        return [[labels[folds[0]]] * 2] * returned
+
+    with pytest.raises(ValueError):
+        cross_validate(labels, [{"k": 0}, {"k": 1}], fold_labels, 3, seed=0)
 
 
 def test_cross_validate_rejects_an_empty_candidate_list():
     labels = np.array([0, 1] * 6)
     with pytest.raises(ValueError, match="candidate"):
-        cross_validate(labels, [], lambda train_idx, val_idx: [], 3, seed=0)
+        cross_validate(labels, [], lambda folds: [], 3, seed=0)
 
 
 def test_select_candidate_ordering():
     rng = np.random.default_rng(1)
     ds = _blobs(rng, n_per=10)
     grid = Grid(C_values=(10.0, 1.0), gamma_values=(1.0, 0.1), folds=2)
-    best, table = select(ds, lssvm_fit_fn, grid)
+    best, table = select(ds, kfold_labels, grid)
     # table visits C ascending then gamma ascending regardless of input order
     assert [(r["C"], r["gamma"]) for r in table] == [
         (1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0)
@@ -142,7 +151,7 @@ def test_select_finds_workable_parameters():
     rng = np.random.default_rng(8)
     ds = _blobs(rng)
     grid = Grid(C_values=(0.01, 1.0, 100.0), gamma_values=(0.01, 1.0), folds=5)
-    best, _ = select(ds, lssvm_fit_fn, grid)
+    best, _ = select(ds, kfold_labels, grid)
     assert best["accuracy"] >= 0.95
 
 
@@ -150,8 +159,8 @@ def test_select_is_deterministic():
     rng = np.random.default_rng(12)
     ds = _blobs(rng, n_per=8)
     grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=2, seed=5)
-    a = select(ds, lssvm_fit_fn, grid)
-    b = select(ds, lssvm_fit_fn, grid)
+    a = select(ds, kfold_labels, grid)
+    b = select(ds, kfold_labels, grid)
     assert a == b
 
 
@@ -220,7 +229,7 @@ def test_select_table_equals_the_per_candidate_reference(seed, counts, grid):
         # some training fold must lack a class, so the default-mask path runs
         folds = stratified_folds(ds.labels, grid.folds, grid.seed)
         assert any(len(np.unique(np.delete(ds.labels, f))) < ds.num_classes for f in folds)
-    best, table = select(ds, lssvm_fit_fn, grid)
+    best, table = select(ds, kfold_labels, grid)
     reference = _reference_table(ds, grid)
     assert table == reference
     top = max(row["accuracy"] for row in reference)
@@ -233,15 +242,19 @@ def test_select_table_equals_the_per_candidate_reference(seed, counts, grid):
 def test_select_table_equals_the_reference_on_either_path(seed, counts, grid, spectral, monkeypatch):
     monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
     ds = _noisy_blobs(seed, counts)
-    assert select(ds, lssvm_fit_fn, grid)[1] == _reference_table(ds, grid)
+    assert select(ds, kfold_labels, grid)[1] == _reference_table(ds, grid)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "linear"])
 @pytest.mark.parametrize("seed, counts, grid", SELECT_CASES, ids=SELECT_IDS)
-def test_kfold_scores_equal_per_fold_retraining(seed, counts, grid):
+def test_kfold_scores_equal_per_fold_retraining(seed, counts, grid, kind):
     ds = _noisy_blobs(seed, counts)
     folds = stratified_folds(ds.labels, grid.folds, grid.seed)
-    for gamma in grid.gamma_values:
-        spec = KernelSpec("gaussian", gamma)
+    if kind == "gaussian":
+        specs = [KernelSpec("gaussian", gamma) for gamma in grid.gamma_values]
+    else:  # rank 3 (three features): most eigenvalues of K are round-off
+        specs = [KernelSpec("linear")]
+    for spec in specs:
         got = lssvm.kfold_scores(ds, spec, grid.C_values, folds)
         assert len(got) == len(folds)
         for f, val in enumerate(folds):
@@ -268,11 +281,11 @@ def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time():
     ds = Dataset(ds.features + rng.normal(size=ds.features.shape), ds.labels, 4, ds.feature_names)
     grid = Grid(C_values=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), gamma_values=(0.01, 0.1, 1.0, 10.0), folds=5)
     assert spectral_cv_is_cheaper(n, grid.folds, len(grid.C_values))
-    select(ds, lssvm_fit_fn, grid)  # first-call allocations that outlive it stay out of the count
+    select(ds, kfold_labels, grid)  # first-call allocations that outlive it stay out of the count
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        select(ds, lssvm_fit_fn, grid)
+        select(ds, kfold_labels, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -309,15 +322,29 @@ def test_select_fits_once_per_fold_and_gamma_with_every_C():
     grid = Grid(C_values=(10.0, 0.1, 1.0), gamma_values=(1.0, 0.1), folds=4)
     calls = []
 
-    def counted(train, gamma, C_values, folds):
-        calls.append((train, gamma, tuple(C_values), folds))
-        return lssvm_fit_fn(train, gamma, C_values, folds)
+    def counted(train, kernel_spec, C_values, folds):
+        calls.append((train, kernel_spec, tuple(C_values), folds))
+        return kfold_labels(train, kernel_spec, C_values, folds)
 
     select(ds, counted, grid)
     # one call per gamma covers every fold and every C
-    assert [c[1] for c in calls] == [0.1, 1.0]
+    assert [c[1] for c in calls] == [KernelSpec("gaussian", 0.1), KernelSpec("gaussian", 1.0)]
     assert all(c[0] is ds and c[2] == (0.1, 1.0, 10.0) for c in calls)
     want = stratified_folds(ds.labels, grid.folds, grid.seed)
     for c in calls:
         assert len(c[3]) == grid.folds
         assert all(np.array_equal(a, b) for a, b in zip(c[3], want))
+
+
+def test_select_deals_the_folds_once(monkeypatch):
+    ds = _noisy_blobs(3, (10, 10, 10))
+    grid = Grid(C_values=(0.1, 1.0), gamma_values=(0.1, 1.0, 10.0), folds=3)
+    calls = []
+
+    def counted(labels, folds, seed):
+        calls.append((folds, seed))
+        return stratified_folds(labels, folds, seed)
+
+    monkeypatch.setattr(model_selection, "stratified_folds", counted)
+    select(ds, kfold_labels, grid)
+    assert calls == [(grid.folds, grid.seed)]
