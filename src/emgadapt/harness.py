@@ -459,6 +459,24 @@ def write_run_outputs(result: ExperimentResult, outdir: str | Path) -> list[Path
 
 
 def load_confusion_csv(path: str | Path) -> ConfusionMatrix:
+    """Read a matrix as `write_run_outputs` writes it: a header naming the true
+    classes 0..G-1, then one row per predicted class r, `r,count,...,count`;
+    anything else raises ValueError naming the file and line."""
     lines = Path(path).read_text().strip().split("\n")
-    rows = [[int(v) for v in line.split(",")[1:]] for line in lines[1:]]
+    header = lines[0].split(",")
+    g = len(header) - 1
+    if g < 1 or header[1:] != [str(c) for c in range(g)]:
+        raise ValueError(f"{path} line 1: header must name the true classes 0..G-1")
+    if len(lines) != g + 1:
+        raise ValueError(f"{path}: {len(lines) - 1} rows, header has {g} classes")
+    rows = []
+    for r, line in enumerate(lines[1:]):
+        label, *counts = line.split(",")
+        if len(counts) != g:
+            raise ValueError(f"{path} line {r + 2}: {len(counts)} counts, header has {g} classes")
+        if label != str(r):
+            raise ValueError(f"{path} line {r + 2}: row label {label!r}, expected {r}")
+        if not all(v.isascii() and v.isdigit() for v in counts):
+            raise ValueError(f"{path} line {r + 2}: counts must be non-negative integers")
+        rows.append([int(v) for v in counts])
     return ConfusionMatrix(np.array(rows, dtype=np.int64))

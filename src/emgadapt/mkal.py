@@ -26,7 +26,7 @@ The trainer keeps three cached quantities per block so that no step touches
 more than it changes: lazily scaled duals (true duals = m_k * c_hat_k, so a
 shrink only rescales the scalar m_k), the training scores f_hat_k = K_k c_hat_k,
 and the squared norms ||c_hat_k||_K^2, updated from f_hat_k and the step.  An
-online step reads one Gram column per block and costs O((K+1) * N); a batch
+online step reads one Gram row per block and costs O((K+1) * N); a batch
 epoch costs one K_k @ du product per block.  Block norms are recomputed from
 scratch only once per online epoch, when the caches are refreshed.  The best
 objective and the epoch it came from are kept on the model.
@@ -101,11 +101,11 @@ def group_norm(block_norms: np.ndarray, p: float) -> float:
 
 def _block_grams(kernel0: KernelSpec, X: np.ndarray, s_tensor: np.ndarray) -> np.ndarray:
     """The (K+1, N, N) stack of block Grams: kernel0 on X, then each source's score Gram."""
-    grams = [gram(kernel0, X, X)]
+    grams = np.empty((s_tensor.shape[1] + 1, len(X), len(X)))
+    grams[0] = gram(kernel0, X, X)
     for k in range(s_tensor.shape[1]):
-        sk = s_tensor[:, k, :]
-        grams.append(sk @ sk.T)
-    return np.stack(grams)
+        np.matmul(s_tensor[:, k, :], s_tensor[:, k, :].T, out=grams[k + 1])
+    return grams
 
 
 def _block_sq_norms(grams: np.ndarray, duals: np.ndarray) -> np.ndarray:
@@ -186,9 +186,8 @@ def fit_for_each_config(
     grams = _block_grams(kernel0, train.features, s_tensor)
     nb = grams.shape[0]
     labels = train.labels
-    # cols[kb, i] is column i of block kb's Gram and diag[kb, i] its entry
-    # i, so one online step updates every block with a few array ops
-    cols = np.ascontiguousarray(grams.transpose(0, 2, 1))
+    # every block Gram is exactly symmetric, so row grams[kb, i] is its column
+    # i; with diag[kb, i] one online step updates every block in a few array ops
     diag = np.diagonal(grams, axis1=1, axis2=2).copy()
 
     # Lazily scaled state per candidate j and block k: true duals =
@@ -279,7 +278,7 @@ def fit_for_each_config(
             )
             c_hat[v, :, i, yi] += delta
             c_hat[v, :, i, yh] -= delta
-            step = delta[:, :, None] * cols[:, i]
+            step = delta[:, :, None] * grams[:, i]
             f_hat[v, :, yi] += step
             f_hat[v, :, yh] -= step
         block_scores = grams @ c_hat

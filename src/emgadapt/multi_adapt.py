@@ -84,10 +84,9 @@ def project_beta(values: np.ndarray) -> np.ndarray:
     return v
 
 
-def loo_hinge_bound(Y: np.ndarray, base_loo: np.ndarray, V: np.ndarray, beta: np.ndarray) -> float:
-    """Hinge LOO bound L(beta) = sum_i,g max(0, 1 - y * yhat_loo(beta))."""
-    yhat = base_loo + np.einsum("ikg,kg->ig", V, beta)
-    return float(np.maximum(0.0, 1.0 - Y * yhat).sum())
+def loo_hinge_bound(Y: np.ndarray, yhat_loo: np.ndarray) -> float:
+    """Hinge LOO bound L(beta) = sum_i,g max(0, 1 - y * yhat_loo(beta)), from the LOO predictions."""
+    return float(np.maximum(0.0, 1.0 - Y * yhat_loo).sum())
 
 
 def fit_ma(
@@ -116,18 +115,18 @@ def fit_ma(
         # yhat_loo(beta) = base + V @ beta per class column
         base_loo = Y - (h @ Y) / d[:, None]
         V = np.einsum("ij,jkg->ikg", h, s_tensor) / d[:, None, None]
+        # each iterate's predictions give its bound and the next step's active set
         b = np.zeros((k, g))
-        best_val = loo_hinge_bound(Y, base_loo, V, b)
-        best_beta = b.copy()
+        yhat = base_loo + np.einsum("ikg,kg->ig", V, b)
+        best_val, best_beta = loo_hinge_bound(Y, yhat), b
         for t in range(1, BETA_ITERATIONS + 1):
-            yhat = base_loo + np.einsum("ikg,kg->ig", V, b)
             active = (1.0 - Y * yhat) > 0.0
             grad = -np.einsum("ig,ikg->kg", Y * active, V)
-            b = project_beta(b - (1.0 / np.sqrt(t)) * grad)
-            val = loo_hinge_bound(Y, base_loo, V, b)
+            b = project_beta(b - (1.0 / np.sqrt(t)) * grad)  # a new array, so best_beta may alias it
+            yhat = base_loo + np.einsum("ikg,kg->ig", V, b)
+            val = loo_hinge_bound(Y, yhat)
             if val < best_val:
-                best_val = val
-                best_beta = b.copy()
+                best_val, best_beta = val, b
         beta = best_beta
     else:
         best_val = None

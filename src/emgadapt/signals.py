@@ -229,7 +229,7 @@ def extract_features(samples: np.ndarray, width: int, step: int) -> np.ndarray:
     Windows of W = `width` samples start at 0, step, 2*step, ... while they
     fit.  Per channel x of a window: mav = sum(|x|) / W, var = sum((x -
     sum(x) / W)^2) / (W - 1), wl = sum(|x[t+1] - x[t]|).  Each sum runs over
-    k = 0..W-1 on strided views of the whole signal, in the order of numpy's
+    k = 0..W-1 on views of the whole signal, in the order of numpy's
     axis-0 reductions of a C-ordered W x C window: for C >= 2 the values
     equal np.mean(|x|), np.var(x, ddof=1) and np.sum(|np.diff(x)|) bit for
     bit.  For C = 1 numpy sums the lone column pairwise, so from W = 8 on
@@ -240,7 +240,9 @@ def extract_features(samples: np.ndarray, width: int, step: int) -> np.ndarray:
         raise ValueError("window must contain at least 2 samples")
     x = np.asarray(samples, dtype=float)
     n, c = window_count(len(x), width, step), x.shape[1]
-    at = [x[k::step][:n] for k in range(width)]  # sample k of each window: strided n x C views
+    # sample k of each window, n x C: a contiguous slice of a copy of its phase k % step
+    phases = [np.ascontiguousarray(x[r::step]) for r in range(min(step, width))]
+    at = [phases[k % step][k // step : k // step + n] for k in range(width)]
     # sums start at 0.0, which adds exactly (a first term's -0.0 only flips a zero mean's sign)
     out = np.zeros((n, 3 * c))
     mav, var, wl = np.split(out, 3, axis=1)  # views, filled in place

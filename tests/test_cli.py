@@ -469,6 +469,26 @@ def test_empty_feature_csv_returns_2(arts, tmp_path, capsys):
     assert "s00_train.csv: empty CSV, no header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("pred\\true,0,1,2\n0,3,1\n1,0,4\n", ": 2 rows, header has 3 classes"),
+        ("pred\\true,0,1\n0,3,1.5\n1,0,4\n", " line 2: counts must be non-negative integers"),
+        ("pred\\true,0,1\n0,3,1\n1,0\n", " line 3: 1 counts, header has 2 classes"),
+        ("pred\\true,0,1\n1,3,1\n0,0,4\n", " line 2: row label '1', expected 0"),
+        ("pred\\true,1,2\n0,3,1\n1,0,4\n", " line 1: header must name the true classes 0..G-1"),
+    ],
+    ids=["header-wider-than-body", "non-integer-count", "short-row", "rows-out-of-order", "bad-header"],
+)
+def test_malformed_confusion_csv_returns_2(tmp_path, capsys, body, message):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "confusion_MA_8.csv").write_text(body)
+    code = main(["analyze", "--runs", str(run), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "confusion_MA_8.csv" + message in capsys.readouterr().err
+
+
 def test_json_header_without_a_required_key_returns_2(arts, tmp_path, capsys):
     cohort = tmp_path / "cohort"
     shutil.copytree(arts / "cohort", cohort)

@@ -1,7 +1,5 @@
 """Kernel and Gram-matrix behavior: values, symmetry, positive semi-definiteness."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -113,18 +111,12 @@ def test_in_place_gaussian_gram_is_bitwise_equal_to_the_out_of_place_formula(gam
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_gaussian_gram_peaks_at_about_one_output_size():
+def test_gaussian_gram_peaks_at_about_one_output_size(peak_bytes):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(2000, 8))
     Z = rng.normal(size=(1000, 8))
     out_bytes = 2000 * 1000 * 8
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        k = gram(KernelSpec("gaussian", 0.1), X, Z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    k, peak = peak_bytes(lambda: gram(KernelSpec("gaussian", 0.1), X, Z))
     assert k.nbytes == out_bytes
     assert peak <= 1.2 * out_bytes
 

@@ -1,7 +1,5 @@
 """Dual solver correctness: KKT system, dense oracle, exact leave-one-out."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -203,7 +201,7 @@ def test_bordered_matrix_equals_the_identity_sum_construction(n):
         assert np.array_equal(_bordered_matrix(kmat, C), want)
 
 
-def test_decision_scores_of_a_large_query_peak_far_below_its_full_gram():
+def test_decision_scores_of_a_large_query_peak_far_below_its_full_gram(peak_bytes):
     rng = np.random.default_rng(5)
     model = LssvmModel(
         kernel=KernelSpec("gaussian", 0.1),
@@ -214,13 +212,7 @@ def test_decision_scores_of_a_large_query_peak_far_below_its_full_gram():
         biases=rng.normal(size=8),
     )
     X = rng.normal(size=(20000, 8))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        scores = lssvm.decision_scores(model, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    scores, peak = peak_bytes(lambda: lssvm.decision_scores(model, X))
     assert scores.shape == (20000, 8)
     # the full 20000 x 1000 query Gram alone would be 160 MB
     assert peak < 40e6

@@ -431,6 +431,30 @@ def test_lockstep_fit_matches_one_fit_per_config(case):
     _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs, kernel0)
 
 
+@pytest.mark.parametrize(
+    "kernel0", [KernelSpec("gaussian", 0.3), KernelSpec("linear")], ids=["gaussian", "linear"]
+)
+def test_block_grams_are_exactly_symmetric(kernel0):
+    # the online step reads row i of every block Gram as its column i
+    rng = np.random.default_rng(18)
+    train, s_train = _random_problem(rng, 301, 5, 7)
+    g = _block_grams(kernel0, train.features, s_train)
+    assert g.shape == (6, 301, 301)
+    assert np.array_equal(g, g.transpose(0, 2, 1))
+
+
+def test_lockstep_fit_holds_about_one_gram_stack(peak_bytes):
+    rng = np.random.default_rng(19)
+    n, k = 400, 6
+    train, s_train = _random_problem(rng, n, k, 4)
+    cfgs = _configs([(1.25, 1e-2), (2.0, 1e-2)], epochs_online=1, epochs_batch=2)
+    _, peak = peak_bytes(lambda: fit_for_each_config(train, s_train, cfgs))
+    # measured 1.25 stacks of (K+1) x N x N floats: the stack, the raw
+    # block's Gram before it is copied in, and the candidate state; a
+    # transposed twin of the stack read 2.17
+    assert peak < 1.6 * (k + 1) * n * n * 8
+
+
 def test_lockstep_fit_matches_when_multipliers_fold_back(monkeypatch):
     folds = []
     real = mkal._fold_small_multipliers

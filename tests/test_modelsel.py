@@ -1,7 +1,5 @@
 """Stratified folding and grid search behavior."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -274,7 +272,7 @@ def test_cost_rule_picks_direct_for_the_cohort_grid_and_spectral_for_the_cli_gri
     assert spectral_cv_is_cheaper(n, 5, 6)
 
 
-def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time():
+def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time(peak_bytes):
     rng = np.random.default_rng(6)
     n = 400
     ds = _noisy_blobs(7, (100, 100, 100, 100))
@@ -282,13 +280,7 @@ def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time():
     grid = Grid(C_values=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), gamma_values=(0.01, 0.1, 1.0, 10.0), folds=5)
     assert spectral_cv_is_cheaper(n, grid.folds, len(grid.C_values))
     select(ds, kfold_labels, grid)  # first-call allocations that outlive it stay out of the count
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        select(ds, kfold_labels, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: select(ds, kfold_labels, grid))
     # measured 2.07 N x N arrays: one gamma's Gram while eigh writes its
     # eigenvectors, plus fold-sized work; keeping every gamma's eigenvectors
     # alive would reach 5

@@ -106,7 +106,7 @@ def test_loo_hinge_bound_matches_direct_formula():
     beta = rng.uniform(size=(3, 2))
     yhat = base + np.einsum("ikg,kg->ig", v, beta)
     want = np.maximum(0.0, 1.0 - y * yhat).sum()
-    assert loo_hinge_bound(y, base, v, beta) == pytest.approx(want, abs=1e-12)
+    assert loo_hinge_bound(y, yhat) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +155,8 @@ def test_fitted_beta_is_no_worse_than_beta_zero_on_the_loo_bound():
         h, d = bordered_inverse_block(gram(spec, train.features, train.features), c)
         base_loo = y - (h @ y) / d[:, None]
         v = np.einsum("ij,jkg->ikg", h, source_scores(sources, train.features)) / d[:, None, None]
-        fitted = loo_hinge_bound(y, base_loo, v, model.beta.values)
-        assert fitted <= loo_hinge_bound(y, base_loo, v, np.zeros_like(model.beta.values))
+        fitted = loo_hinge_bound(y, base_loo + np.einsum("ikg,kg->ig", v, model.beta.values))
+        assert fitted <= loo_hinge_bound(y, base_loo)  # beta = 0
 
 
 def test_model_keeps_the_loo_bound_of_its_beta():
@@ -172,7 +172,8 @@ def test_model_keeps_the_loo_bound_of_its_beta():
         h, d = bordered_inverse_block(gram(spec, train.features, train.features), c)
         base_loo = y - (h @ y) / d[:, None]
         v = np.einsum("ij,jkg->ikg", h, s_train) / d[:, None, None]
-        assert model.loo_bound == loo_hinge_bound(y, base_loo, v, model.beta.values)
+        yhat_loo = base_loo + np.einsum("ikg,kg->ig", v, model.beta.values)
+        assert model.loo_bound == loo_hinge_bound(y, yhat_loo)
         assert fit_ma(train, s_train, spec, c, beta=model.beta.values).loo_bound is None
 
 
