@@ -36,12 +36,6 @@ class ConfusionMatrix:
         """Per-class recognition rate: the diagonal of the normalized matrix."""
         return np.diag(self.normalized()).copy()
 
-    def accuracy(self) -> float:
-        total = int(self.counts.sum())
-        if total == 0:
-            raise ValueError("empty confusion matrix has no accuracy")
-        return float(np.trace(self.counts) / total)
-
 
 def confusion(predicted: np.ndarray, true: np.ndarray, num_classes: int) -> ConfusionMatrix:
     predicted = np.asarray(predicted, dtype=int)

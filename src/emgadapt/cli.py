@@ -263,14 +263,6 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # analyze
 
 
-def _load_run_confusions(run_dir: Path) -> dict[tuple[str, int], "object"]:
-    mats = {}
-    for path in sorted(run_dir.glob("confusion_*.csv")):
-        _, method, size = path.stem.split("_")
-        mats[(method, int(size))] = harness.load_confusion_csv(path)
-    return mats
-
-
 def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     run_dirs = [Path(r) for r in args.runs]
     if not run_dirs:
@@ -280,7 +272,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         labels = [str(r) for r in run_dirs]
     per_run = {}
     for label, rdir in zip(labels, run_dirs):
-        mats = _load_run_confusions(rdir)
+        mats = harness.load_run_confusions(rdir)
         if not mats:
             parser.error(f"no confusion CSVs under {rdir}")
         per_run[label] = mats

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -136,7 +137,6 @@ class LearningCurve:
     mean: list[float]
     lo: list[float]
     hi: list[float]
-    raw: list[tuple[str, int, int, float]]  # (target, seed_index, size, accuracy)
 
 
 @dataclass
@@ -393,8 +393,7 @@ def learning_curves(result: ExperimentResult) -> dict[str, LearningCurve]:
             mean.append(float(np.mean(vals)))
             lo.append(float(np.min(vals)))
             hi.append(float(np.max(vals)))
-        raw = [(c.target_id, c.seed_index, c.size, c.accuracy) for c in mine]
-        curves[method] = LearningCurve(method=method, sizes=sizes, mean=mean, lo=lo, hi=hi, raw=raw)
+        curves[method] = LearningCurve(method=method, sizes=sizes, mean=mean, lo=lo, hi=hi)
     return curves
 
 
@@ -456,6 +455,18 @@ def write_run_outputs(result: ExperimentResult, outdir: str | Path) -> list[Path
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     written.append(path)
     return written
+
+
+def load_run_confusions(run_dir: str | Path) -> dict[tuple[str, int], ConfusionMatrix]:
+    """A run directory's pooled confusions by (method, size); a stray confusion_*.csv raises."""
+    mats = {}
+    for path in sorted(Path(run_dir).glob("confusion_*.csv")):
+        # the names write_run_outputs gives: confusion_<method>_<size>.csv
+        match = re.fullmatch(f"confusion_({'|'.join(METHODS)})_([1-9][0-9]*)\\.csv", path.name)
+        if match is None:
+            raise ValueError(f"{path}: not a confusion_<method>_<size>.csv name of a run")
+        mats[(match[1], int(match[2]))] = load_confusion_csv(path)
+    return mats
 
 
 def load_confusion_csv(path: str | Path) -> ConfusionMatrix:

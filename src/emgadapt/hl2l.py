@@ -20,6 +20,8 @@ from .kernels import KernelSpec
 from .lssvm import LssvmModel
 from .signals import Dataset, apply_normalizer, fit_normalizer
 
+LAYER1_SHARE = 0.63  # of each class's training samples, before half-up rounding
+
 
 @dataclass
 class Hl2lModel:
@@ -28,23 +30,19 @@ class Hl2lModel:
     num_sources: int
 
 
-def stratified_split(
-    labels: np.ndarray, ratio: float = 0.63, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class split: round(ratio * n_c) half-up to the first side, at least 1.
+def stratified_split(labels: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class split: round(LAYER1_SHARE * n_c) half-up to the first side, at least 1.
 
     Classes with a single sample go entirely to the first (layer 1) side.
     Returns sorted index arrays (side_a, side_b) that partition the input.
     """
     labels = np.asarray(labels, dtype=int)
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     a_parts, b_parts = [], []
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         rng.shuffle(members)
-        n_a = int(math.floor(ratio * len(members) + 0.5))
+        n_a = int(math.floor(LAYER1_SHARE * len(members) + 0.5))
         n_a = min(max(n_a, 1), len(members))
         a_parts.append(members[:n_a])
         b_parts.append(members[n_a:])

@@ -56,6 +56,11 @@ def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def gram_diagonal(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """k(x, x) for every row x of X, without the Gram: 1 (gaussian) or ||x||^2 (linear)."""
+    return np.einsum("ij,ij->i", X, X) if spec.kind == "linear" else np.ones(len(X))
+
+
 def gram_product(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """`gram(spec, X, Z) @ coeffs`, with at most 2 * BLOCK_ROWS - 1 Gram rows alive.
 

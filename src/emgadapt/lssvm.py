@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, gram, gram_product
+from .kernels import KernelSpec, gram, gram_diagonal, gram_product
 from .signals import Dataset, NormStats
 
 
@@ -61,7 +61,19 @@ def ova_targets(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return y
 
 
+def check_ridge(kernel_diag: np.ndarray, C_values: Sequence[float]) -> None:
+    """Raise NumericalError where 1/C <= 2 n eps trace(K), from K's diagonal: a ridge lost in
+    K's round-off.  The factor 2 keeps this above `kfold_scores`' eigenvalue check,
+    n eps max|lam| <= n eps trace(K), by more than eigh's round-off in the smallest lam."""
+    floor = 2.0 * len(kernel_diag) * np.finfo(float).eps * float(np.sum(kernel_diag))
+    for C in C_values:
+        if 1.0 / C <= floor:
+            raise NumericalError(f"K + I/C is singular to working precision at C={C}: "
+                                 f"1/C <= 2 * n * eps * trace(K) = {floor:.3g}")
+
+
 def _bordered_matrix(kmat: np.ndarray, C: float) -> np.ndarray:
+    check_ridge(np.diagonal(kmat), (C,))
     n = kmat.shape[0]
     # one buffer, with no N x N temporaries
     m = np.empty((n + 1, n + 1))
@@ -202,9 +214,9 @@ def kfold_scores(
     (An, Liu & Venkatesh, Pattern Recognition 40, 2007).  Singleton folds
     give exact leave-one-out.  The folds need not cover every row.
 
-    Raises NumericalError where lam + 1/C is not resolved above the
-    eigenvalues' round-off, n * eps * max|lam| (duplicated rows at a huge C),
-    or a held-out score is not finite.
+    Raises NumericalError where `check_ridge` does, where lam + 1/C is not
+    resolved above the eigenvalues' round-off, n * eps * max|lam|, or where a
+    held-out score is not finite.
     """
     if not all(C > 0 for C in C_values):
         raise ValueError("C must be > 0")
@@ -213,6 +225,7 @@ def kfold_scores(
         raise ValueError("every fold needs at least 1 row and at least 2 training rows outside it")
     g = train.num_classes
     targets = ova_targets(train.labels, g)
+    check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
     lam, vecs = np.linalg.eigh(gram(kernel_spec, train.features, train.features))
     floor = n * np.finfo(float).eps * float(np.abs(lam).max())
     # V^T [1 Y] once; each C rescales it by d and maps it back

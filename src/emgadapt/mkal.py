@@ -137,19 +137,13 @@ def _fold_small_multipliers(
         m[j, kb] = 1.0
 
 
-def fit_mkal(
-    train: Dataset, s_train: np.ndarray, cfg: MkalConfig, *, kernel0: KernelSpec | None = None
-) -> MkalModel:
+def fit_mkal(train: Dataset, s_train: np.ndarray, cfg: MkalConfig) -> MkalModel:
     """Train on the (N, K, G) source scores of the training rows."""
-    return fit_for_each_config(train, s_train, [cfg], kernel0=kernel0)[0]
+    return fit_for_each_config(train, s_train, [cfg])[0]
 
 
 def fit_for_each_config(
-    train: Dataset,
-    s_train: np.ndarray,
-    cfgs: Sequence[MkalConfig],
-    *,
-    kernel0: KernelSpec | None = None,
+    train: Dataset, s_train: np.ndarray, cfgs: Sequence[MkalConfig]
 ) -> list[MkalModel]:
     """One model per config, trained in lockstep on the same rows; input order.
 
@@ -168,8 +162,7 @@ def fit_for_each_config(
         raise ValueError("need at least 2 classes")
     s_tensor = check_score_tensor(train, s_train)
     first = cfgs[0]
-    if kernel0 is None:
-        kernel0 = KernelSpec("gaussian", first.gamma)
+    kernel0 = KernelSpec("gaussian", first.gamma)
 
     # candidates sorted by p, so each p is a contiguous slice of the
     # candidate axis and every power keeps a scalar exponent
@@ -319,9 +312,9 @@ def fit_for_each_config(
     inputs, scores_copy = train.features.copy(), s_tensor.copy()
     models = [
         MkalModel(
-            p=c.p,
-            lam=c.lam,
-            kernel0=kernel0,
+            c.p,
+            c.lam,
+            kernel0,
             num_classes=g,
             train_inputs=inputs,
             train_source_scores=scores_copy,

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lssvm
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, gram, gram_diagonal
 from .signals import Dataset
 
 
@@ -175,6 +175,8 @@ def kfold_labels(
     if spectral_cv_is_cheaper(len(train), len(folds), len(C_values)):
         scores = lssvm.kfold_scores(train, kernel_spec, C_values, folds)
         return [[np.argmax(s, axis=1) for s in per_C] for per_C in scores]
+    # as kfold_scores does, so neither path raises alone: each fold's fit checks fewer rows
+    lssvm.check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
     labels = []
     for f, val in enumerate(folds):
         models = lssvm.fit_for_each_C(train.subset(training_rows(folds, f)), kernel_spec, C_values)

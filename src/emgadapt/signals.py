@@ -108,9 +108,6 @@ class Windows:
     width: int               # samples per window
     step: int                # samples between candidate offsets
 
-    def __len__(self) -> int:
-        return len(self.offsets)
-
 
 @dataclass
 class NormStats:
@@ -136,23 +133,15 @@ class NormStats:
             raise ValueError("feature dimension does not match normalization stats")
         return (X - self.mean) * self.scale()
 
-    def to_doc(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "NormStats":
-        return cls(mean=np.array(doc["mean"], dtype=float), std=np.array(doc["std"], dtype=float))
-
 
 @dataclass
 class Dataset:
-    """Feature matrix with labels, class count and optional normalization."""
+    """Feature matrix with labels, class count and feature names."""
 
     features: np.ndarray  # N x d
     labels: np.ndarray    # N
     num_classes: int
     feature_names: list[str]
-    norm_stats: NormStats | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -185,7 +174,6 @@ class Dataset:
             labels=self.labels[idx],
             num_classes=self.num_classes,
             feature_names=list(self.feature_names),
-            norm_stats=self.norm_stats,
         )
 
 
@@ -271,7 +259,7 @@ def fit_normalizer(train: Dataset) -> NormStats:
 
 
 def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
-    return replace(ds, features=stats.apply(ds.features), norm_stats=stats)
+    return replace(ds, features=stats.apply(ds.features))
 
 
 def average_feature_blocks(ds: Dataset) -> Dataset:
@@ -335,12 +323,6 @@ def _json_header(path: Path, keys: tuple[str, ...]) -> dict:
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
     return doc
-
-
-def _number_list(value, length: int) -> bool:
-    """Whether `value` is a JSON list of `length` numbers (bools excluded)."""
-    return (isinstance(value, list) and len(value) == length
-            and all(type(v) in (int, float) for v in value))
 
 
 def _csv_header(reader, path: Path) -> list[str]:
@@ -426,36 +408,27 @@ def load_recording(stem: str | Path) -> Recording:
 
 
 def save_dataset(ds: Dataset, stem: str | Path) -> None:
-    """Write <stem>.csv (features + label) and <stem>.json (sidecar)."""
+    """Write <stem>.csv (features + label) and <stem>.json (sidecar: feature_names, num_classes)."""
     stem = Path(stem)
-    sidecar = {
-        "feature_names": list(ds.feature_names),
-        "num_classes": ds.num_classes,
-        "norm_stats": ds.norm_stats.to_doc() if ds.norm_stats is not None else None,
-    }
+    sidecar = {"feature_names": list(ds.feature_names), "num_classes": ds.num_classes}
     stem.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     _write_csv(stem.with_suffix(".csv"), [f"f_{i + 1}" for i in range(ds.dim)] + ["label"],
                ds.features, ds.labels)
 
 
 def load_dataset(stem: str | Path) -> Dataset:
+    """Read what `save_dataset` writes; other sidecar keys, such as an old `norm_stats`, are ignored."""
     stem = Path(stem)
     if stem.suffix:
         stem = stem.with_suffix("")
     meta_path = stem.with_suffix(".json")
     sidecar = _json_header(meta_path, ("feature_names", "num_classes"))
-    names, g, stats = sidecar["feature_names"], sidecar["num_classes"], sidecar.get("norm_stats")
+    names, g = sidecar["feature_names"], sidecar["num_classes"]
     if type(g) is not int:
         raise ValueError(f"{meta_path}: key 'num_classes' must be an integer, got {g!r}")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"{meta_path}: key 'feature_names' must be a list of strings")
     d = len(names)
-    if stats is not None and not (
-        isinstance(stats, dict) and all(_number_list(stats.get(k), d) for k in ("mean", "std"))
-    ):
-        raise ValueError(
-            f"{meta_path}: key 'norm_stats' must be null or hold 'mean' and 'std' lists of {d} numbers"
-        )
     path = stem.with_suffix(".csv")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -471,5 +444,4 @@ def load_dataset(stem: str | Path) -> Dataset:
         labels=np.array(labels, dtype=int),
         num_classes=g,
         feature_names=names,
-        norm_stats=NormStats.from_doc(stats) if stats is not None else None,
     )

@@ -367,7 +367,7 @@ def test_criterion_09_window_and_feature_dimension_arithmetic():
         labels=np.ones(2000, dtype=int),
         repetitions=np.ones(2000, dtype=int),
     )
-    assert len(segment(rec, WindowSpec(window_ms=200.0, step_ms=10.0))) == 81
+    assert len(segment(rec, WindowSpec(window_ms=200.0, step_ms=10.0)).offsets) == 81
 
     spec = synth.generate_cohort(1, base_seed=9, num_classes=4, channels=5)[0]
     kwargs = dict(reps=3, movement_ms=500.0, rest_ms=300.0, test_reps=(3,))

@@ -34,7 +34,6 @@ def test_perfect_predictions_normalize_to_identity():
     true = np.repeat(np.arange(4), 5)
     cm = confusion(true, true, 4)
     assert_allclose(cm.normalized(), np.eye(4))
-    assert cm.accuracy() == 1.0
     assert_allclose(cm.recognition(), 1.0)
 
 
@@ -49,14 +48,6 @@ def test_constant_predictor_fills_one_row():
 def test_empty_true_class_column_is_zero():
     cm = confusion(np.array([0, 1]), np.array([0, 1]), 3)
     assert_allclose(cm.normalized()[:, 2], 0.0)
-
-
-def test_accuracy_equals_direct_computation():
-    rng = np.random.default_rng(1)
-    pred = rng.integers(0, 4, size=300)
-    true = rng.integers(0, 4, size=300)
-    cm = confusion(pred, true, 4)
-    assert cm.accuracy() == pytest.approx(np.mean(pred == true), abs=1e-12)
 
 
 def test_confusion_label_range_errors():
@@ -179,5 +170,3 @@ def test_confusion_matrix_validation():
         ConfusionMatrix(np.zeros((3, 4), dtype=int))
     with pytest.raises(ValueError):
         ConfusionMatrix(np.array([[1, -1], [0, 2]]))
-    with pytest.raises(ValueError):
-        ConfusionMatrix(np.zeros((2, 2), dtype=int)).accuracy()

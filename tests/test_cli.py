@@ -12,6 +12,7 @@ import pytest
 from emgadapt import harness, signals, synth
 from emgadapt.cli import _floats, _ints, _sizes, main
 from emgadapt.harness import ExperimentConfig
+from emgadapt.model_selection import spectral_cv_is_cheaper
 from emgadapt.signals import WindowSpec
 
 # at least 6 classes so top-4 set comparisons are non-trivial (with 5 or
@@ -353,25 +354,34 @@ def test_duplicate_methods_return_2(arts, tmp_path, capsys):
     assert "duplicates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spectral", [True, False], ids=["spectral", "direct"])
 @pytest.mark.parametrize(
-    "method, gamma, where",
+    "method, gamma, top_C, cap, where",
     [
         # a tiny gamma makes the 16-row Gram nearly rank one
-        ("NoTransfer", "0.000001", "(C, gamma) selection at size 16"),
-        # 12 score features for 16 rows: the linear Gram is rank deficient
-        ("PriorFeatures", "1", "PriorFeatures at size 16"),
+        ("NoTransfer", "0.000001", "1e15", "none", "(C, gamma) selection at size 16 (target "),
+        # 12 score features for 16 rows: the linear Gram is rank deficient,
+        # while the 12-row gaussian source models clear 1/C = 1e-13
+        ("PriorFeatures", "1", "1e13", "12", "PriorFeatures at size 16 (target "),
+        # 1/C = 1e-15 is below 2 n eps trace(K) = 2 n^2 eps for any gaussian Gram of 2+ rows
+        ("PriorFeatures", "1", "1e15", "none", "source model s01: "),
     ],
+    ids=["NoTransfer", "PriorFeatures", "PriorFeatures-sources"],
 )
-def test_numerical_error_in_cross_validation_returns_2(arts, tmp_path, capsys, method, gamma, where):
-    # 5 folds x 6 C take the spectral path, whose guard rejects 1/C = 1e-15
+def test_numerical_error_in_cross_validation_returns_2(
+    arts, tmp_path, capsys, method, gamma, top_C, cap, where, spectral
+):
+    # either CV path rejects the top C, so the path decides the speed only
+    folds, grid_c = ("5", f"0.01,0.1,1,10,100,{top_C}") if spectral else ("3", f"0.01,1,{top_C}")
+    assert spectral_cv_is_cheaper(16, int(folds), len(grid_c.split(","))) == spectral
     code = main([
         "run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path),
-        "--experiment", "II", "--methods", method, "--sizes", "16", "--folds", "5",
-        "--grid-c", "0.01,0.1,1,10,100,1e15", "--grid-gamma", gamma, "--source-cap", "none",
+        "--experiment", "II", "--methods", method, "--sizes", "16", "--folds", folds,
+        "--grid-c", grid_c, "--grid-gamma", gamma, "--source-cap", cap,
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {where} (target ")
+    assert err.startswith(f"error: {where}")
     assert "singular to working precision" in err
 
 
@@ -437,15 +447,21 @@ def test_synth_and_features_defaults_equal_the_library_defaults(arts, tmp_path, 
     assert differ == {"generate_cohort": [], "generate_recording": [], "build_subject_datasets": []}
 
 
-def test_sidecar_norm_stats_without_mean_returns_2(arts, tmp_path, capsys):
+def test_sidecars_that_still_hold_norm_stats_load_and_run(arts, tmp_path):
+    # older versions wrote the normalizer into every sidecar; it is ignored, malformed or not
     feats = tmp_path / "feats"
     shutil.copytree(arts / "feats", feats)
-    doc = json.loads((feats / "s00_train.json").read_text())
-    del doc["norm_stats"]["mean"]
-    (feats / "s00_train.json").write_text(json.dumps(doc))
-    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
-    assert code == 2
-    assert "s00_train.json: key 'norm_stats' must be" in capsys.readouterr().err
+    entries = json.loads((feats / "features.json").read_text())["subjects"]
+    stems = [e[k] for e in entries for k in ("train_stem", "test_stem")]
+    for i, stem in enumerate(stems):
+        doc = json.loads((feats / f"{stem}.json").read_text())
+        d = len(doc["feature_names"])
+        doc["norm_stats"] = {"std": [1.0] * (d - 1)} if i == 0 else {"mean": [0.0] * d, "std": [1.0] * d}
+        (feats / f"{stem}.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out = tmp_path / "run"
+    assert main(["run", "--features", str(feats), "--out-dir", str(out), *RUN_FLAGS]) == 0
+    for p in sorted((arts / "runA").iterdir()):
+        assert (out / p.name).read_bytes() == p.read_bytes()
 
 
 def test_truncated_feature_csv_returns_2(arts, tmp_path, capsys):
@@ -487,6 +503,17 @@ def test_malformed_confusion_csv_returns_2(tmp_path, capsys, body, message):
     code = main(["analyze", "--runs", str(run), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "confusion_MA_8.csv" + message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["confusion_MA_x.csv", "confusion_M_A_8.csv"])
+def test_stray_confusion_file_name_returns_2(arts, tmp_path, capsys, name):
+    run = tmp_path / "run"
+    shutil.copytree(arts / "runA", run)
+    shutil.copy(run / "confusion_MA_8.csv", run / name)
+    code = main(["analyze", "--runs", str(run), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
 
 
 def test_json_header_without_a_required_key_returns_2(arts, tmp_path, capsys):

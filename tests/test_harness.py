@@ -367,17 +367,18 @@ def test_learning_curves_bounds_and_raw():
     res = run_experiment(_small_cfg(), subs)
     curves = learning_curves(res)
     assert set(curves) == {"NoTransfer", "MA"}
-    for cv in curves.values():
+    for method, cv in curves.items():
+        cells = [c for c in res.cells if c.method == method]
         assert cv.sizes == [9, 18]
-        assert len(cv.raw) == 3 * 2 * 2  # targets x seeds x sizes
+        assert len(cells) == 3 * 2 * 2  # targets x seeds x sizes
         for lo, mean, hi in zip(cv.lo, cv.mean, cv.hi):
             assert lo <= mean + 1e-12 and mean <= hi + 1e-12
         # mean of per-target seed-averages, not of raw cells
         for i, size in enumerate(cv.sizes):
             per_target = {}
-            for target, _, s, acc in cv.raw:
-                if s == size:
-                    per_target.setdefault(target, []).append(acc)
+            for c in cells:
+                if c.size == size:
+                    per_target.setdefault(c.target_id, []).append(c.accuracy)
             vals = [np.mean(v) for v in per_target.values()]
             assert cv.mean[i] == pytest.approx(np.mean(vals))
             assert cv.lo[i] == pytest.approx(min(vals))

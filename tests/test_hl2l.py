@@ -48,7 +48,7 @@ def test_split_covers_indices_without_overlap():
 
 def test_split_sizes_per_class_round_half_up():
     labels = np.repeat(np.arange(4), [10, 7, 3, 1])
-    a, b = stratified_split(labels, ratio=0.63, seed=1)
+    a, b = stratified_split(labels, seed=1)
     for cls, n in enumerate([10, 7, 3, 1]):
         want_a = min(max(int(math.floor(0.63 * n + 0.5)), 1), n)
         assert int(np.sum(labels[a] == cls)) == want_a
@@ -57,10 +57,8 @@ def test_split_sizes_per_class_round_half_up():
     assert int(np.sum(labels[b] == 3)) == 0
 
 
-def test_split_ratio_validation_and_determinism():
+def test_split_is_deterministic_per_seed():
     labels = np.array([0, 0, 1, 1, 1])
-    with pytest.raises(ValueError):
-        stratified_split(labels, ratio=1.0)
     a1, b1 = stratified_split(labels, seed=9)
     a2, b2 = stratified_split(labels, seed=9)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)

@@ -1,5 +1,6 @@
-"""Lint: every module of the package uses each name it imports, and every
-top-level function of the package is read somewhere."""
+"""Lint: every module of the package uses each name it imports, every
+top-level function of the package is read somewhere, and every dataclass
+field is read outside its own class."""
 
 import ast
 from collections import Counter
@@ -15,6 +16,16 @@ PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 # Top-level functions that only tests call, each kept as an oracle.
 ORACLES = [
     "mkal.group_norm",  # the checked (2, p) norm that the batched trainer's group_norms must equal
+]
+
+# Dataclass fields that no source reads outside their class, each kept as a
+# per-cell diagnostic for the planned run trace.
+DIAGNOSTICS = [
+    "harness.CellResult.params",  # the hyperparameters the cell chose
+    "mkal.MkalModel.best_epoch",  # the kept iterate's epoch; None marks the zero model
+    "mkal.MkalModel.best_objective",  # the kept iterate's training objective
+    "mkal.MkalModel.block_norms",  # the kept duals' per-block norms
+    "multi_adapt.MaModel.loo_bound",  # the LOO hinge bound of the chosen beta
 ]
 
 
@@ -75,6 +86,44 @@ def unused_functions(package: dict[str, str], others: list[str]) -> list[str]:
     )
 
 
+def _attribute_reads(tree: ast.AST) -> Counter:
+    """How often `tree` reads each name as an attribute."""
+    return Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _is_dataclass(node: ast.AST) -> bool:
+    """Whether `node` is a class under `@dataclass`, `@dataclass(...)` or `@dataclasses.dataclass`."""
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1] == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def unread_fields(package: dict[str, str], others: list[str]) -> list[str]:
+    """`module.Class.field` for each dataclass field of `package` (module name ->
+    source) that no source of `package` or `others` reads as an attribute
+    outside the class's own body.
+
+    As in `unused_functions`, a read of any attribute of that name counts.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        reads += _attribute_reads(tree)
+    return sorted(
+        f"{module}.{cls.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and reads[stmt.target.id] == _attribute_reads(cls)[stmt.target.id]
+    )
+
+
 def test_lint_flags_an_unused_import():
     source = "import os\nimport sys\nfrom a.b import c as d, e\nprint(sys, e)\n"
     assert unused_imports(source) == ["d", "os"]
@@ -92,6 +141,20 @@ def test_lint_flags_a_function_nothing_reads():
     assert unused_functions(package, []) == ["a.recursive", "b.dead", "b.read_as_attribute"]
 
 
+def test_lint_flags_a_dataclass_field_nothing_reads():
+    package = {
+        "a": "from dataclasses import dataclass\n\n@dataclass(frozen=True)\nclass A:\n"
+             "    read: int\n    unread: int\n    read_by_its_class: int\n\n"
+             "    def twice(self):\n        return 2 * self.read_by_its_class\n",
+        "b": "import dataclasses\n\n@dataclasses.dataclass\nclass B:\n    read_elsewhere: int\n"
+             "    not_a_field = 1\n\nclass Plain:\n    annotated: int\n\n"
+             "def first(a):\n    return a.read\n",
+    }
+    others = ["def second(b):\n    return b.read_elsewhere\n"]
+    assert unread_fields(package, others) == ["a.A.read_by_its_class", "a.A.unread"]
+    assert unread_fields(package, []) == ["a.A.read_by_its_class", "a.A.unread", "b.B.read_elsewhere"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -102,3 +165,10 @@ def test_every_function_of_the_package_is_read_outside_the_tests():
     others = [p.read_text() for p in sorted(PERFBENCH_DIR.glob("*.py"))]
     # an oracle that the package starts to call leaves the list
     assert unused_functions(package, others) == ORACLES
+
+
+def test_every_dataclass_field_is_read_outside_its_class():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    others = [p.read_text() for p in sorted(PERFBENCH_DIR.glob("*.py"))]
+    # a diagnostic that the package starts to read leaves the list
+    assert unread_fields(package, others) == DIAGNOSTICS

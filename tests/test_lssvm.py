@@ -188,6 +188,21 @@ def test_degenerate_system_raises_numerical_error():
         solve_dual_system(kmat, 1.0, np.ones((2, 1)))
 
 
+def test_direct_solves_reject_a_ridge_below_the_floor():
+    # 16 rows x 12 features: the linear Gram is rank deficient, and at C = 1e15
+    # the solve returned |alpha| ~ 7e14 of round-off with no error
+    rng = np.random.default_rng(21)
+    ds = _random_dataset(rng, n=16, g=3, d=12)
+    kmat = gram(KernelSpec("linear"), ds.features, ds.features)
+    floor = 2 * 16 * np.finfo(float).eps * np.trace(kmat)
+    assert np.isfinite(lssvm.fit(ds, KernelSpec("linear"), 1.0 / (1.01 * floor)).alphas).all()
+    for C in (1.0 / (0.99 * floor), 1e15):
+        with pytest.raises(NumericalError, match="singular to working precision"):
+            lssvm.fit(ds, KernelSpec("linear"), C)
+        with pytest.raises(NumericalError, match="singular to working precision"):
+            bordered_inverse_block(kmat, C)
+
+
 @pytest.mark.parametrize("n", [1, 2, 50, 400])
 def test_bordered_matrix_equals_the_identity_sum_construction(n):
     rng = np.random.default_rng(n)

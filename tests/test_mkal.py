@@ -212,13 +212,13 @@ def test_fit_is_deterministic():
     assert np.array_equal(a.dual_coeffs, b.dual_coeffs)
 
 
-def test_custom_raw_kernel_block():
+def test_raw_block_is_gaussian_at_the_config_gamma():
     rng = np.random.default_rng(9)
     train = _blobs(rng, n_per=6)
     sources = [_source(rng)]
     s_train = source_scores(sources, train.features)
-    model = fit_mkal(train, s_train, MkalConfig(lam=1e-2, seed=0), kernel0=KernelSpec("linear"))
-    assert model.kernel0 == KernelSpec("linear")
+    model = fit_mkal(train, s_train, MkalConfig(lam=1e-2, gamma=0.7, seed=0))
+    assert model.kernel0 == KernelSpec("gaussian", 0.7)
 
 
 def _einsum_sq_norms(grams, duals):
@@ -227,12 +227,12 @@ def _einsum_sq_norms(grams, duals):
     )
 
 
-def _reference_fit(train, s_tensor, cfg, kernel0):
+def _reference_fit(train, s_tensor, cfg):
     """The trainer as first written: one Python step per block, every
     shrink through group_norm, batch-phase norms recomputed by einsum.
     Returns the best duals and their block norms."""
     n, g = len(train), train.num_classes
-    grams = _block_grams(kernel0, train.features, s_tensor)
+    grams = _block_grams(KernelSpec("gaussian", cfg.gamma), train.features, s_tensor)
     nb = len(grams)
     labels = train.labels
     c_hat = np.zeros((nb, n, g))
@@ -333,7 +333,7 @@ def test_fit_matches_the_per_block_reference_trainer(p, lam, n_sources):
     cfg = MkalConfig(p=p, lam=lam, gamma=0.5, seed=4)
     s_train = source_scores(sources, train.features)
     model = fit_mkal(train, s_train, cfg)
-    duals, norms = _reference_fit(train, s_train, cfg, KernelSpec("gaussian", cfg.gamma))
+    duals, norms = _reference_fit(train, s_train, cfg)
     assert_allclose(model.dual_coeffs, duals, rtol=1e-9)
     assert_allclose(model.block_norms, norms, rtol=1e-9)
     ref = dataclasses.replace(model, dual_coeffs=duals, block_norms=norms)
@@ -341,18 +341,6 @@ def test_fit_matches_the_per_block_reference_trainer(p, lam, n_sources):
     assert np.array_equal(
         predict_mkal(model, test.features, s_test)[0], predict_mkal(ref, test.features, s_test)[0]
     )
-
-
-def test_fit_with_a_linear_raw_block_matches_the_reference_trainer():
-    rng = np.random.default_rng(11)
-    train = _blobs(rng, n_per=10, spread=0.8)
-    sources = [_source(rng), _source(rng)]
-    cfg = MkalConfig(p=1.5, lam=1e-2, seed=2)
-    s_train = source_scores(sources, train.features)
-    model = fit_mkal(train, s_train, cfg, kernel0=KernelSpec("linear"))
-    duals, norms = _reference_fit(train, s_train, cfg, KernelSpec("linear"))
-    assert_allclose(model.dual_coeffs, duals, rtol=1e-9)
-    assert_allclose(model.block_norms, norms, rtol=1e-9)
 
 
 def test_block_sq_norms_match_the_einsum_form():
@@ -385,11 +373,11 @@ def test_zero_budget_reports_the_zero_model():
     assert (model.best_objective, model.best_epoch) == (1.0, None)
 
 
-def _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs, kernel0=None):
-    models = fit_for_each_config(train, s_train, cfgs, kernel0=kernel0)
+def _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs):
+    models = fit_for_each_config(train, s_train, cfgs)
     assert len(models) == len(cfgs)
     for cfg, model in zip(cfgs, models):
-        alone = fit_mkal(train, s_train, cfg, kernel0=kernel0)
+        alone = fit_mkal(train, s_train, cfg)
         assert (model.p, model.lam) == (cfg.p, cfg.lam)
         assert np.array_equal(model.dual_coeffs, alone.dual_coeffs)
         assert np.array_equal(model.block_norms, alone.block_norms)
@@ -415,7 +403,6 @@ LOCKSTEP_CASES = {
     "no-online-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs_online=0),
     "no-batch-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs_batch=0),
     "one-source": dict(grid=[(1.05, 1e-3), (1.5, 1e-2), (2.0, 1e-1)], k=1),
-    "linear-raw-block": dict(grid=[(1.25, 1e-2), (2.0, 1e-2)], kernel0=KernelSpec("linear")),
 }
 
 
@@ -426,19 +413,15 @@ def test_lockstep_fit_matches_one_fit_per_config(case):
     train, s_train = _random_problem(
         rng, 30, spec.pop("k", 3), 4, absent_class=spec.pop("absent_class", False)
     )
-    kernel0 = spec.pop("kernel0", None)
     cfgs = _configs(spec.pop("grid"), **spec)
-    _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs, kernel0)
+    _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs)
 
 
-@pytest.mark.parametrize(
-    "kernel0", [KernelSpec("gaussian", 0.3), KernelSpec("linear")], ids=["gaussian", "linear"]
-)
-def test_block_grams_are_exactly_symmetric(kernel0):
+def test_block_grams_are_exactly_symmetric():
     # the online step reads row i of every block Gram as its column i
     rng = np.random.default_rng(18)
     train, s_train = _random_problem(rng, 301, 5, 7)
-    g = _block_grams(kernel0, train.features, s_train)
+    g = _block_grams(KernelSpec("gaussian", 0.3), train.features, s_train)
     assert g.shape == (6, 301, 301)
     assert np.array_equal(g, g.transpose(0, 2, 1))
 

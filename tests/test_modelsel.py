@@ -287,15 +287,38 @@ def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time(peak_bytes):
     assert peak < 2.5 * n * n * 8
 
 
-def test_kfold_scores_reject_a_shift_below_the_eigenvalue_round_off():
+def test_kfold_scores_reject_a_shift_below_the_eigenvalue_round_off(monkeypatch):
+    # check_ridge rejects C = 1e12 here first; without it the eigenvalue check must
+    monkeypatch.setattr(lssvm, "check_ridge", lambda kernel_diag, C_values: None)
     rng = np.random.default_rng(10)
     X = rng.normal(size=(50, 3))
     ds = Dataset(np.concatenate([X, X]), rng.integers(0, 3, size=100), 3, ["a", "b", "c"])
     folds = stratified_folds(ds.labels, 5, 0)
     spec = KernelSpec("gaussian", 0.01)
-    with pytest.raises(lssvm.NumericalError, match="singular"):
+    with pytest.raises(lssvm.NumericalError, match="smallest eigenvalue"):
         lssvm.kfold_scores(ds, spec, [1.0, 1e12], folds)
     assert all(np.isfinite(s).all() for per_C in lssvm.kfold_scores(ds, spec, [1e3], folds) for s in per_C)
+
+
+@pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
+def test_either_cv_path_rejects_exactly_the_ridges_below_the_floor(spectral, monkeypatch):
+    # rank-deficient kernels (one feature, duplicated rows, a tiny gamma) at a
+    # C just above and just below 1 / (2 n eps trace(K)): the path decides the speed only
+    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
+    rng = np.random.default_rng(20)
+    for trial in range(40):
+        n, d = int(rng.integers(8, 60)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, d)) * 10 ** rng.uniform(-3, 3)
+        if trial % 3 == 0:
+            X = np.concatenate([X, X])[:n]
+        spec = KernelSpec("linear") if trial % 2 else KernelSpec("gaussian", 10 ** rng.uniform(-7, 1))
+        ds = Dataset(X, rng.integers(0, 3, size=n), 3, [f"f{i}" for i in range(d)])
+        folds = stratified_folds(ds.labels, 3, trial)
+        trace = np.sum(X * X) if spec.kind == "linear" else n
+        floor = 2 * n * np.finfo(float).eps * trace
+        kfold_labels(ds, spec, [1.0 / (1.001 * floor)], folds)
+        with pytest.raises(lssvm.NumericalError, match="singular to working precision"):
+            kfold_labels(ds, spec, [1.0, 1.0 / (0.999 * floor)], folds)
 
 
 def test_kfold_scores_validation():
