@@ -39,13 +39,7 @@ def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> Lssvm
     the raw stacked score matrix (see `prior_feature_matrix`).
     """
     s_tensor = lssvm.check_score_tensor(train, s_train)
-    names = [f"src{k + 1}_s{g}" for k in range(s_tensor.shape[1]) for g in range(s_tensor.shape[2])]
-    raw = Dataset(
-        features=prior_feature_matrix(s_tensor),
-        labels=train.labels,
-        num_classes=train.num_classes,
-        feature_names=names,
-    )
+    raw = Dataset(prior_feature_matrix(s_tensor), train.labels, train.num_classes)
     stats = fit_normalizer(raw)
     ds = apply_normalizer(raw, stats)
     C_values = sorted(grid.C_values)

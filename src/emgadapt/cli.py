@@ -180,8 +180,9 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         train, test = signals.build_subject_datasets(
             rec, spec, test_reps=args.test_reps, feature_mode=args.feature_mode
         )
-        save_dataset(train, outdir / f"{subject_id}_train")
-        save_dataset(test, outdir / f"{subject_id}_test")
+        names = signals.feature_names(rec.channels, args.feature_mode)
+        save_dataset(train, outdir / f"{subject_id}_train", names)
+        save_dataset(test, outdir / f"{subject_id}_test", names)
         entries.append(
             {
                 "subject_id": subject_id,

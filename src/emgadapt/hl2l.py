@@ -59,13 +59,6 @@ def stack_scores(target_scores: np.ndarray, source_scores_x: np.ndarray) -> np.n
     return np.concatenate([target_scores, source_scores_x.reshape(m, k * g)], axis=1)
 
 
-def _score_feature_names(num_sources: int, num_classes: int) -> list[str]:
-    names = [f"target_s{g}" for g in range(num_classes)]
-    for k in range(num_sources):
-        names.extend(f"src{k + 1}_s{g}" for g in range(num_classes))
-    return names
-
-
 def stacking_dataset(
     train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float, seed: int = 0
 ) -> tuple[LssvmModel, Dataset]:
@@ -83,13 +76,7 @@ def stacking_dataset(
     layer1 = lssvm.fit(train.subset(side_a), kernel1, C1)
     t_scores = lssvm.decision_scores(layer1, train.features[side_b])
     stacked = stack_scores(t_scores, s_tensor[side_b])
-    ds = Dataset(
-        features=stacked,
-        labels=train.labels[side_b],
-        num_classes=train.num_classes,
-        feature_names=_score_feature_names(k, train.num_classes),
-    )
-    return layer1, ds
+    return layer1, Dataset(stacked, train.labels[side_b], train.num_classes)
 
 
 def fit_hl2l(

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 CONDITIONS = ("intact", "amputee")
+FEATURE_BLOCKS = {"concat": ("mav", "var", "wl"), "averaged": ("avg",)}  # per feature_mode
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +137,18 @@ class NormStats:
 
 @dataclass
 class Dataset:
-    """Feature matrix with labels, class count and feature names."""
+    """Feature matrix with labels and class count."""
 
     features: np.ndarray  # N x d
     labels: np.ndarray    # N
     num_classes: int
-    feature_names: list[str]
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
         if self.features.ndim != 2:
             raise ValueError("features must be an N x d array")
-        n, d = self.features.shape
+        n = self.features.shape[0]
         if self.labels.shape != (n,):
             raise ValueError("labels must have one entry per feature row")
         if not np.isfinite(self.features).all():
@@ -157,8 +157,6 @@ class Dataset:
             raise ValueError("num_classes must be >= 1")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels out of range for num_classes")
-        if len(self.feature_names) != d:
-            raise ValueError("feature_names must match feature dimension")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -169,12 +167,7 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         idx = np.asarray(idx, dtype=int)
-        return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            num_classes=self.num_classes,
-            feature_names=list(self.feature_names),
-        )
+        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +241,9 @@ def extract_features(samples: np.ndarray, width: int, step: int) -> np.ndarray:
     return out
 
 
-def feature_names(channels: int) -> list[str]:
-    return [f"{block}_ch{c + 1}" for block in ("mav", "var", "wl") for c in range(channels)]
+def feature_names(channels: int, feature_mode: str) -> list[str]:
+    """Column names of a subject's feature files, as `build_subject_datasets` orders them."""
+    return [f"{block}_ch{c + 1}" for block in FEATURE_BLOCKS[feature_mode] for c in range(channels)]
 
 
 def fit_normalizer(train: Dataset) -> NormStats:
@@ -269,7 +263,7 @@ def average_feature_blocks(ds: Dataset) -> Dataset:
         raise ValueError("feature dimension is not divisible into three blocks")
     c = d // 3
     avg = (ds.features[:, :c] + ds.features[:, c : 2 * c] + ds.features[:, 2 * c :]) / 3.0
-    return Dataset(avg, ds.labels, ds.num_classes, [f"avg_ch{i + 1}" for i in range(c)])
+    return Dataset(avg, ds.labels, ds.num_classes)
 
 
 def build_subject_datasets(
@@ -285,7 +279,7 @@ def build_subject_datasets(
     sides.  feature_mode "averaged" additionally collapses the three
     feature blocks to their per-channel mean and re-normalizes.
     """
-    if feature_mode not in ("concat", "averaged"):
+    if feature_mode not in FEATURE_BLOCKS:
         raise ValueError(f"unknown feature_mode: {feature_mode!r}")
     test_reps = tuple(int(r) for r in test_reps)
     windows = segment(rec, spec)
@@ -295,7 +289,7 @@ def build_subject_datasets(
     features = extract_features(rec.samples, windows.width, windows.step)  # all window offsets
     train, test = (
         Dataset(features[windows.offsets[rows] // windows.step], windows.labels[rows],
-                rec.num_classes, feature_names(rec.channels))
+                rec.num_classes)
         for rows in (~is_test, is_test)
     )
     stats = fit_normalizer(train)
@@ -332,14 +326,21 @@ def _csv_header(reader, path: Path) -> list[str]:
     return header
 
 
-def _data_rows(reader, header: list[str], path: Path):
-    """The remaining rows of `reader`, each checked to have one field per header column."""
+def _data_rows(reader, header: list[str]):
+    """The remaining rows of `reader`, each checked to have one field per header column.
+
+    Its callers prefix an error in a row with the file and `reader.line_num`.
+    """
     for row in reader:
         if len(row) != len(header):
-            raise ValueError(
-                f"{path} line {reader.line_num}: {len(row)} fields, header has {len(header)}"
-            )
+            raise ValueError(f"{len(row)} fields, header has {len(header)}")
         yield row
+
+
+def _check_rows(path: Path, bad: np.ndarray, message: str) -> None:
+    """Raise `message` at the line of the first data row flagged in `bad`."""
+    if bad.any():  # data row r is on line r + 2, after the header
+        raise ValueError(f"{path} line {np.argmax(bad) + 2}: {message}")
 
 
 def _write_csv(path: Path, header: list[str], values: np.ndarray, *int_columns: np.ndarray) -> None:
@@ -376,6 +377,8 @@ def load_recording(stem: str | Path) -> Recording:
     for key in ("channels", "num_classes"):
         if type(meta[key]) is not int:  # bool is an int subclass, so isinstance would pass it
             raise ValueError(f"{meta_path}: key {key!r} must be an integer, got {meta[key]!r}")
+        if meta[key] < 1:
+            raise ValueError(f"{meta_path}: {key} must be >= 1")
     rate = meta["sampling_rate_hz"]
     if type(rate) not in (int, float):
         raise ValueError(f"{meta_path}: key 'sampling_rate_hz' must be a number, got {rate!r}")
@@ -387,14 +390,19 @@ def load_recording(stem: str | Path) -> Recording:
         if header != [f"ch_{i + 1}" for i in range(c)] + ["label", "repetition"]:
             raise ValueError(f"unexpected recording CSV header in {path}")
         samples, labels, reps = [], [], []
-        for row in _data_rows(reader, header, path):
-            samples.append([float(v) for v in row[:c]])
-            labels.append(int(row[c]))
-            reps.append(int(row[c + 1]))
+        try:  # one handler for the whole loop, so a row costs no more
+            for row in _data_rows(reader, header):
+                samples.append([float(v) for v in row[:c]])
+                labels.append(int(row[c]))
+                reps.append(int(row[c + 1]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     samples = np.array(samples, dtype=float).reshape(len(samples), c)
-    finite = np.isfinite(samples).all(axis=1)
-    if not finite.all():  # data row r is on line r + 2, after the header
-        raise ValueError(f"{path} line {np.argmin(finite) + 2}: samples contain non-finite values")
+    labels, reps = np.array(labels, dtype=int), np.array(reps, dtype=int)
+    _check_rows(path, ~np.isfinite(samples).all(axis=1), "samples contain non-finite values")
+    _check_rows(path, (labels < 0) | (labels >= meta["num_classes"]),
+                "labels out of range for num_classes")
+    _check_rows(path, reps < 1, "repetition indices must be positive")
     return Recording(
         subject_id=meta["subject_id"],
         condition=meta["condition"],
@@ -402,22 +410,27 @@ def load_recording(stem: str | Path) -> Recording:
         channels=c,
         num_classes=meta["num_classes"],
         samples=samples,
-        labels=np.array(labels, dtype=int),
-        repetitions=np.array(reps, dtype=int),
+        labels=labels,
+        repetitions=reps,
     )
 
 
-def save_dataset(ds: Dataset, stem: str | Path) -> None:
-    """Write <stem>.csv (features + label) and <stem>.json (sidecar: feature_names, num_classes)."""
+def save_dataset(ds: Dataset, stem: str | Path, names: list[str]) -> None:
+    """Write <stem>.csv (features + label) and <stem>.json (sidecar: names, num_classes)."""
+    if len(names) != ds.dim:
+        raise ValueError(f"{len(names)} feature names for {ds.dim} feature columns")
     stem = Path(stem)
-    sidecar = {"feature_names": list(ds.feature_names), "num_classes": ds.num_classes}
+    sidecar = {"feature_names": list(names), "num_classes": ds.num_classes}
     stem.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     _write_csv(stem.with_suffix(".csv"), [f"f_{i + 1}" for i in range(ds.dim)] + ["label"],
                ds.features, ds.labels)
 
 
 def load_dataset(stem: str | Path) -> Dataset:
-    """Read what `save_dataset` writes; other sidecar keys, such as an old `norm_stats`, are ignored."""
+    """Read what `save_dataset` writes; the sidecar's names only count the columns.
+
+    Other sidecar keys, such as an old `norm_stats`, are ignored.
+    """
     stem = Path(stem)
     if stem.suffix:
         stem = stem.with_suffix("")
@@ -426,8 +439,10 @@ def load_dataset(stem: str | Path) -> Dataset:
     names, g = sidecar["feature_names"], sidecar["num_classes"]
     if type(g) is not int:
         raise ValueError(f"{meta_path}: key 'num_classes' must be an integer, got {g!r}")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValueError(f"{meta_path}: key 'feature_names' must be a list of strings")
+    if g < 1:
+        raise ValueError(f"{meta_path}: num_classes must be >= 1")
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{meta_path}: key 'feature_names' must be a non-empty list of strings")
     d = len(names)
     path = stem.with_suffix(".csv")
     with open(path, newline="") as fh:
@@ -436,12 +451,14 @@ def load_dataset(stem: str | Path) -> Dataset:
         if header != [f"f_{i + 1}" for i in range(d)] + ["label"]:
             raise ValueError(f"unexpected dataset CSV header in {path}")
         rows, labels = [], []
-        for row in _data_rows(reader, header, path):
-            rows.append([float(v) for v in row[:d]])
-            labels.append(int(row[d]))
-    return Dataset(
-        features=np.array(rows) if rows else np.zeros((0, d)),
-        labels=np.array(labels, dtype=int),
-        num_classes=g,
-        feature_names=names,
-    )
+        try:  # one handler for the whole loop, so a row costs no more
+            for row in _data_rows(reader, header):
+                rows.append([float(v) for v in row[:d]])
+                labels.append(int(row[d]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    features = np.array(rows) if rows else np.zeros((0, d))
+    labels = np.array(labels, dtype=int)
+    _check_rows(path, ~np.isfinite(features).all(axis=1), "features contain non-finite values")
+    _check_rows(path, (labels < 0) | (labels >= g), "labels out of range for num_classes")
+    return Dataset(features, labels, g)

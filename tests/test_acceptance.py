@@ -49,12 +49,7 @@ def _blob_dataset(rng, num_classes, n_per, dim=3, spread=0.7):
     centers = rng.normal(size=(num_classes, dim)) * 3.0
     feats = np.concatenate([c + spread * rng.normal(size=(n_per, dim)) for c in centers])
     labels = np.repeat(np.arange(num_classes), n_per)
-    return Dataset(
-        features=feats,
-        labels=labels,
-        num_classes=num_classes,
-        feature_names=[f"f{i}" for i in range(dim)],
-    )
+    return Dataset(features=feats, labels=labels, num_classes=num_classes)
 
 
 def _zero_source(num_classes, dim):

@@ -17,9 +17,7 @@ def _blobs(rng, n_per=20, spread=0.3, centers=((0, 0), (4, 0), (0, 4))):
         [np.asarray(c, dtype=float) + spread * rng.normal(size=(n_per, 2)) for c in centers]
     )
     labels = np.repeat(np.arange(len(centers)), n_per)
-    return Dataset(
-        features=feats, labels=labels, num_classes=len(centers), feature_names=["x", "y"]
-    )
+    return Dataset(features=feats, labels=labels, num_classes=len(centers))
 
 
 GRID = Grid(C_values=(0.1, 1.0, 10.0, 100.0), gamma_values=(0.1, 1.0), folds=3)
@@ -83,15 +81,14 @@ def _noisy_blobs(rng, counts, shift=0.0):
     centers = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]])[: len(counts)] + shift
     feats = np.concatenate([c + rng.normal(size=(n, 2)) for c, n in zip(centers, counts)])
     labels = np.repeat(np.arange(len(counts)), counts)
-    return Dataset(features=feats, labels=labels, num_classes=3, feature_names=["x", "y"])
+    return Dataset(features=feats, labels=labels, num_classes=3)
 
 
 def _reference_prior_features(train, sources, grid):
     """Per-(C, fold) CV with lssvm.fit and lssvm.predict on the normalized score dataset."""
     flat = prior_feature_matrix(source_scores(sources, train.features))
     stats = NormStats(mean=flat.mean(axis=0), std=flat.std(axis=0))
-    names = [f"s{i}" for i in range(flat.shape[1])]
-    ds = Dataset(stats.apply(flat), train.labels, train.num_classes, names)
+    ds = Dataset(stats.apply(flat), train.labels, train.num_classes)
     folds = stratified_folds(ds.labels, grid.folds, grid.seed)
     accuracies = []
     for c in sorted(grid.C_values):

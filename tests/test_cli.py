@@ -119,6 +119,21 @@ def test_features_manifest_and_datasets(arts):
             assert (arts / "feats" / f"{stem}.json").exists()
 
 
+def test_features_sidecars_name_the_columns_of_either_mode(arts, tmp_path):
+    concat = ["mav_ch1", "mav_ch2", "mav_ch3", "var_ch1", "var_ch2", "var_ch3",
+              "wl_ch1", "wl_ch2", "wl_ch3"]
+    averaged = ["avg_ch1", "avg_ch2", "avg_ch3"]
+    assert main([
+        "features", "--in-dir", str(arts / "cohort"), "--out-dir", str(tmp_path),
+        "--window-ms", "100", "--step-ms", "50", "--test-reps", "3", "--feature-mode", "averaged",
+    ]) == 0
+    for feats, names in ((arts / "feats", concat), (tmp_path, averaged)):
+        for entry in json.loads((feats / "features.json").read_text())["subjects"]:
+            for stem in (entry["train_stem"], entry["test_stem"]):
+                sidecar = json.loads((feats / f"{stem}.json").read_text())
+                assert sidecar == {"feature_names": names, "num_classes": 6}
+
+
 # ---------------------------------------------------------------------------
 # run artifacts
 
@@ -474,6 +489,23 @@ def test_truncated_feature_csv_returns_2(arts, tmp_path, capsys):
     code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
     assert code == 2
     assert "s00_train.csv line 3" in capsys.readouterr().err
+
+
+def test_split_with_no_feature_columns_returns_2(arts, tmp_path, capsys):
+    # every split keeps its labels but no feature column: no model can be trained on that
+    feats = tmp_path / "feats"
+    shutil.copytree(arts / "feats", feats)
+    for entry in json.loads((feats / "features.json").read_text())["subjects"]:
+        for stem in (entry["train_stem"], entry["test_stem"]):
+            sidecar = feats / f"{stem}.json"
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "feature_names": []}))
+            rows = (feats / f"{stem}.csv").read_text().splitlines()[1:]
+            labels = [row.rsplit(",", 1)[1] for row in rows]
+            (feats / f"{stem}.csv").write_text("\n".join(["label", *labels]) + "\n")
+    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 2
+    assert "error: " in (err := capsys.readouterr().err)
+    assert "s00_train.json: key 'feature_names' must be a non-empty list of strings" in err
 
 
 def test_empty_feature_csv_returns_2(arts, tmp_path, capsys):

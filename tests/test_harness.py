@@ -32,7 +32,7 @@ def _blobs(rng, centers, per_class, spread):
     labels = np.repeat(np.arange(num_classes), per_class)
     perm = rng.permutation(len(labels))
     X = np.vstack(feats)[perm]
-    return Dataset(X, labels[perm], num_classes, [f"f{i}" for i in range(dim)])
+    return Dataset(X, labels[perm], num_classes)
 
 
 def _cohort(
@@ -52,7 +52,7 @@ def _cohort(
 
 
 def _dummy_subjects(conditions):
-    data = Dataset(np.zeros((2, 1)), np.array([0, 0]), 1, ["f0"])
+    data = Dataset(np.zeros((2, 1)), np.array([0, 0]), 1)
     return [SubjectData(f"s{i}", c, data, data) for i, c in enumerate(conditions)]
 
 

@@ -24,9 +24,7 @@ def _blobs(rng, n_per=15, spread=0.4, centers=((0, 0), (4, 0), (0, 4))):
         [np.asarray(c, dtype=float) + spread * rng.normal(size=(n_per, 2)) for c in centers]
     )
     labels = np.repeat(np.arange(len(centers)), n_per)
-    return Dataset(
-        features=feats, labels=labels, num_classes=len(centers), feature_names=["x", "y"]
-    )
+    return Dataset(features=feats, labels=labels, num_classes=len(centers))
 
 
 def _source(rng):

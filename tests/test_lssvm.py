@@ -23,8 +23,7 @@ def _dataset(features, labels, num_classes=None):
     labels = np.asarray(labels, dtype=int)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    names = [f"f{i}" for i in range(features.shape[1])]
-    return Dataset(features=features, labels=labels, num_classes=num_classes, feature_names=names)
+    return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
 def _random_dataset(rng, n=None, g=None, d=None):

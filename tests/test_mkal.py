@@ -53,15 +53,13 @@ def _blobs(rng, n_per=15, spread=0.4, centers=((0, 0), (4, 0), (0, 4))):
         [np.asarray(c, dtype=float) + spread * rng.normal(size=(n_per, 2)) for c in centers]
     )
     labels = np.repeat(np.arange(len(centers)), n_per)
-    return Dataset(
-        features=feats, labels=labels, num_classes=len(centers), feature_names=["x", "y"]
-    )
+    return Dataset(features=feats, labels=labels, num_classes=len(centers))
 
 
 def _source(rng, scramble=False):
     ds = _blobs(rng, n_per=25)
     labels = rng.permutation(ds.labels) if scramble else ds.labels
-    ds = Dataset(ds.features, labels, ds.num_classes, ds.feature_names)
+    ds = Dataset(ds.features, labels, ds.num_classes)
     return lssvm.fit(ds, KernelSpec("gaussian", 1.0), 10.0)
 
 
@@ -389,7 +387,7 @@ def _random_problem(rng, n, k, g, absent_class=False):
     labels = rng.integers(0, g - 1 if absent_class else g, size=n)
     feats = rng.normal(size=(n, 3)) + labels[:, None]
     s_train = rng.normal(size=(n, k, g)) + 2.0 * (np.arange(g) == labels[:, None])[:, None, :]
-    return Dataset(feats, labels, g, ["a", "b", "c"]), s_train
+    return Dataset(feats, labels, g), s_train
 
 
 def _configs(grid, **shared):

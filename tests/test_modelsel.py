@@ -22,9 +22,7 @@ def _blobs(rng, n_per=20, centers=((0, 0), (4, 0), (0, 4))):
         [np.asarray(c, dtype=float) + 0.3 * rng.normal(size=(n_per, 2)) for c in centers]
     )
     labels = np.repeat(np.arange(len(centers)), n_per)
-    return Dataset(
-        features=feats, labels=labels, num_classes=len(centers), feature_names=["x", "y"]
-    )
+    return Dataset(features=feats, labels=labels, num_classes=len(centers))
 
 
 def test_folds_partition_all_indices():
@@ -208,7 +206,7 @@ def _noisy_blobs(seed, counts):
     centers = rng.normal(size=(len(counts), 3)) * 1.5
     feats = np.concatenate([c + rng.normal(size=(n, 3)) for c, n in zip(centers, counts)])
     labels = np.repeat(np.arange(len(counts)), counts)
-    return Dataset(feats, labels, len(counts), ["a", "b", "c"])
+    return Dataset(feats, labels, len(counts))
 
 
 SELECT_CASES = [
@@ -276,7 +274,7 @@ def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time(peak_bytes):
     rng = np.random.default_rng(6)
     n = 400
     ds = _noisy_blobs(7, (100, 100, 100, 100))
-    ds = Dataset(ds.features + rng.normal(size=ds.features.shape), ds.labels, 4, ds.feature_names)
+    ds = Dataset(ds.features + rng.normal(size=ds.features.shape), ds.labels, 4)
     grid = Grid(C_values=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), gamma_values=(0.01, 0.1, 1.0, 10.0), folds=5)
     assert spectral_cv_is_cheaper(n, grid.folds, len(grid.C_values))
     select(ds, kfold_labels, grid)  # first-call allocations that outlive it stay out of the count
@@ -292,7 +290,7 @@ def test_kfold_scores_reject_a_shift_below_the_eigenvalue_round_off(monkeypatch)
     monkeypatch.setattr(lssvm, "check_ridge", lambda kernel_diag, C_values: None)
     rng = np.random.default_rng(10)
     X = rng.normal(size=(50, 3))
-    ds = Dataset(np.concatenate([X, X]), rng.integers(0, 3, size=100), 3, ["a", "b", "c"])
+    ds = Dataset(np.concatenate([X, X]), rng.integers(0, 3, size=100), 3)
     folds = stratified_folds(ds.labels, 5, 0)
     spec = KernelSpec("gaussian", 0.01)
     with pytest.raises(lssvm.NumericalError, match="smallest eigenvalue"):
@@ -312,7 +310,7 @@ def test_either_cv_path_rejects_exactly_the_ridges_below_the_floor(spectral, mon
         if trial % 3 == 0:
             X = np.concatenate([X, X])[:n]
         spec = KernelSpec("linear") if trial % 2 else KernelSpec("gaussian", 10 ** rng.uniform(-7, 1))
-        ds = Dataset(X, rng.integers(0, 3, size=n), 3, [f"f{i}" for i in range(d)])
+        ds = Dataset(X, rng.integers(0, 3, size=n), 3)
         folds = stratified_folds(ds.labels, 3, trial)
         trace = np.sum(X * X) if spec.kind == "linear" else n
         floor = 2 * n * np.finfo(float).eps * trace

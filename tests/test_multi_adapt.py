@@ -27,20 +27,13 @@ def _blobs(rng, n_per=15, spread=0.4, centers=((0, 0), (4, 0), (0, 4))):
         [np.asarray(c, dtype=float) + spread * rng.normal(size=(n_per, 2)) for c in centers]
     )
     labels = np.repeat(np.arange(len(centers)), n_per)
-    return Dataset(
-        features=feats, labels=labels, num_classes=len(centers), feature_names=["x", "y"]
-    )
+    return Dataset(features=feats, labels=labels, num_classes=len(centers))
 
 
 def _source(rng, scramble=False):
     ds = _blobs(rng, n_per=25)
     if scramble:
-        ds = Dataset(
-            features=ds.features,
-            labels=rng.permutation(ds.labels),
-            num_classes=ds.num_classes,
-            feature_names=ds.feature_names,
-        )
+        ds = Dataset(ds.features, rng.permutation(ds.labels), ds.num_classes)
     return lssvm.fit(ds, KernelSpec("gaussian", 1.0), 10.0)
 
 

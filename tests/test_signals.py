@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def _reference_datasets(rec, spec, test_reps):
     if not split[True][1] or not split[False][1]:
         return None
     train, test = (
-        Dataset(np.array(x), np.array(y), rec.num_classes, feature_names(rec.channels))
+        Dataset(np.array(x), np.array(y), rec.num_classes)
         for x, y in (split[False], split[True])
     )
     stats = fit_normalizer(train)
@@ -278,7 +279,10 @@ def test_feature_block_ordering_and_names():
     w = np.stack([np.full(4, 2.0), np.arange(4.0)], axis=1)
     feats = _features_of_one_window(w)
     assert_allclose(feats, [2.0, 1.5, 0.0, 5.0 / 3.0, 0.0, 3.0])
-    assert feature_names(2) == ["mav_ch1", "mav_ch2", "var_ch1", "var_ch2", "wl_ch1", "wl_ch2"]
+    assert feature_names(2, "concat") == [
+        "mav_ch1", "mav_ch2", "var_ch1", "var_ch2", "wl_ch1", "wl_ch2"
+    ]
+    assert feature_names(3, "averaged") == ["avg_ch1", "avg_ch2", "avg_ch3"]
 
 
 def test_feature_dimension_is_three_per_channel():
@@ -302,7 +306,6 @@ def test_normalizer_two_point_example():
         features=np.array([[1.0], [3.0]]),
         labels=np.array([0, 1]),
         num_classes=2,
-        feature_names=["f"],
     )
     out = apply_normalizer(ds, fit_normalizer(ds))
     assert_allclose(out.features, [[-1.0], [1.0]])
@@ -313,7 +316,6 @@ def test_normalizer_constant_dimension_maps_to_zero():
         features=np.array([[5.0, 1.0], [5.0, 3.0], [5.0, 5.0]]),
         labels=np.array([0, 1, 0]),
         num_classes=2,
-        feature_names=["a", "b"],
     )
     out = apply_normalizer(ds, fit_normalizer(ds))
     assert_allclose(out.features[:, 0], 0.0)
@@ -322,9 +324,7 @@ def test_normalizer_constant_dimension_maps_to_zero():
 
 def test_average_feature_blocks():
     feats = np.array([[1.0, 2.0, 10.0, 20.0, 100.0, 200.0]])
-    ds = Dataset(
-        features=feats, labels=np.array([0]), num_classes=1, feature_names=feature_names(2)
-    )
+    ds = Dataset(features=feats, labels=np.array([0]), num_classes=1)
     avg = average_feature_blocks(ds)
     assert_allclose(avg.features, [[37.0, 74.0]])
     assert avg.dim == 2
@@ -344,6 +344,9 @@ def _toy_recording(seed=0):
             labels.extend([cls] * 40)
             reps.extend([rep] * 40)
     return _recording(np.concatenate(chunks), labels, reps, rate=1000.0, num_classes=3)
+
+
+_TOY_NAMES = feature_names(2, "concat")  # the sidecar names of a toy recording's concat sets
 
 
 def test_build_subject_datasets_repetition_holdout():
@@ -395,16 +398,20 @@ def test_recording_round_trip(tmp_path):
     assert np.array_equal(back.samples, rec.samples)  # repr round trip is exact
 
 
-def test_dataset_round_trip(tmp_path):
+@pytest.mark.parametrize("mode", ["concat", "averaged"])
+def test_dataset_round_trip(tmp_path, mode):
     rec = _toy_recording(seed=4)
-    train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
-    save_dataset(train, tmp_path / "train")
+    train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0), feature_mode=mode)
+    names = feature_names(rec.channels, mode)
+    save_dataset(train, tmp_path / "train", names)
     back = load_dataset(tmp_path / "train")
     assert np.array_equal(back.features, train.features)
     assert np.array_equal(back.labels, train.labels)
     assert back.num_classes == train.num_classes
-    assert back.feature_names == train.feature_names
-    assert set(json.loads((tmp_path / "train.json").read_text())) == {"feature_names", "num_classes"}
+    sidecar = json.loads((tmp_path / "train.json").read_text())
+    assert sidecar == {"feature_names": names, "num_classes": train.num_classes}
+    with pytest.raises(ValueError, match="feature names for"):
+        save_dataset(train, tmp_path / "short", names[:-1])
 
 
 def _reference_csv(header, rows):
@@ -440,13 +447,12 @@ def test_save_recording_writes_the_csv_writer_bytes(tmp_path):
 
 
 def test_save_dataset_writes_the_csv_writer_bytes(tmp_path):
-    ds = Dataset(features=_EDGE_VALUES, labels=[10, 11, 3], num_classes=12,
-                 feature_names=["a", "b", "c", "d"])
-    save_dataset(ds, tmp_path / "ds")
+    ds = Dataset(features=_EDGE_VALUES, labels=[10, 11, 3], num_classes=12)
+    save_dataset(ds, tmp_path / "ds", ["a", "b", "c", "d"])
     rows = zip(ds.features, ds.labels[:, None])
     assert (tmp_path / "ds.csv").read_bytes() == _reference_csv(["f_1", "f_2", "f_3", "f_4", "label"], rows)
     empty = ds.subset(np.array([], dtype=int))
-    save_dataset(empty, tmp_path / "empty")
+    save_dataset(empty, tmp_path / "empty", ["a", "b", "c", "d"])
     assert (tmp_path / "empty.csv").read_bytes() == _reference_csv(["f_1", "f_2", "f_3", "f_4", "label"], [])
     assert len(load_dataset(tmp_path / "empty")) == 0
 
@@ -455,7 +461,7 @@ def test_loaders_accept_lf_line_ends(tmp_path):
     rec = _toy_recording(seed=2)
     save_recording(rec, tmp_path / "rec")
     train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
-    save_dataset(train, tmp_path / "ds")
+    save_dataset(train, tmp_path / "ds", _TOY_NAMES)
     for stem in (tmp_path / "rec", tmp_path / "ds"):
         csv_path = stem.with_suffix(".csv")
         text = csv_path.read_bytes().decode()
@@ -473,7 +479,7 @@ def test_loaders_reject_rows_that_do_not_match_the_header(tmp_path, damage):
     rec = _toy_recording(seed=6)
     save_recording(rec, tmp_path / "rec")
     train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
-    save_dataset(train, tmp_path / "ds")
+    save_dataset(train, tmp_path / "ds", _TOY_NAMES)
     for stem, load in ((tmp_path / "rec", load_recording), (tmp_path / "ds", load_dataset)):
         csv_path = stem.with_suffix(".csv")
         lines = csv_path.read_text().splitlines()
@@ -483,17 +489,69 @@ def test_loaders_reject_rows_that_do_not_match_the_header(tmp_path, damage):
             load(stem)
 
 
-@pytest.mark.parametrize("which", ["recording", "dataset"])
-def test_loaders_reject_an_empty_csv(tmp_path, which):
-    rec = _toy_recording(seed=7)
+def _save_toy_files(tmp_path, which):
+    """A toy recording's CSV and sidecar, or its concat training split's; and the loader."""
+    rec = _toy_recording(seed=3)
     if which == "recording":
         save_recording(rec, tmp_path / "x")
-        load = load_recording
-    else:
-        save_dataset(build_subject_datasets(rec, WindowSpec(10.0, 5.0))[0], tmp_path / "x")
-        load = load_dataset
+        return load_recording
+    train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
+    save_dataset(train, tmp_path / "x", _TOY_NAMES)
+    return load_dataset
+
+
+@pytest.mark.parametrize("which", ["recording", "dataset"])
+def test_loaders_reject_an_empty_csv(tmp_path, which):
+    load = _save_toy_files(tmp_path, which)
     (tmp_path / "x.csv").write_text("")
     with pytest.raises(ValueError, match="x.csv: empty CSV, no header"):
+        load(tmp_path / "x")
+
+
+@pytest.mark.parametrize(
+    "which, line, column, value, message",
+    [
+        ("dataset", 3, 0, "abc", "could not convert string to float: 'abc'"),
+        ("dataset", 4, -1, "1.0", "invalid literal for int() with base 10: '1.0'"),
+        ("dataset", 5, 2, "nan", "features contain non-finite values"),
+        ("dataset", 6, -1, "3", "labels out of range for num_classes"),
+        ("dataset", 7, -1, "-1", "labels out of range for num_classes"),
+        ("recording", 3, 1, "abc", "could not convert string to float: 'abc'"),
+        ("recording", 4, -2, "1.0", "invalid literal for int() with base 10: '1.0'"),
+        ("recording", 5, -1, "x", "invalid literal for int() with base 10: 'x'"),
+        ("recording", 6, -2, "3", "labels out of range for num_classes"),
+        ("recording", 7, -1, "0", "repetition indices must be positive"),
+    ],
+    ids=[
+        "ds-float", "ds-int", "ds-non-finite", "ds-label-high", "ds-label-negative", "rec-float",
+        "rec-label-int", "rec-repetition-int", "rec-label-high", "rec-repetition-zero",
+    ],
+)
+def test_loaders_name_the_file_and_line_of_a_bad_field(
+    tmp_path, which, line, column, value, message
+):
+    load = _save_toy_files(tmp_path, which)
+    csv_path = tmp_path / "x.csv"
+    lines = csv_path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[column] = value
+    lines[line - 1] = ",".join(fields)
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"x.csv line {line}: {message}")):
+        load(tmp_path / "x")
+
+
+@pytest.mark.parametrize(
+    "which, key",
+    [("dataset", "num_classes"), ("recording", "num_classes"), ("recording", "channels")],
+)
+def test_loaders_name_the_sidecar_of_a_count_below_one(tmp_path, which, key):
+    load = _save_toy_files(tmp_path, which)
+    meta_path = tmp_path / "x.json"
+    doc = json.loads(meta_path.read_text())
+    doc[key] = 0
+    meta_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"x.json: {key} must be >= 1"):
         load(tmp_path / "x")
 
 
@@ -528,12 +586,13 @@ def test_load_recording_rejects_a_header_value_of_the_wrong_type(tmp_path, key, 
         ("num_classes", lambda doc: "3"),
         ("feature_names", lambda doc: "ab"),
         ("feature_names", lambda doc: [1] * len(doc["feature_names"])),
+        ("feature_names", lambda doc: []),
     ],
-    ids=["classes-float", "classes-bool", "classes-str", "names-str", "names-ints"],
+    ids=["classes-float", "classes-bool", "classes-str", "names-str", "names-ints", "names-empty"],
 )
 def test_load_dataset_rejects_a_sidecar_value_of_the_wrong_type(tmp_path, key, damage):
     train, _ = build_subject_datasets(_toy_recording(seed=9), WindowSpec(10.0, 5.0))
-    save_dataset(train, tmp_path / "ds")
+    save_dataset(train, tmp_path / "ds", _TOY_NAMES)
     meta_path = tmp_path / "ds.json"
     doc = json.loads(meta_path.read_text())
     doc[key] = damage(doc)
@@ -550,7 +609,7 @@ def test_load_dataset_rejects_a_sidecar_value_of_the_wrong_type(tmp_path, key, d
 def test_load_dataset_ignores_an_old_norm_stats_key(tmp_path, stats):
     # sidecars of older versions carry the normalizer; nothing reads it
     train, _ = build_subject_datasets(_toy_recording(seed=9), WindowSpec(10.0, 5.0))
-    save_dataset(train, tmp_path / "ds")
+    save_dataset(train, tmp_path / "ds", _TOY_NAMES)
     meta_path = tmp_path / "ds.json"
     doc = json.loads(meta_path.read_text())
     doc["norm_stats"] = stats
@@ -558,7 +617,7 @@ def test_load_dataset_ignores_an_old_norm_stats_key(tmp_path, stats):
     back = load_dataset(tmp_path / "ds")
     assert np.array_equal(back.features, train.features)
     assert np.array_equal(back.labels, train.labels)
-    assert (back.num_classes, back.feature_names) == (train.num_classes, train.feature_names)
+    assert back.num_classes == train.num_classes
 
 
 def test_save_recording_is_deterministic(tmp_path):
