@@ -86,13 +86,13 @@ def _bordered_matrix(kmat: np.ndarray, C: float) -> np.ndarray:
 
 
 def solve_dual_system(
-    kmat: np.ndarray, C: float, targets: np.ndarray, default_mask: np.ndarray | None = None
+    kmat: np.ndarray, C: float, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the bordered system for every target column.
 
-    Returns (alphas, biases).  Columns flagged in `default_mask` skip the
-    solve and get the constant-negative solution alpha = 0, b = -1 exactly
-    (used for classes absent from the training set).
+    Returns (alphas, biases).  A constant column c (such as the all -1
+    column of a class absent from the training set) gets its exact
+    solution alpha = 0, b = c.
     """
     n = kmat.shape[0]
     rhs = np.zeros((n + 1, targets.shape[1]))
@@ -105,9 +105,9 @@ def solve_dual_system(
         raise NumericalError("dual system solve produced non-finite values")
     biases = sol[0].copy()
     alphas = sol[1:].copy()
-    if default_mask is not None:
-        biases[default_mask] = -1.0
-        alphas[:, default_mask] = 0.0
+    constant = np.all(targets == targets[0], axis=0)
+    biases[constant] = targets[0, constant]
+    alphas[:, constant] = 0.0
     return alphas, biases
 
 
@@ -130,12 +130,10 @@ def fit_for_each_C(
         raise ValueError("need at least 2 training samples")
     kmat = gram(kernel_spec, train.features, train.features)
     targets = ova_targets(train.labels, train.num_classes)
-    present = np.zeros(train.num_classes, dtype=bool)
-    present[np.unique(train.labels)] = True
     support = train.features.copy()
     models = []
     for C in C_values:
-        alphas, biases = solve_dual_system(kmat, C, targets, default_mask=~present)
+        alphas, biases = solve_dual_system(kmat, C, targets)
         models.append(
             LssvmModel(
                 kernel=kernel_spec,
@@ -207,7 +205,7 @@ def kfold_scores(
     out[f][j] holds the scores on the rows folds[f] of the model that
     `fit(train.subset(rest), kernel_spec, C_values[j])` trains on the other
     rows, up to round-off.  A class absent from those rows scores exactly -1,
-    its default solution's constant.  With K = V diag(lam) V^T, d = 1/(lam + 1/C),
+    the bias of its constant column's exact solution.  With K = V diag(lam) V^T, d = 1/(lam + 1/C),
     A = K + I/C, u = A^-1 1, s = 1^T u and the full set's duals
     alpha = A^-1 Y - u (u^T Y) / s, fold F's held-out scores are
     Y_F - H_FF^-1 alpha_F with H_FF = W_F W_F^T - u_F u_F^T / s, W = V diag(sqrt(d))

@@ -135,11 +135,7 @@ def fit_ma(
             raise ValueError("beta must be K x G")
 
     modified = Y - np.einsum("ikg,kg->ig", s_tensor, beta)
-    present = np.zeros(g, dtype=bool)
-    present[np.unique(train.labels)] = True
-    # a class both absent and unborrowed is the plain constant-negative machine
-    default_mask = (~present) & np.all(beta == 0.0, axis=0)
-    alphas, biases = lssvm.solve_dual_system(kmat, C, modified, default_mask=default_mask)
+    alphas, biases = lssvm.solve_dual_system(kmat, C, modified)
     base = LssvmModel(
         kernel=kernel_spec,
         C=C,

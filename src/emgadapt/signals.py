@@ -146,8 +146,8 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
-        if self.features.ndim != 2:
-            raise ValueError("features must be an N x d array")
+        if self.features.ndim != 2 or self.features.shape[1] < 1:
+            raise ValueError("features must be an N x d array with d >= 1")
         n = self.features.shape[0]
         if self.labels.shape != (n,):
             raise ValueError("labels must have one entry per feature row")
@@ -319,22 +319,40 @@ def _json_header(path: Path, keys: tuple[str, ...]) -> dict:
     return doc
 
 
-def _csv_header(reader, path: Path) -> list[str]:
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty CSV, no header")
-    return header
+def _positive_int(path: Path, doc: dict, key: str) -> int:
+    """`doc[key]`, checked to be an integer >= 1; errors name the sidecar `path`."""
+    value = doc[key]
+    if type(value) is not int:  # bool is an int subclass, so isinstance would pass it
+        raise ValueError(f"{path}: key {key!r} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{path}: {key} must be >= 1")
+    return value
 
 
-def _data_rows(reader, header: list[str]):
-    """The remaining rows of `reader`, each checked to have one field per header column.
-
-    Its callers prefix an error in a row with the file and `reader.line_num`.
+def _read_csv(path: Path, header: list[str], ints: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read what `_write_csv` writes: the float columns as an N x d matrix and the
+    last `ints` columns as an `ints` x N int array.  Every error names `path`,
+    and an error in a row also its line; `kind` names the file in a header error.
     """
-    for row in reader:
-        if len(row) != len(header):
-            raise ValueError(f"{len(row)} fields, header has {len(header)}")
-        yield row
+    floats, int_values = [], []
+    d = len(header) - ints
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}: empty CSV, no header")
+        if first != header:
+            raise ValueError(f"unexpected {kind} CSV header in {path}")
+        try:  # one handler for the whole loop, so a row costs no more
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                floats.append(list(map(float, row[:d])))
+                int_values.extend(map(int, row[d:]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    n = len(floats)
+    return np.array(floats).reshape(n, d), np.array(int_values, dtype=int).reshape(n, ints).T
 
 
 def _check_rows(path: Path, bad: np.ndarray, message: str) -> None:
@@ -374,45 +392,23 @@ def load_recording(stem: str | Path) -> Recording:
     meta = _json_header(
         meta_path, ("channels", "subject_id", "condition", "sampling_rate_hz", "num_classes")
     )
-    for key in ("channels", "num_classes"):
-        if type(meta[key]) is not int:  # bool is an int subclass, so isinstance would pass it
-            raise ValueError(f"{meta_path}: key {key!r} must be an integer, got {meta[key]!r}")
-        if meta[key] < 1:
-            raise ValueError(f"{meta_path}: {key} must be >= 1")
+    c, g = _positive_int(meta_path, meta, "channels"), _positive_int(meta_path, meta, "num_classes")
     rate = meta["sampling_rate_hz"]
     if type(rate) not in (int, float):
         raise ValueError(f"{meta_path}: key 'sampling_rate_hz' must be a number, got {rate!r}")
     path = stem.with_suffix(".csv")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _csv_header(reader, path)
-        c = meta["channels"]
-        if header != [f"ch_{i + 1}" for i in range(c)] + ["label", "repetition"]:
-            raise ValueError(f"unexpected recording CSV header in {path}")
-        samples, labels, reps = [], [], []
-        try:  # one handler for the whole loop, so a row costs no more
-            for row in _data_rows(reader, header):
-                samples.append([float(v) for v in row[:c]])
-                labels.append(int(row[c]))
-                reps.append(int(row[c + 1]))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    samples = np.array(samples, dtype=float).reshape(len(samples), c)
-    labels, reps = np.array(labels, dtype=int), np.array(reps, dtype=int)
+    header = [f"ch_{i + 1}" for i in range(c)] + ["label", "repetition"]
+    samples, (labels, reps) = _read_csv(path, header, 2, "recording")
+    if not len(samples):
+        raise ValueError(f"{path}: recording must contain at least one sample")
     _check_rows(path, ~np.isfinite(samples).all(axis=1), "samples contain non-finite values")
-    _check_rows(path, (labels < 0) | (labels >= meta["num_classes"]),
-                "labels out of range for num_classes")
+    _check_rows(path, (labels < 0) | (labels >= g), "labels out of range for num_classes")
     _check_rows(path, reps < 1, "repetition indices must be positive")
-    return Recording(
-        subject_id=meta["subject_id"],
-        condition=meta["condition"],
-        sampling_rate_hz=float(rate),
-        channels=c,
-        num_classes=meta["num_classes"],
-        samples=samples,
-        labels=labels,
-        repetitions=reps,
-    )
+    try:  # the metadata checks left to Recording
+        return Recording(meta["subject_id"], meta["condition"], float(rate), c, g, samples,
+                         labels, reps)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
 
 
 def save_dataset(ds: Dataset, stem: str | Path, names: list[str]) -> None:
@@ -436,29 +432,12 @@ def load_dataset(stem: str | Path) -> Dataset:
         stem = stem.with_suffix("")
     meta_path = stem.with_suffix(".json")
     sidecar = _json_header(meta_path, ("feature_names", "num_classes"))
-    names, g = sidecar["feature_names"], sidecar["num_classes"]
-    if type(g) is not int:
-        raise ValueError(f"{meta_path}: key 'num_classes' must be an integer, got {g!r}")
-    if g < 1:
-        raise ValueError(f"{meta_path}: num_classes must be >= 1")
+    names, g = sidecar["feature_names"], _positive_int(meta_path, sidecar, "num_classes")
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise ValueError(f"{meta_path}: key 'feature_names' must be a non-empty list of strings")
-    d = len(names)
     path = stem.with_suffix(".csv")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _csv_header(reader, path)
-        if header != [f"f_{i + 1}" for i in range(d)] + ["label"]:
-            raise ValueError(f"unexpected dataset CSV header in {path}")
-        rows, labels = [], []
-        try:  # one handler for the whole loop, so a row costs no more
-            for row in _data_rows(reader, header):
-                rows.append([float(v) for v in row[:d]])
-                labels.append(int(row[d]))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    features = np.array(rows) if rows else np.zeros((0, d))
-    labels = np.array(labels, dtype=int)
+    header = [f"f_{i + 1}" for i in range(len(names))] + ["label"]
+    features, (labels,) = _read_csv(path, header, 1, "dataset")
     _check_rows(path, ~np.isfinite(features).all(axis=1), "features contain non-finite values")
     _check_rows(path, (labels < 0) | (labels >= g), "labels out of range for num_classes")
     return Dataset(features, labels, g)

@@ -198,6 +198,29 @@ def test_predict_adds_borrowed_scores_back():
     assert_allclose(scores, base + borrowed, atol=1e-12)
 
 
+def test_fit_ma_solves_an_absent_class_only_when_it_is_borrowed():
+    rng = np.random.default_rng(11)
+    corners = ((0, 0), (4, 0), (0, 4), (4, 4))
+    sources = [lssvm.fit(_blobs(rng, n_per=10, centers=corners), KernelSpec("gaussian", 1.0), 10.0)]
+    two = _blobs(rng, n_per=6, centers=corners[:2])
+    train = Dataset(two.features, two.labels, 4)  # classes 2 and 3 are absent
+    beta = np.zeros((1, 4))
+    beta[0, 3] = 0.5  # class 3 is borrowed, class 2 is not
+    s_train = source_scores(sources, train.features)
+    model = fit_ma(train, s_train, KernelSpec("gaussian", 1.0), 5.0, beta=beta)
+    assert np.all(model.base.alphas[:, 2] == 0.0) and model.base.biases[2] == -1.0
+    # the borrowed column is the dense bordered solve of its modified targets
+    kmat = gram(KernelSpec("gaussian", 1.0), train.features, train.features)
+    n = len(train)
+    m = np.zeros((n + 1, n + 1))
+    m[0, 1:] = m[1:, 0] = 1.0
+    m[1:, 1:] = kmat + np.eye(n) / 5.0
+    sol = np.linalg.solve(m, np.concatenate([[0.0], -1.0 - 0.5 * s_train[:, 0, 3]]))
+    assert np.max(np.abs(model.base.alphas[:, 3])) > 1e-3
+    assert_allclose(model.base.alphas[:, 3], sol[1:], atol=1e-10)
+    assert abs(model.base.biases[3] - sol[0]) <= 1e-10
+
+
 def test_fit_ma_is_deterministic():
     rng = np.random.default_rng(40)
     train = _blobs(rng, n_per=5)

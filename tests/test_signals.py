@@ -521,10 +521,13 @@ def test_loaders_reject_an_empty_csv(tmp_path, which):
         ("recording", 5, -1, "x", "invalid literal for int() with base 10: 'x'"),
         ("recording", 6, -2, "3", "labels out of range for num_classes"),
         ("recording", 7, -1, "0", "repetition indices must be positive"),
+        ("dataset", 8, None, "0", "8 fields, header has 7"),
+        ("recording", 8, None, "0", "5 fields, header has 4"),
     ],
     ids=[
         "ds-float", "ds-int", "ds-non-finite", "ds-label-high", "ds-label-negative", "rec-float",
         "rec-label-int", "rec-repetition-int", "rec-label-high", "rec-repetition-zero",
+        "ds-field-count", "rec-field-count",
     ],
 )
 def test_loaders_name_the_file_and_line_of_a_bad_field(
@@ -534,7 +537,10 @@ def test_loaders_name_the_file_and_line_of_a_bad_field(
     csv_path = tmp_path / "x.csv"
     lines = csv_path.read_text().splitlines()
     fields = lines[line - 1].split(",")
-    fields[column] = value
+    if column is None:  # one field too many
+        fields.append(value)
+    else:
+        fields[column] = value
     lines[line - 1] = ",".join(fields)
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"x.csv line {line}: {message}")):
@@ -575,6 +581,32 @@ def test_load_recording_rejects_a_header_value_of_the_wrong_type(tmp_path, key, 
     doc[key] = value
     meta_path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"rec.json: key '{key}' must be"):
+        load_recording(tmp_path / "rec")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("condition", "x", "condition must be one of ('intact', 'amputee'), got 'x'"),
+        ("sampling_rate_hz", 0, "sampling_rate_hz must be > 0"),
+    ],
+)
+def test_load_recording_names_the_sidecar_of_bad_metadata(tmp_path, key, value, message):
+    save_recording(_toy_recording(seed=8), tmp_path / "rec")
+    meta_path = tmp_path / "rec.json"
+    doc = json.loads(meta_path.read_text())
+    doc[key] = value
+    meta_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{meta_path}: {message}")):
+        load_recording(tmp_path / "rec")
+
+
+def test_load_recording_names_the_csv_of_a_header_without_rows(tmp_path):
+    save_recording(_toy_recording(seed=8), tmp_path / "rec")
+    csv_path = tmp_path / "rec.csv"
+    csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+    message = f"{csv_path}: recording must contain at least one sample"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_recording(tmp_path / "rec")
 
 
@@ -626,6 +658,11 @@ def test_save_recording_is_deterministic(tmp_path):
     save_recording(rec, tmp_path / "b")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_dataset_rejects_zero_feature_columns():
+    with pytest.raises(ValueError, match="d >= 1"):
+        Dataset(np.zeros((6, 0)), np.array([0, 1] * 3), 2)
 
 
 def test_recording_validation():
