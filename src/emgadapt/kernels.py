@@ -31,6 +31,16 @@ class KernelSpec:
                 raise ValueError("gaussian kernel requires gamma > 0")
 
 
+def _squared_norms(X: np.ndarray) -> np.ndarray:
+    """||x||^2 for every row x of X.  Raises ValueError where 4 max ||x||^2 overflows: below
+    that, by Cauchy-Schwarz, no entry, partial sum or squared distance of a Gram of rows can."""
+    with np.errstate(over="ignore"):
+        sq = (X * X).sum(axis=1)
+    if not np.isfinite(4.0 * sq.max(initial=0.0)):
+        raise ValueError("kernel inputs overflow: squared row norms are not finite; scale the features down")
+    return sq
+
+
 def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Pairwise kernel matrix with entry (i, j) = k(X[i], Z[j])."""
     X = np.asarray(X, dtype=float)
@@ -39,6 +49,7 @@ def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         raise ValueError("gram expects 2-d arrays (rows are vectors)")
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
+    xx, zz = _squared_norms(X), _squared_norms(Z)
     if spec.kind == "linear":
         return X @ Z.T
     # ||x||^2 + ||z||^2 - 2<x,z>, clamped at zero so round-off cannot feed
@@ -47,7 +58,6 @@ def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     # alive; each entry sees the same operations as the out-of-place form.
     out = X @ Z.T
     out *= 2.0
-    xx, zz = (X * X).sum(axis=1), (Z * Z).sum(axis=1)
     for r in range(0, len(out), 256):
         rows = slice(r, r + 256)
         np.subtract(xx[rows, None] + zz[None, :], out[rows], out=out[rows])
@@ -58,7 +68,7 @@ def gram(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def gram_diagonal(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     """k(x, x) for every row x of X, without the Gram: 1 (gaussian) or ||x||^2 (linear)."""
-    return np.einsum("ij,ij->i", X, X) if spec.kind == "linear" else np.ones(len(X))
+    return _squared_norms(X) if spec.kind == "linear" else np.ones(len(X))
 
 
 def gram_product(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -194,6 +194,43 @@ def bordered_inverse_block(kmat: np.ndarray, C: float) -> tuple[np.ndarray, np.n
     return h, d
 
 
+def _gram_eigh(kernel_spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of K = gram(kernel_spec, X, X) after zeroing each |K_ij| < (eps / n) max_i K_ii,
+    one connected block of the remaining non-zero pattern at a time.
+
+    Each row loses less than eps max_i K_ii <= eps ||K||_2, which bounds the
+    move of K in 2-norm below eigh's own backward error, about n eps ||K||.
+    One block goes to `np.linalg.eigh` whole; else each block of 2+ rows gets
+    its own, and a single row i is the pair (K_ii, e_i).  The Gram is freed
+    once its blocks are copied out: the peak is a dense eigh's, 2 N x N arrays.
+    """
+    kmat = gram(kernel_spec, X, X)
+    n = len(kmat)
+    tol = np.finfo(float).eps / n * np.diagonal(kmat).max()
+    for r in range(0, n, 256):  # 256 rows at a time: no N x N float temporary
+        kmat[r : r + 256][np.abs(kmat[r : r + 256]) < tol] = 0.0
+    linked = kmat != 0  # N x N bytes, an eighth of the Gram
+    block = np.full(n, -1)
+    for root in range(n):  # a frontier search from each row not yet reached
+        frontier = [root] if block[root] < 0 else []
+        while len(frontier):
+            block[frontier] = root
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (block < 0))
+    del linked
+    if block.max() == 0:  # the search from row 0 reached every row
+        return np.linalg.eigh(kmat)
+    order = np.argsort(block, kind="stable")
+    cuts = np.flatnonzero(np.diff(block[order])) + 1
+    pairs = [kmat[np.ix_(rows, rows)] for rows in np.split(order, cuts)]
+    del kmat
+    for i, sub in enumerate(pairs):
+        pairs[i] = np.linalg.eigh(sub) if len(sub) > 1 else (sub[0], np.ones((1, 1)))
+    lam, vecs = np.empty(n), np.zeros((n, n))
+    for rows, cols, (w, v) in zip(np.split(order, cuts), np.split(np.arange(n), cuts), pairs):
+        lam[cols], vecs[rows[:, None], cols] = w, v
+    return lam, vecs
+
+
 def kfold_scores(
     train: Dataset,
     kernel_spec: KernelSpec,
@@ -224,7 +261,7 @@ def kfold_scores(
     g = train.num_classes
     targets = ova_targets(train.labels, g)
     check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
-    lam, vecs = np.linalg.eigh(gram(kernel_spec, train.features, train.features))
+    lam, vecs = _gram_eigh(kernel_spec, train.features)
     floor = n * np.finfo(float).eps * float(np.abs(lam).max())
     # V^T [1 Y] once; each C rescales it by d and maps it back
     proj = vecs.T @ np.column_stack((np.ones(n), targets))

@@ -139,8 +139,9 @@ def select(
     return cross_validate(train.labels, candidates, fold_labels, grid.folds, grid.seed)
 
 
-# eigh of an n x n matrix costs about this many LU factorizations of the same
-# size (5.1-8.1 measured for n = 40..1000, numpy 2.4 on single-threaded OpenBLAS)
+# a dense eigh of an n x n matrix costs about this many LU factorizations of the
+# same size (5.1-8.1 measured for n = 40..1000, numpy 2.4 on single-threaded
+# OpenBLAS); the Gram's blocks at large gamma make it cheaper, which is not counted
 EIGH_LU_EQUIVALENTS = 6.0
 
 
@@ -153,7 +154,9 @@ def spectral_cv_is_cheaper(n: int, folds: int, num_C: int) -> bool:
     and folds * num_C products of size |F| x n x |F| (3 |F|^2 n: a product
     does 2 flops per term where an LU does 2/3).  Every term scales as n^3,
     so the choice rests on folds and num_C: 5 folds x 6 C is spectral,
-    3 folds x 3 C direct.
+    3 folds x 3 C direct.  The eigh is counted dense, its worst case: the rule
+    is not gamma-aware on purpose, so a grid keeps its path, and its bits, at
+    every gamma even where `kfold_scores` splits the Gram into blocks.
     """
     fold = n / folds
     direct = folds * num_C * (n - fold) ** 3

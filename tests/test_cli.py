@@ -508,6 +508,21 @@ def test_split_with_no_feature_columns_returns_2(arts, tmp_path, capsys):
     assert "s00_train.json: key 'feature_names' must be a non-empty list of strings" in err
 
 
+def test_features_whose_squared_norms_overflow_return_2(arts, tmp_path, capsys):
+    # finite values near 1e160: every squared row norm overflows
+    feats = tmp_path / "feats"
+    shutil.copytree(arts / "feats", feats)
+    for entry in json.loads((feats / "features.json").read_text())["subjects"]:
+        stem = feats / entry["train_stem"]
+        ds = signals.load_dataset(stem)
+        names = json.loads(stem.with_suffix(".json").read_text())["feature_names"]
+        signals.save_dataset(signals.Dataset(ds.features * 1e160 + 1e160, ds.labels, ds.num_classes), stem, names)
+    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "kernel inputs overflow" in err
+
+
 def test_empty_feature_csv_returns_2(arts, tmp_path, capsys):
     feats = tmp_path / "feats"
     shutil.copytree(arts / "feats", feats)

@@ -1,8 +1,9 @@
-"""Lint: every module of the package uses each name it imports, every
-top-level function of the package is read somewhere, and every dataclass
-field is read outside its own class."""
+"""Lint: every module of the package imports only the standard library and
+numpy, uses each name it imports, every top-level function of the package
+is read somewhere, and every dataclass field is read outside its own class."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -50,6 +51,18 @@ def unused_imports(source: str) -> list[str]:
         elif _is_all(node):
             used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules that `source` imports from outside the standard library
+    and numpy; relative imports of the package itself count as its own."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - {"numpy", "__future__"})
 
 
 def _reads(tree: ast.AST) -> Counter:
@@ -153,6 +166,19 @@ def test_lint_flags_a_dataclass_field_nothing_reads():
     others = ["def second(b):\n    return b.read_elsewhere\n"]
     assert unread_fields(package, others) == ["a.A.read_by_its_class", "a.A.unread"]
     assert unread_fields(package, []) == ["a.A.read_by_its_class", "a.A.unread", "b.B.read_elsewhere"]
+
+
+def test_lint_flags_an_import_beyond_the_standard_library_and_numpy():
+    source = ("import os.path\nimport numpy as np\nimport scipy.sparse\nfrom numpy.linalg import eigh\n"
+              "from scipy.sparse.csgraph import connected_components\nfrom . import kernels\n"
+              "from .lssvm import fit\nimport sklearn, json\n\ndef late():\n    import torch\n")
+    assert foreign_imports(source) == ["scipy", "sklearn", "torch"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library_and_numpy(path):
+    # scipy is installed but is not a declared dependency of the package
+    assert foreign_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)

@@ -96,6 +96,27 @@ def test_shape_errors():
         gram(spec, np.zeros(3), np.zeros((2, 3)))
 
 
+def test_overflowing_squared_norms_raise_instead_of_returning_nan():
+    # finite rows, but each ||x||^2 overflows
+    X = np.random.default_rng(16).normal(size=(60, 10)) * 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the unchecked formula: more than half of the entries are NaN
+        assert np.isnan(three_temporary_gaussian_gram(1.0, X, X)).sum() > 60 * 60 / 2
+    for spec in (KernelSpec("gaussian", 1.0), KernelSpec("linear")):
+        for Z in (X, X[:3] * 1e-160):
+            with pytest.raises(ValueError, match="overflow"):
+                gram(spec, X, Z)
+            with pytest.raises(ValueError, match="overflow"):
+                gram(spec, Z, X)
+    with pytest.raises(ValueError, match="overflow"):
+        kernels.gram_diagonal(KernelSpec("linear"), X)
+    # rows of about 1e150 square to about 1e301: 4 max ||x||^2 stays finite
+    Y = X[:3] * 1e-10
+    k = gram(KernelSpec("linear"), Y, Y)
+    assert np.isfinite(k).all() and np.isfinite(gram(KernelSpec("gaussian", 1.0), Y, Y)).all()
+    assert_allclose(np.diag(k), kernels.gram_diagonal(KernelSpec("linear"), Y), rtol=1e-14)
+
+
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize(
     "shape_x, shape_z",

@@ -195,6 +195,17 @@ def test_validation_errors():
         _loo_residuals(ds, KernelSpec("linear"), 1.0)  # needs >= 3 samples
 
 
+@pytest.mark.parametrize(
+    "spec", [KernelSpec("gaussian", 1.0), KernelSpec("linear")], ids=["gaussian", "linear"]
+)
+def test_fit_names_an_overflowing_gram(spec):
+    # finite rows whose squared norms overflow: the solve used to blame "non-finite values"
+    rng = np.random.default_rng(16)
+    ds = _dataset(rng.normal(size=(60, 10)) * 1e160, np.arange(60) % 3)
+    with pytest.raises(ValueError, match="overflow"):
+        lssvm.fit(ds, spec, 1.0)
+
+
 def test_degenerate_system_raises_numerical_error():
     # K + I/C = all-ones matrix gives the bordered system two identical rows
     kmat = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emgadapt import lssvm, model_selection
-from emgadapt.kernels import KernelSpec
+from emgadapt.kernels import KernelSpec, gram
 from emgadapt.model_selection import (
     Grid,
     cross_validate,
@@ -241,6 +241,20 @@ def test_select_table_equals_the_reference_on_either_path(seed, counts, grid, sp
     assert select(ds, kfold_labels, grid)[1] == _reference_table(ds, grid)
 
 
+def _assert_kfold_scores_equal_per_fold_retraining(ds, spec, C_values, folds):
+    got = lssvm.kfold_scores(ds, spec, C_values, folds)
+    assert len(got) == len(folds)
+    for f, val in enumerate(folds):
+        assert len(got[f]) == len(C_values)
+        for C, scores in zip(C_values, got[f]):
+            model = lssvm.fit(ds.subset(training_rows(folds, f)), spec, C)
+            want = lssvm.predict(model, ds.features[val])[1]
+            assert np.max(np.abs(scores - want)) <= 1e-8
+            # an absent class keeps its default solution's constant exactly
+            absent = np.setdiff1d(np.arange(ds.num_classes), ds.labels[training_rows(folds, f)])
+            assert np.all(scores[:, absent] == -1.0)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "linear"])
 @pytest.mark.parametrize("seed, counts, grid", SELECT_CASES, ids=SELECT_IDS)
 def test_kfold_scores_equal_per_fold_retraining(seed, counts, grid, kind):
@@ -251,17 +265,56 @@ def test_kfold_scores_equal_per_fold_retraining(seed, counts, grid, kind):
     else:  # rank 3 (three features): most eigenvalues of K are round-off
         specs = [KernelSpec("linear")]
     for spec in specs:
-        got = lssvm.kfold_scores(ds, spec, grid.C_values, folds)
-        assert len(got) == len(folds)
-        for f, val in enumerate(folds):
-            assert len(got[f]) == len(grid.C_values)
-            for C, scores in zip(grid.C_values, got[f]):
-                model = lssvm.fit(ds.subset(training_rows(folds, f)), spec, C)
-                want = lssvm.predict(model, ds.features[val])[1]
-                assert np.max(np.abs(scores - want)) <= 1e-8
-                # an absent class keeps its default solution's constant exactly
-                absent = np.setdiff1d(np.arange(ds.num_classes), ds.labels[training_rows(folds, f)])
-                assert np.all(scores[:, absent] == -1.0)
+        _assert_kfold_scores_equal_per_fold_retraining(ds, spec, grid.C_values, folds)
+
+
+SPLIT_SHAPES = ["shuffled-blocks", "all-singletons", "linear-with-negative-entries"]
+
+
+def _split_case(shape):
+    """(dataset, kernel, block of each row): the connected blocks that the Gram's
+    entries at or above (eps / n) max_i K_ii form, each of them dense."""
+    rng = np.random.default_rng(31)
+    if shape == "shuffled-blocks":
+        # 4 clusters 20 apart on the first axis: at gamma = 1 every entry across
+        # clusters underflows to 0 and every entry within one stays above 1e-5
+        block = np.repeat(np.arange(4), 12)
+        feats = 0.5 * rng.normal(size=(48, 3))
+        feats[:, 0] += 20.0 * block
+        perm = rng.permutation(48)
+        return Dataset(feats[perm], perm % 3, 3), KernelSpec("gaussian", 1.0), block[perm]
+    ds = _noisy_blobs(3, (14, 13, 13))
+    if shape == "all-singletons":  # every squared distance times gamma exceeds 40
+        return ds, KernelSpec("gaussian", 1e4), np.arange(len(ds))
+    # centered features: about half of the linear Gram's entries are negative
+    centered = Dataset(ds.features - ds.features.mean(axis=0), ds.labels, ds.num_classes)
+    return centered, KernelSpec("linear"), np.zeros(len(ds), dtype=int)
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_kfold_scores_equal_per_fold_retraining_where_the_gram_splits(shape):
+    ds, spec, _ = _split_case(shape)
+    folds = stratified_folds(ds.labels, 5, 1)
+    _assert_kfold_scores_equal_per_fold_retraining(ds, spec, (0.1, 1.0, 10.0, 100.0), folds)
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_gram_eigh_decomposes_the_flushed_gram_one_block_at_a_time(shape, monkeypatch):
+    ds, spec, block = _split_case(shape)
+    k = gram(spec, ds.features, ds.features)
+    n, eps = len(k), np.finfo(float).eps
+    flushed = np.where(np.abs(k) < eps / n * np.diag(k).max(), 0.0, k)
+    same = block[:, None] == block[None, :]
+    assert np.all(flushed[~same] == 0.0) and np.all(flushed[same] != 0.0)
+    if spec.kind == "linear":  # the rule looks at |K_ij|: negative entries stay
+        assert np.array_equal(flushed < 0, k < 0) and np.sum(k < 0) > n * n / 4
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    lam, vecs = lssvm._gram_eigh(spec, ds.features)
+    # one eigh per block of 2+ rows, none for a single row
+    assert sorted(sizes) == sorted(c for c in np.bincount(block) if c > 1)
+    assert np.linalg.norm((vecs * lam) @ vecs.T - flushed, 2) <= n * eps * np.linalg.norm(k, 2)
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(n), 2) <= n * eps
 
 
 @pytest.mark.parametrize("n", [40, 100, 160, 250, 500, 600, 1000])
@@ -283,6 +336,37 @@ def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time(peak_bytes):
     # eigenvectors, plus fold-sized work; keeping every gamma's eigenvectors
     # alive would reach 5
     assert peak < 2.5 * n * n * 8
+
+
+def test_spectral_scorer_peak_memory_holds_where_the_gram_splits(peak_bytes):
+    # 392 rows as above and 8 rows 1000 apart: one block of 392 rows and 8
+    # single rows at gamma <= 1, then smaller blocks at gamma 100 and 1000
+    rng = np.random.default_rng(6)
+    n = 400
+    ds = _noisy_blobs(7, (98, 98, 98, 98))
+    far = 1000.0 * np.arange(1, 9)[:, None] * np.ones(3)
+    ds = Dataset(np.concatenate([ds.features + rng.normal(size=ds.features.shape), far]),
+                 np.concatenate([ds.labels, np.arange(8) % 4]), 4)
+    grid = Grid(C_values=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), gamma_values=(0.01, 1.0, 100.0, 1000.0), folds=5)
+    assert spectral_cv_is_cheaper(n, grid.folds, len(grid.C_values))
+    select(ds, kfold_labels, grid)
+    _, peak = peak_bytes(lambda: select(ds, kfold_labels, grid))
+    # the flush works 256 rows at a time and the Gram is freed once its blocks
+    # are copied out, so no gamma holds more than the dense eigh's arrays
+    assert peak < 2.5 * n * n * 8
+
+
+@pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
+def test_either_cv_path_names_an_overflowing_gram(spectral, monkeypatch):
+    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
+    rng = np.random.default_rng(16)
+    # finite rows whose squared norms overflow: unchecked, half the Gram was NaN
+    ds = Dataset(rng.normal(size=(60, 10)) * 1e160, np.arange(60) % 3, 3)
+    grid = Grid(C_values=(0.1, 1.0, 10.0), gamma_values=(1.0, 100.0), folds=3)
+    with pytest.raises(ValueError, match="overflow"):
+        select(ds, kfold_labels, grid)
+    with pytest.raises(ValueError, match="overflow"):
+        kfold_labels(ds, KernelSpec("linear"), grid.C_values, stratified_folds(ds.labels, grid.folds, 0))
 
 
 def test_kfold_scores_reject_a_shift_below_the_eigenvalue_round_off(monkeypatch):
