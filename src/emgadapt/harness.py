@@ -52,7 +52,7 @@ from .model_selection import (
     Grid, as_int, check_grid_values, cross_validate, kfold_labels, select, training_rows,
 )
 from .multi_adapt import fit_ma, predict_ma, source_scores
-from .signals import Dataset, apply_normalizer, fit_normalizer, format_float
+from .signals import CONDITIONS, Dataset, apply_normalizer, fit_normalizer, format_float
 
 METHODS = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
 EXPERIMENTS = ("II", "AA", "AI")
@@ -117,6 +117,11 @@ class SubjectData:
     condition: str
     train: Dataset
     test: Dataset
+
+    def __post_init__(self):
+        if self.condition not in CONDITIONS:
+            raise ValueError(f"subject {self.subject_id}: condition must be one of "
+                             f"{CONDITIONS}, got {self.condition!r}")
 
 
 @dataclass

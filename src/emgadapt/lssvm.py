@@ -112,39 +112,20 @@ def solve_dual_system(
 
 
 def fit(train: Dataset, kernel_spec: KernelSpec, C: float) -> LssvmModel:
-    return fit_for_each_C(train, kernel_spec, (C,))[0]
-
-
-def fit_for_each_C(
-    train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float]
-) -> list[LssvmModel]:
-    """One model per C, all solved on one Gram and one target matrix.
-
-    Each model equals `fit(train, kernel_spec, C)` bit for bit.  The models
-    share one copy of the training features as support inputs.
-    """
-    if not all(C > 0 for C in C_values):
+    if not C > 0:
         raise ValueError("C must be > 0")
-    n = len(train)
-    if n < 2:
+    if len(train) < 2:
         raise ValueError("need at least 2 training samples")
     kmat = gram(kernel_spec, train.features, train.features)
-    targets = ova_targets(train.labels, train.num_classes)
-    support = train.features.copy()
-    models = []
-    for C in C_values:
-        alphas, biases = solve_dual_system(kmat, C, targets)
-        models.append(
-            LssvmModel(
-                kernel=kernel_spec,
-                C=C,
-                num_classes=train.num_classes,
-                support_inputs=support,
-                alphas=alphas,
-                biases=biases,
-            )
-        )
-    return models
+    alphas, biases = solve_dual_system(kmat, C, ova_targets(train.labels, train.num_classes))
+    return LssvmModel(
+        kernel=kernel_spec,
+        C=C,
+        num_classes=train.num_classes,
+        support_inputs=train.features.copy(),
+        alphas=alphas,
+        biases=biases,
+    )
 
 
 def decision_scores(model: LssvmModel, X: np.ndarray) -> np.ndarray:

@@ -33,14 +33,11 @@ objective and the epoch it came from are kept on the model.
 
 Lockstep: `fit_for_each_config` trains several (p, lam) configs that share
 the rows, gamma, seed (so the sample order) and epoch counts at once.  The
-block Grams are built once, and the cached state carries a leading candidate
-axis, so a step costs a fixed number of array operations whatever the
-number of candidates.  Every operation keeps the float form of a one-config
-fit, so each model is bit for bit the one `fit_mkal` returns: candidates are
-grouped by p so that powers keep a scalar exponent, the group norm's root is
-taken one candidate at a time, block sums stay outer-axis and norm sums
-inner-axis reductions, and a step updates only the candidates whose margin
-it violates.  `fit_mkal` is the one-config case.
+block Grams are built once; p, lam and the cached state carry a leading
+candidate axis, so a step costs a fixed number of array operations whatever
+the number of candidates.  Each candidate stays independent of the others
+element by element, so every model is bit for bit the one `fit_mkal`, the
+one-config case, returns.
 """
 
 from __future__ import annotations
@@ -130,11 +127,12 @@ def _fold_small_multipliers(
 ) -> None:
     """Fold multipliers below 1e-6 into the stored duals, scores and squared
     norms and reset them to 1, so that 1/m stays tame."""
-    for j, kb in zip(*np.nonzero(m < 1e-6)):
-        c_hat[j, kb] *= m[j, kb]
-        f_hat[j, kb] *= m[j, kb]
-        sq_hat[j, kb] *= m[j, kb] * m[j, kb]
-        m[j, kb] = 1.0
+    small = m < 1e-6
+    ms = m[small]
+    c_hat[small] *= ms[:, None, None]
+    f_hat[small] *= ms[:, None, None]
+    sq_hat[small] *= ms * ms
+    m[small] = 1.0
 
 
 def fit_mkal(train: Dataset, s_train: np.ndarray, cfg: MkalConfig) -> MkalModel:
@@ -164,17 +162,12 @@ def fit_for_each_config(
     first = cfgs[0]
     kernel0 = KernelSpec("gaussian", first.gamma)
 
-    # candidates sorted by p, so each p is a contiguous slice of the
-    # candidate axis and every power keeps a scalar exponent
-    order = sorted(range(len(cfgs)), key=lambda j: cfgs[j].p)
-    cands = [cfgs[j] for j in order]
-    nc = len(cands)
-    lams = np.array([c.lam for c in cands])
-    inv_p = [1.0 / c.p for c in cands]
-    p_slices: list[tuple[float, slice]] = []
-    for j, c in enumerate(cands):
-        start = p_slices.pop()[1].start if p_slices and p_slices[-1][0] == c.p else j
-        p_slices.append((c.p, slice(start, j + 1)))
+    nc = len(cfgs)
+    lams = np.array([c.lam for c in cfgs])
+    # p on the candidate axis: every power takes an array exponent, so a
+    # candidate's bits never depend on which others share its fit
+    p_col = np.array([c.p for c in cfgs])[:, None]
+    inv_p = 1.0 / p_col[:, 0]
 
     grams = _block_grams(kernel0, train.features, s_tensor)
     nb = grams.shape[0]
@@ -196,24 +189,16 @@ def fit_for_each_config(
     cand_idx = np.arange(nc)
     row_idx = np.arange(n)
 
-    def group_norms(norms: np.ndarray) -> list[float]:
+    def group_norms(norms: np.ndarray) -> np.ndarray:
         """Each candidate's group_norm, without its input check (these norms are square roots)."""
-        sums: list[float] = []
-        for p, sl in p_slices:
-            sums += (norms[sl] ** p).sum(axis=1).tolist()
-        return [s**ip for s, ip in zip(sums, inv_p)]
+        return (norms**p_col).sum(axis=1) ** inv_p
 
     def shrink_factors(eta_lam: np.ndarray) -> np.ndarray:
         norms = np.sqrt(np.maximum(m * m * sq_hat, 0.0))
-        q = group_norms(norms)
-        pos = norms > 0.0
-        if 0.0 in q:  # a candidate with a zero group norm is not shrunk
-            pos[np.array(q) == 0.0] = False
-            q = [qj or 1.0 for qj in q]
-        base = np.where(pos, norms, 1.0) / np.array(q)[:, None]
-        for p, sl in p_slices:
-            base[sl] = base[sl] ** (p - 2.0)
-        return np.maximum(0.0, 1.0 - eta_lam[:, None] * np.where(pos, base, 0.0))
+        q = group_norms(norms)[:, None]
+        pos = (norms > 0.0) & (q > 0.0)  # a candidate with a zero group norm is not shrunk
+        base = np.where(pos, norms, 1.0) / np.where(q > 0.0, q, 1.0)
+        return np.maximum(0.0, 1.0 - eta_lam[:, None] * np.where(pos, base ** (p_col - 2.0), 0.0))
 
     def apply_shrink(eta_lam: np.ndarray):
         m[...] = m * shrink_factors(eta_lam)
@@ -224,21 +209,20 @@ def fit_for_each_config(
         """Training scores, candidates x rows x classes (a transposed view)."""
         return (m[:, :, None, None] * f_hat).sum(axis=1).transpose(0, 2, 1)
 
-    # the zero model scores objective exactly 1 and is always a candidate
-    best_obj = [1.0] * nc
-    best_epoch: list[int | None] = [None] * nc
+    # the zero model scores objective exactly 1 and is always a candidate;
+    # epochs count from 1, so best_epoch 0 is the zero model
+    best_obj = np.ones(nc)
+    best_epoch = np.zeros(nc, dtype=int)
     best_duals = np.zeros((nc, nb, n, g))
 
     def keep_best(epoch: int) -> np.ndarray:
         """Keep each candidate's iterate if it beats its best objective; returns the scores."""
         scores = scores_now()
-        loss = _hinge_losses(scores, labels).mean(axis=1).tolist()
         q = group_norms(np.sqrt(np.maximum(m * m * sq_hat, 0.0)))
-        for j, c in enumerate(cands):
-            obj = c.lam / 2.0 * q[j] ** 2 + loss[j]
-            if obj < best_obj[j]:
-                best_obj[j], best_epoch[j] = obj, epoch
-                best_duals[j] = m[j, :, None, None] * c_hat[j]
+        obj = lams / 2.0 * q**2 + _hinge_losses(scores, labels).mean(axis=1)
+        better = obj < best_obj
+        best_obj[better], best_epoch[better] = obj[better], epoch
+        best_duals[better] = m[better, :, None, None] * c_hat[better]
         return scores
 
     # step sizes 1 / (lam * t) at every step t = 1, 2, ... of both phases
@@ -299,18 +283,17 @@ def fit_for_each_config(
             du[which, rows, yhat[v][which, rows]] = -1.0
             kdu = grams @ du[:, None]
             delta = etas[t - 1, v, None] / (n * m[v])
-            # ||c + delta du||_K^2 = ||c||_K^2 + 2 delta <K c, du> + delta^2 <du, K du>,
-            # the inner products taken over rows x classes as the duals are stored
-            cross = [[np.vdot(f_hat[j, kb].T, du[a]) for kb in range(nb)] for a, j in enumerate(v)]
-            quad = [[np.vdot(du[a], kdu[a, kb]) for kb in range(nb)] for a in range(len(v))]
-            sq_hat[v] += 2.0 * delta * np.array(cross) + delta * delta * np.array(quad)
+            # ||c + delta du||_K^2 = ||c||_K^2 + 2 delta <K c, du> + delta^2 <du, K du>
+            cross = (f_hat[v] * du.transpose(0, 2, 1)[:, None]).sum(axis=(2, 3))
+            quad = (du[:, None] * kdu).sum(axis=(2, 3))
+            sq_hat[v] += 2.0 * delta * cross + delta * delta * quad
             c_hat[v] += delta[:, :, None, None] * du[:, None]
             f_hat[v] += (delta[:, :, None, None] * kdu).transpose(0, 1, 3, 2)
         scores = keep_best(epoch)
 
     final_norms = np.sqrt(np.maximum(_block_sq_norms(grams, best_duals), 0.0))
     inputs, scores_copy = train.features.copy(), s_tensor.copy()
-    models = [
+    return [
         MkalModel(
             c.p,
             c.lam,
@@ -320,12 +303,11 @@ def fit_for_each_config(
             train_source_scores=scores_copy,
             dual_coeffs=best_duals[j],
             block_norms=final_norms[j],
-            best_objective=best_obj[j],
-            best_epoch=best_epoch[j],
+            best_objective=float(best_obj[j]),
+            best_epoch=int(best_epoch[j]) or None,
         )
-        for j, c in enumerate(cands)
+        for j, c in enumerate(cfgs)
     ]
-    return [models[order.index(j)] for j in range(nc)]
 
 
 def predict_mkal(

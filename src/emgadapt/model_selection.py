@@ -171,9 +171,11 @@ def kfold_labels(
 
     out[f][j] labels the rows folds[f] by `lssvm.fit` at C_values[j] on the
     rows `training_rows(folds, f)`.  Takes the cheaper path by
-    `spectral_cv_is_cheaper`: `lssvm.kfold_scores`, or per fold one
-    `fit_for_each_C` and one query Gram.  Their scores agree to round-off, so
-    labels can differ only where two classes' scores tie to round-off.
+    `spectral_cv_is_cheaper`: `lssvm.kfold_scores`, or per fold one Gram of
+    the training rows, one `lssvm.solve_dual_system` per C on it and one
+    query Gram, the operations `lssvm.fit` runs.  Their scores agree to
+    round-off, so labels can differ only where two classes' scores tie to
+    round-off.
     """
     if spectral_cv_is_cheaper(len(train), len(folds), len(C_values)):
         scores = lssvm.kfold_scores(train, kernel_spec, C_values, folds)
@@ -182,7 +184,13 @@ def kfold_labels(
     lssvm.check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
     labels = []
     for f, val in enumerate(folds):
-        models = lssvm.fit_for_each_C(train.subset(training_rows(folds, f)), kernel_spec, C_values)
-        kq = gram(kernel_spec, train.features[val], models[0].support_inputs)
-        labels.append([np.argmax(kq @ m.alphas + m.biases, axis=1) for m in models])
+        fold = train.subset(training_rows(folds, f))
+        if len(fold) < 2:
+            raise ValueError("need at least 2 training samples")
+        kmat = gram(kernel_spec, fold.features, fold.features)
+        targets = lssvm.ova_targets(fold.labels, fold.num_classes)
+        solved = [lssvm.solve_dual_system(kmat, C, targets) for C in C_values]
+        del kmat  # freed before the query Gram, as after a fit
+        kq = gram(kernel_spec, train.features[val], fold.features)
+        labels.append([np.argmax(kq @ alphas + biases, axis=1) for alphas, biases in solved])
     return labels

@@ -43,8 +43,8 @@ class Recording:
     def __post_init__(self):
         if self.condition not in CONDITIONS:
             raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
-        if not self.sampling_rate_hz > 0:
-            raise ValueError("sampling_rate_hz must be > 0")
+        if not 0 < self.sampling_rate_hz < math.inf:
+            raise ValueError(f"sampling_rate_hz must be > 0 and finite, got {self.sampling_rate_hz}")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
         if self.num_classes < 1:
@@ -92,6 +92,8 @@ class WindowSpec:
 
 
 def ms_to_samples(ms: float, rate_hz: float) -> int:
+    if not math.isfinite(ms * rate_hz):
+        raise ValueError(f"{ms} ms at {rate_hz} Hz is not a finite number of samples")
     # half-up rounding keeps window geometry stable across platforms
     n = int(math.floor(ms * rate_hz / 1000.0 + 0.5))
     if n < 1:
@@ -166,7 +168,11 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        idx = np.asarray(idx, dtype=int)
+        """The rows at the integer positions `idx`; a boolean mask or float positions raise."""
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"subset needs integer row positions, got dtype {idx.dtype}")
+        idx = idx.astype(int)
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 

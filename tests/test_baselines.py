@@ -138,13 +138,18 @@ def test_prior_features_builds_one_gram_per_fold(monkeypatch):
     rng = np.random.default_rng(3)
     sources = [lssvm.fit(_noisy_blobs(rng, (15, 15, 15)), KernelSpec("gaussian", 1.0), 1.0)]
     calls = []
-    fit_for_each_C = lssvm.fit_for_each_C
+    solve = lssvm.solve_dual_system
 
-    def counted(train, kernel_spec, C_values):
-        calls.append(tuple(C_values))
-        return fit_for_each_C(train, kernel_spec, C_values)
+    def counted(kmat, C, targets):
+        calls.append((kmat, C))
+        return solve(kmat, C, targets)
 
-    monkeypatch.setattr(lssvm, "fit_for_each_C", counted)
+    monkeypatch.setattr(lssvm, "solve_dual_system", counted)
     train = _noisy_blobs(rng, (10, 10, 10))
     model = fit_prior_features(train, source_scores(sources, train.features), GRID)
-    assert calls == [tuple(sorted(GRID.C_values))] * GRID.folds + [(model.C,)]
+    # the solves grouped by the Gram they ran on, in first-use order (`calls`
+    # holds every Gram, so no id is reused): one per fold, shared by every C,
+    # then the final fit's
+    grams = {id(kmat): kmat for kmat, _ in calls}.values()
+    per_gram = [tuple(C for kmat, C in calls if kmat is seen) for seen in grams]
+    assert per_gram == [tuple(sorted(GRID.C_values))] * GRID.folds + [(model.C,)]

@@ -611,6 +611,46 @@ def test_non_finite_recording_sample_returns_2(arts, tmp_path, capsys, value):
     assert "s01.csv line 6" in err
 
 
+def _infinite_sidecar_rate(arts, tmp_path):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(arts / "cohort", cohort)
+    doc = json.loads((cohort / "s00.json").read_text())
+    doc["sampling_rate_hz"] = float("inf")  # written as Infinity, which json reads back
+    (cohort / "s00.json").write_text(json.dumps(doc))
+    return ["features", "--in-dir", str(cohort), "--out-dir", str(tmp_path / "f"), "--test-reps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda arts, tmp: ["synth", *SYNTH_FLAGS, "--rate-hz", "inf", "--out-dir", str(tmp / "c")],
+         "not a finite number of samples"),
+        (lambda arts, tmp: ["features", "--in-dir", str(arts / "cohort"), "--out-dir", str(tmp / "f"),
+                            "--window-ms", "inf", "--test-reps", "3"],
+         "not a finite number of samples"),
+        (_infinite_sidecar_rate, "s00.json: sampling_rate_hz must be > 0 and finite, got inf"),
+    ],
+    ids=["synth-rate-hz", "features-window-ms", "recording-sidecar-rate"],
+)
+def test_non_finite_time_value_returns_2(arts, tmp_path, capsys, argv, message):
+    code = main(argv(arts, tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_subject_with_an_unknown_condition_returns_2(arts, tmp_path, capsys):
+    feats = tmp_path / "feats"
+    shutil.copytree(arts / "feats", feats)
+    doc = json.loads((feats / "features.json").read_text())
+    doc["subjects"][1]["condition"] = "Intact"
+    (feats / "features.json").write_text(json.dumps(doc))
+    code = main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 2
+    sid = doc["subjects"][1]["subject_id"]
+    assert f"error: subject {sid}: condition must be one of" in capsys.readouterr().err
+
+
 def test_window_shorter_than_two_samples_returns_2(arts, tmp_path, capsys):
     # 10 ms at the cohort's 100 Hz is one sample per window
     code = main([

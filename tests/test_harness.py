@@ -96,6 +96,16 @@ def test_roles_errors():
         experiment_roles("XX", _dummy_subjects(["intact", "intact"]))
 
 
+def test_subject_with_an_unknown_condition_is_rejected_not_dropped():
+    # "Intact" is neither role: experiment_roles would leave the subject out unseen
+    subs = _cohort(seed=1, intact=3, amputee=1)
+    with pytest.raises(ValueError, match="subject s1: condition must be one of .* got 'Intact'"):
+        run_experiment(
+            _small_cfg(experiment="AI"),
+            [dataclasses.replace(s, condition="Intact") if s.subject_id == "s1" else s for s in subs],
+        )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="ZZ")

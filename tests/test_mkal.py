@@ -1,6 +1,7 @@
 """Multi-kernel training: group norm, objective bound, block behavior."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from emgadapt import lssvm, mkal
+from emgadapt.harness import MkalSelection
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.mkal import (
     MkalConfig,
@@ -401,6 +403,10 @@ LOCKSTEP_CASES = {
     "no-online-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs_online=0),
     "no-batch-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs_batch=0),
     "one-source": dict(grid=[(1.05, 1e-3), (1.5, 1e-2), (2.0, 1e-1)], k=1),
+    # the 16 candidates of a CLI run: p from 1.05 to 2.0, lam from 1e-4 to 1e-1
+    "cli-default-grid": dict(
+        grid=list(itertools.product(MkalSelection().p_grid, MkalSelection().lambda_grid))
+    ),
 }
 
 

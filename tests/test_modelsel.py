@@ -403,6 +403,14 @@ def test_either_cv_path_rejects_exactly_the_ridges_below_the_floor(spectral, mon
             kfold_labels(ds, spec, [1.0, 1.0 / (0.999 * floor)], folds)
 
 
+@pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
+def test_either_cv_path_rejects_a_fold_that_leaves_one_training_row(spectral, monkeypatch):
+    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
+    ds = _noisy_blobs(0, (2, 1))
+    with pytest.raises(ValueError, match="at least 2 training"):
+        kfold_labels(ds, KernelSpec("gaussian", 1.0), [1.0], [np.array([0, 1]), np.array([2])])
+
+
 def test_kfold_scores_validation():
     ds = _noisy_blobs(0, (3, 3))
     spec = KernelSpec("gaussian", 1.0)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -79,6 +80,12 @@ def test_ms_to_samples_rounds_half_up():
     assert WindowSpec(window_ms=2.4, step_ms=2.4).window_samples(1000.0) == 2
     with pytest.raises(ValueError):
         WindowSpec(window_ms=0.4, step_ms=0.4).window_samples(1000.0)
+
+
+@pytest.mark.parametrize("ms, rate", [(math.inf, 1000.0), (200.0, math.inf), (1e300, 1e300)])
+def test_ms_to_samples_rejects_a_non_finite_sample_count(ms, rate):
+    with pytest.raises(ValueError, match="not a finite number of samples"):
+        WindowSpec(window_ms=ms, step_ms=ms).window_samples(rate)
 
 
 def test_window_spec_validation():
@@ -446,6 +453,17 @@ def test_save_recording_writes_the_csv_writer_bytes(tmp_path):
     assert back.labels.tolist() == [11, 0, 10] and back.repetitions.tolist() == [1, 17, 3]
 
 
+def test_subset_takes_integer_positions_only():
+    ds = Dataset(features=np.arange(10.0).reshape(5, 2), labels=[0, 1, 0, 1, 0], num_classes=2)
+    assert ds.subset([4, 0]).features.tolist() == [[8.0, 9.0], [0.0, 1.0]]
+    assert ds.subset(np.array([3], dtype=np.uint8)).labels.tolist() == [1]
+    assert len(ds.subset([])) == 0
+    # a mask cast to int would pick rows 0, 0, 1, 1, 1; floats would be truncated
+    for idx in ([False, False, True, True, True], [0.0, 2.7]):
+        with pytest.raises(ValueError, match="integer row positions"):
+            ds.subset(np.array(idx))
+
+
 def test_save_dataset_writes_the_csv_writer_bytes(tmp_path):
     ds = Dataset(features=_EDGE_VALUES, labels=[10, 11, 3], num_classes=12)
     save_dataset(ds, tmp_path / "ds", ["a", "b", "c", "d"])
@@ -589,6 +607,7 @@ def test_load_recording_rejects_a_header_value_of_the_wrong_type(tmp_path, key, 
     [
         ("condition", "x", "condition must be one of ('intact', 'amputee'), got 'x'"),
         ("sampling_rate_hz", 0, "sampling_rate_hz must be > 0"),
+        ("sampling_rate_hz", math.inf, "sampling_rate_hz must be > 0 and finite, got inf"),
     ],
 )
 def test_load_recording_names_the_sidecar_of_bad_metadata(tmp_path, key, value, message):
