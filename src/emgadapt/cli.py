@@ -26,7 +26,8 @@ from .harness import EXPERIMENTS, METHODS, ExperimentConfig, MkalSelection, Subj
 from .lssvm import NumericalError
 from .model_selection import Grid
 from .signals import (
-    WindowSpec, format_float, load_dataset, load_recording, save_dataset, save_recording,
+    WindowSpec, load_dataset, load_recording, read_json, save_dataset, save_recording, stem_paths,
+    write_json,
 )
 
 # ---------------------------------------------------------------------------
@@ -80,9 +81,7 @@ def _options(args: argparse.Namespace) -> dict:
 def _config_defaults(args: argparse.Namespace) -> dict:
     """The --config file's values as flag text, keyed by option dest."""
     error = args.parser.error
-    doc = json.loads(Path(args.config).read_text())
-    if not isinstance(doc, dict):
-        error(f"config file {args.config} must hold a JSON object")
+    doc = read_json(args.config)
     unknown = sorted(set(doc) - set(_options(args)))
     if unknown:
         error(f"unknown config keys: {', '.join(unknown)}")
@@ -104,10 +103,9 @@ def _config_defaults(args: argparse.Namespace) -> dict:
 
 def _manifest_subjects(path: Path, keys: tuple[str, ...]) -> list[dict]:
     """The `subjects` entries of a cohort or features manifest, each holding `keys`."""
-    doc = json.loads(path.read_text())
-    entries = doc.get("subjects") if isinstance(doc, dict) else None
+    entries = read_json(path, ("subjects",))["subjects"]
     if not isinstance(entries, list):
-        raise ValueError(f"{path}: missing key 'subjects'")
+        raise ValueError(f"{path}: key 'subjects' must be a list")
     for i, entry in enumerate(entries):
         for key in keys:
             if not isinstance(entry, dict) or key not in entry:
@@ -149,7 +147,7 @@ def cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "flags": {k: v for k, v in _options(args).items() if k != "out_dir"},
         "subjects": entries,
     }
-    (outdir / "cohort.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(outdir / "cohort.json", manifest)
     print(f"wrote {len(entries)} recordings and cohort.json to {outdir}")
     return 0
 
@@ -164,10 +162,12 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if manifest_path.exists():
         cohort = _manifest_subjects(manifest_path, ("subject_id", "stem"))
         stems = [(e["subject_id"], e["stem"]) for e in cohort]
+        for sid, _ in stems:  # an id names the subject's feature files
+            if not isinstance(sid, str) or sid in ("", ".", "..") or Path(sid).name != sid:
+                raise ValueError(f"{manifest_path}: subject_id {sid!r} cannot name a file: it must "
+                                 "be a non-empty string, not '.' or '..', with no path separator")
     else:
-        stems = sorted(
-            (p.stem, p.stem) for p in indir.glob("*.json") if p.with_suffix(".csv").exists()
-        )
+        stems = sorted((p.stem, p.stem) for p in indir.glob("*.json") if stem_paths(p)[0].exists())
     if not stems:
         parser.error(f"no recordings found under {indir}")
 
@@ -203,7 +203,7 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         "test_reps": list(args.test_reps),
         "subjects": entries,
     }
-    (outdir / "features.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(outdir / "features.json", manifest)
     total = sum(e["train_count"] + e["test_count"] for e in entries)
     print(f"wrote datasets for {len(entries)} subjects ({total} windows) to {outdir}")
     return 0
@@ -285,33 +285,19 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
     keys = [(label, method, size) for label in labels for method, size in sorted(per_run[label])]
     names = [f"{label}:{method}:{size}" for label, method, size in keys]
-    lines = ["pair," + ",".join(names)]
-    for (label, method, size), name in zip(keys, names):
-        row = [name]
-        for label2, method2, size2 in keys:
-            _, matching = top4_similarity(per_run[label][(method, size)],
-                                          per_run[label2][(method2, size2)])
-            row.append(similarity_cell(len(matching), g))
-        lines.append(",".join(row))
-    path = outdir / "similarity.csv"
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
+    matrices = [per_run[label][(method, size)] for label, method, size in keys]
+    written = [harness.write_table(outdir / "similarity.csv", ["pair", *names], (
+        [name, *(similarity_cell(len(top4_similarity(m, other)[1]), g) for other in matrices)]
+        for name, m in zip(names, matrices)
+    ))]
 
     if len(labels) == 2:
         a, b = labels
-        shared = sorted(set(per_run[a]) & set(per_run[b]))
-        for method, size in shared:
+        for method, size in sorted(set(per_run[a]) & set(per_run[b])):
             diff = confusion_diff(per_run[a][(method, size)], per_run[b][(method, size)])
-            lines = ["pred\\true," + ",".join(str(c) for c in range(g))]
-            for r in range(g):
-                lines.append(f"{r}," + ",".join(format_float(v) for v in diff[r]))
-            path = outdir / f"diff_{method}_{size}.csv"
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
+            written.append(harness.write_matrix_csv(outdir / f"diff_{method}_{size}.csv", diff))
 
     corr_inputs = {}
     for label in labels:
@@ -324,12 +310,8 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 parser.error(f"run {label} has no confusion for {method} at size {size}")
             corr_inputs[f"{label}:{method}"] = per_run[label][(method, size)]
     corr_keys, corr = recognition_correlation(corr_inputs)
-    lines = ["pair," + ",".join(corr_keys)]
-    for i, key in enumerate(corr_keys):
-        lines.append(f"{key}," + ",".join(format_float(v) for v in corr[i]))
-    path = outdir / "correlation.csv"
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
+    written.append(harness.write_table(outdir / "correlation.csv", ["pair", *corr_keys],
+                                       ([key, *row] for key, row in zip(corr_keys, corr.tolist()))))
 
     print(f"analyzed {sum(len(m) for m in per_run.values())} confusion matrices "
           f"from {len(labels)} run(s); wrote {len(written)} files to {outdir}")

@@ -31,7 +31,6 @@ processes, and a seed's cells do not depend on which other seeds run.
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -52,7 +51,7 @@ from .model_selection import (
     Grid, as_int, check_grid_values, cross_validate, kfold_labels, select, training_rows,
 )
 from .multi_adapt import fit_ma, predict_ma, source_scores
-from .signals import CONDITIONS, Dataset, apply_normalizer, fit_normalizer, format_float
+from .signals import CONDITIONS, Dataset, apply_normalizer, fit_normalizer, format_float, write_json
 
 METHODS = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
 EXPERIMENTS = ("II", "AA", "AI")
@@ -417,49 +416,40 @@ def pooled_confusions(result: ExperimentResult) -> dict[tuple[str, int], Confusi
 # file outputs
 
 
+def write_table(path: Path, header: list, rows) -> Path:
+    """Write the header and rows as comma-joined lines, each ending in a newline; a float
+    cell is written by `format_float`, any other cell by `str`.  Returns `path`."""
+    path.write_text("".join(
+        ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in [header, *rows]
+    ))
+    return path
+
+
 def write_run_outputs(result: ExperimentResult, outdir: str | Path) -> list[Path]:
     """Write curves, raw accuracies, pooled confusions and a manifest."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
     curves = learning_curves(result)
-    path = outdir / "curves.csv"
-    lines = ["method,size,mean,min,max"]
-    for method in sorted(curves):
-        cv = curves[method]
-        for i, size in enumerate(cv.sizes):
-            stats = (cv.mean[i], cv.lo[i], cv.hi[i])
-            lines.append(f"{method},{size}," + ",".join(format_float(v) for v in stats))
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-
-    path = outdir / "accuracies.csv"
-    lines = ["method,size,target,seed_index,accuracy"]
-    for c in sorted(result.cells, key=lambda c: (c.method, c.size, c.target_id, c.seed_index)):
-        lines.append(f"{c.method},{c.size},{c.target_id},{c.seed_index},{format_float(c.accuracy)}")
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-
+    written = [write_table(outdir / "curves.csv", ["method", "size", "mean", "min", "max"], (
+        [method, size, cv.mean[i], cv.lo[i], cv.hi[i]]
+        for method, cv in sorted(curves.items()) for i, size in enumerate(cv.sizes)
+    ))]
+    cells = sorted(result.cells, key=lambda c: (c.method, c.size, c.target_id, c.seed_index))
+    written.append(write_table(
+        outdir / "accuracies.csv", ["method", "size", "target", "seed_index", "accuracy"],
+        ([c.method, c.size, c.target_id, c.seed_index, c.accuracy] for c in cells),
+    ))
     for (method, size), cm in pooled_confusions(result).items():
-        path = outdir / f"confusion_{method}_{size}.csv"
-        g = cm.num_classes
-        lines = ["pred\\true," + ",".join(str(c) for c in range(g))]
-        for r in range(g):
-            lines.append(f"{r}," + ",".join(str(int(v)) for v in cm.counts[r]))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-
+        written.append(write_matrix_csv(outdir / f"confusion_{method}_{size}.csv", cm.counts))
     manifest = {
         "config": dataclasses.asdict(result.config),
         "subjects": [{"subject_id": i, "condition": c} for i, c in result.subjects],
         "source_models_trained": result.source_ids,
         "warnings": result.warnings,
     }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    written.append(path)
-    return written
+    write_json(outdir / "manifest.json", manifest)
+    return [*written, outdir / "manifest.json"]
 
 
 def load_run_confusions(run_dir: str | Path) -> dict[tuple[str, int], ConfusionMatrix]:
@@ -474,8 +464,15 @@ def load_run_confusions(run_dir: str | Path) -> dict[tuple[str, int], ConfusionM
     return mats
 
 
+def write_matrix_csv(path: Path, matrix: np.ndarray) -> Path:
+    """Write a G x G matrix as `load_confusion_csv` reads it: a header naming the true
+    classes 0..G-1, then row r as `r,value,...,value` (integer counts or floats)."""
+    return write_table(path, ["pred\\true", *range(len(matrix))],
+                       ([r, *row] for r, row in enumerate(matrix.tolist())))
+
+
 def load_confusion_csv(path: str | Path) -> ConfusionMatrix:
-    """Read a matrix as `write_run_outputs` writes it: a header naming the true
+    """Read a count matrix as `write_matrix_csv` writes it: a header naming the true
     classes 0..G-1, then one row per predicted class r, `r,count,...,count`;
     anything else raises ValueError naming the file and line."""
     lines = Path(path).read_text().strip().split("\n")

@@ -62,9 +62,12 @@ def ova_targets(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def check_ridge(kernel_diag: np.ndarray, C_values: Sequence[float]) -> None:
-    """Raise NumericalError where 1/C <= 2 n eps trace(K), from K's diagonal: a ridge lost in
-    K's round-off.  The factor 2 keeps this above `kfold_scores`' eigenvalue check,
-    n eps max|lam| <= n eps trace(K), by more than eigh's round-off in the smallest lam."""
+    """Raise ValueError unless every C > 0 (NaN included), and NumericalError where
+    1/C <= 2 n eps trace(K), from K's diagonal: a ridge lost in K's round-off.  The
+    factor 2 keeps this above `kfold_scores`' eigenvalue check, n eps max|lam| <= n eps
+    trace(K), by more than eigh's round-off in the smallest lam.  Every solve calls it."""
+    if not all(C > 0 for C in C_values):
+        raise ValueError("C must be > 0")
     floor = 2.0 * len(kernel_diag) * np.finfo(float).eps * float(np.sum(kernel_diag))
     for C in C_values:
         if 1.0 / C <= floor:
@@ -112,8 +115,6 @@ def solve_dual_system(
 
 
 def fit(train: Dataset, kernel_spec: KernelSpec, C: float) -> LssvmModel:
-    if not C > 0:
-        raise ValueError("C must be > 0")
     if len(train) < 2:
         raise ValueError("need at least 2 training samples")
     kmat = gram(kernel_spec, train.features, train.features)
@@ -234,8 +235,6 @@ def kfold_scores(
     resolved above the eigenvalues' round-off, n * eps * max|lam|, or where a
     held-out score is not finite.
     """
-    if not all(C > 0 for C in C_values):
-        raise ValueError("C must be > 0")
     n = len(train)
     if any(len(f) == 0 or n - len(f) < 2 for f in folds):
         raise ValueError("every fold needs at least 1 row and at least 2 training rows outside it")

@@ -164,10 +164,12 @@ def fit_for_each_config(
 
     nc = len(cfgs)
     lams = np.array([c.lam for c in cfgs])
-    # p on the candidate axis: every power takes an array exponent, so a
-    # candidate's bits never depend on which others share its fit
+    # p on the candidate axis, so a candidate's bits never depend on which others
+    # share its fit; numpy squares and roots for a lone exponent 2 or 0.5 (one
+    # candidate) but calls pow for several, so p = 2 squares and roots itself
     p_col = np.array([c.p for c in cfgs])[:, None]
     inv_p = 1.0 / p_col[:, 0]
+    square = p_col == 2.0
 
     grams = _block_grams(kernel0, train.features, s_tensor)
     nb = grams.shape[0]
@@ -191,7 +193,8 @@ def fit_for_each_config(
 
     def group_norms(norms: np.ndarray) -> np.ndarray:
         """Each candidate's group_norm, without its input check (these norms are square roots)."""
-        return (norms**p_col).sum(axis=1) ** inv_p
+        total = np.where(square, norms * norms, norms**p_col).sum(axis=1)
+        return np.where(square[:, 0], np.sqrt(total), total**inv_p)
 
     def shrink_factors(eta_lam: np.ndarray) -> np.ndarray:
         norms = np.sqrt(np.maximum(m * m * sq_hat, 0.0))

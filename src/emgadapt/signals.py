@@ -316,13 +316,32 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def _json_header(path: Path, keys: tuple[str, ...]) -> dict:
-    """The JSON object in `path`, checked to hold every key in `keys`."""
-    doc = json.loads(path.read_text())
+def stem_paths(stem: str | Path) -> tuple[Path, Path]:
+    """The `<stem>.csv` and `<stem>.json` a stem names.  Only a trailing `.csv` or
+    `.json` is stripped first, so a dot elsewhere (`p.1_train`) stays in the name."""
+    stem = Path(stem)
+    if stem.suffix in (".csv", ".json"):
+        stem = stem.with_suffix("")
+    return Path(f"{stem}.csv"), Path(f"{stem}.json")
+
+
+def read_json(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
+    """The JSON object in `path`, checked to hold every key in `keys`; every error names `path`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: must hold a JSON object")
     for key in keys:
-        if not isinstance(doc, dict) or key not in doc:
+        if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
     return doc
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write `doc` as the package writes every JSON file: sorted keys, indent 2, a final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _positive_int(path: Path, doc: dict, key: str) -> int:
@@ -377,7 +396,7 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray, *int_columns: 
 
 def save_recording(rec: Recording, stem: str | Path) -> None:
     """Write <stem>.json (metadata) and <stem>.csv (samples)."""
-    stem = Path(stem)
+    path, meta_path = stem_paths(stem)
     meta = {
         "subject_id": rec.subject_id,
         "condition": rec.condition,
@@ -385,24 +404,20 @@ def save_recording(rec: Recording, stem: str | Path) -> None:
         "channels": rec.channels,
         "num_classes": rec.num_classes,
     }
-    stem.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_json(meta_path, meta)
     header = [f"ch_{c + 1}" for c in range(rec.channels)] + ["label", "repetition"]
-    _write_csv(stem.with_suffix(".csv"), header, rec.samples, rec.labels, rec.repetitions)
+    _write_csv(path, header, rec.samples, rec.labels, rec.repetitions)
 
 
 def load_recording(stem: str | Path) -> Recording:
-    stem = Path(stem)
-    if stem.suffix:
-        stem = stem.with_suffix("")
-    meta_path = stem.with_suffix(".json")
-    meta = _json_header(
+    path, meta_path = stem_paths(stem)
+    meta = read_json(
         meta_path, ("channels", "subject_id", "condition", "sampling_rate_hz", "num_classes")
     )
     c, g = _positive_int(meta_path, meta, "channels"), _positive_int(meta_path, meta, "num_classes")
     rate = meta["sampling_rate_hz"]
     if type(rate) not in (int, float):
         raise ValueError(f"{meta_path}: key 'sampling_rate_hz' must be a number, got {rate!r}")
-    path = stem.with_suffix(".csv")
     header = [f"ch_{i + 1}" for i in range(c)] + ["label", "repetition"]
     samples, (labels, reps) = _read_csv(path, header, 2, "recording")
     if not len(samples):
@@ -421,11 +436,9 @@ def save_dataset(ds: Dataset, stem: str | Path, names: list[str]) -> None:
     """Write <stem>.csv (features + label) and <stem>.json (sidecar: names, num_classes)."""
     if len(names) != ds.dim:
         raise ValueError(f"{len(names)} feature names for {ds.dim} feature columns")
-    stem = Path(stem)
-    sidecar = {"feature_names": list(names), "num_classes": ds.num_classes}
-    stem.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    _write_csv(stem.with_suffix(".csv"), [f"f_{i + 1}" for i in range(ds.dim)] + ["label"],
-               ds.features, ds.labels)
+    path, meta_path = stem_paths(stem)
+    write_json(meta_path, {"feature_names": list(names), "num_classes": ds.num_classes})
+    _write_csv(path, [f"f_{i + 1}" for i in range(ds.dim)] + ["label"], ds.features, ds.labels)
 
 
 def load_dataset(stem: str | Path) -> Dataset:
@@ -433,15 +446,11 @@ def load_dataset(stem: str | Path) -> Dataset:
 
     Other sidecar keys, such as an old `norm_stats`, are ignored.
     """
-    stem = Path(stem)
-    if stem.suffix:
-        stem = stem.with_suffix("")
-    meta_path = stem.with_suffix(".json")
-    sidecar = _json_header(meta_path, ("feature_names", "num_classes"))
+    path, meta_path = stem_paths(stem)
+    sidecar = read_json(meta_path, ("feature_names", "num_classes"))
     names, g = sidecar["feature_names"], _positive_int(meta_path, sidecar, "num_classes")
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise ValueError(f"{meta_path}: key 'feature_names' must be a non-empty list of strings")
-    path = stem.with_suffix(".csv")
     header = [f"f_{i + 1}" for i in range(len(names))] + ["label"]
     features, (labels,) = _read_csv(path, header, 1, "dataset")
     _check_rows(path, ~np.isfinite(features).all(axis=1), "features contain non-finite values")

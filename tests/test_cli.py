@@ -249,6 +249,55 @@ def test_analyze_corr_size_selection(arts, tmp_path):
     assert exc.value.code == 2
 
 
+def _matrix_csv(rows: list[str]) -> str:
+    return "pred\\true,0,1,2,3,4,5\n" + "".join(f"{r},{row}\n" for r, row in enumerate(rows))
+
+
+def test_analyze_writes_the_expected_text(tmp_path):
+    # every column sums to 4, so normalized entries and diffs are exact in binary; the recognition
+    # rates are 0.75 + 0.25 v (runA:MA), 0.75 - 0.25 v (runB:MA) and 0.5 + 0.25 v (runB:NoTransfer)
+    # with v = (1, -1, 1, -1, 0, 0), and 1 for every class of runA:NoTransfer: correlations are +-1 or nan
+    runs = {
+        "runA": {
+            "MA_8": ["4,0,0,0,0,0", "0,2,0,0,0,0", "0,0,4,0,0,0", "0,0,0,2,0,0", "0,0,0,0,3,1",
+                     "0,2,0,2,1,3"],
+            "NoTransfer_8": ["4,0,0,0,0,0", "0,4,0,0,0,0", "0,0,4,0,0,0", "0,0,0,4,0,0",
+                             "0,0,0,0,4,0", "0,0,0,0,0,4"],
+        },
+        "runB": {
+            "MA_8": ["2,0,0,0,0,0", "0,4,0,0,0,0", "0,0,2,0,0,1", "0,0,1,4,1,0", "1,0,1,0,3,0",
+                     "1,0,0,0,0,3"],
+            "NoTransfer_16": ["3,0,0,1,0,0", "0,1,0,0,0,2", "0,0,3,0,0,0", "0,1,0,1,2,0",
+                              "0,1,1,1,2,0", "1,1,0,1,0,2"],
+        },
+    }
+    for run, matrices in runs.items():
+        (tmp_path / run).mkdir()
+        for key, rows in matrices.items():
+            (tmp_path / run / f"confusion_{key}.csv").write_text(_matrix_csv(rows))
+    out = tmp_path / "ana"
+    assert main(["analyze", "--runs", str(tmp_path / "runA"), str(tmp_path / "runB"),
+                 "--out-dir", str(out)]) == 0
+    expected = {
+        "correlation.csv": "pair,runA:MA,runA:NoTransfer,runB:MA,runB:NoTransfer\n"
+                           "runA:MA,1.0,nan,-1.0,1.0\n"
+                           "runA:NoTransfer,nan,1.0,nan,nan\n"
+                           "runB:MA,-1.0,nan,1.0,-1.0\n"
+                           "runB:NoTransfer,1.0,nan,-1.0,1.0\n",
+        "diff_MA_8.csv": _matrix_csv(["0.5,0.0,0.0,0.0,0.0,0.0", "0.0,-0.5,0.0,0.0,0.0,0.0",
+                                      "0.0,0.0,0.5,0.0,0.0,-0.25", "0.0,0.0,-0.25,-0.5,-0.25,0.0",
+                                      "-0.25,0.0,-0.25,0.0,0.0,0.25", "-0.25,0.5,0.0,0.5,0.25,0.0"]),
+        "similarity.csv": "pair,runA:MA:8,runA:NoTransfer:8,runB:MA:8,runB:NoTransfer:16\n"
+                          "runA:MA:8,100% (6/6),100% (6/6),83% (5/6),83% (5/6)\n"
+                          "runA:NoTransfer:8,100% (6/6),100% (6/6),83% (5/6),67% (4/6)\n"
+                          "runB:MA:8,83% (5/6),83% (5/6),100% (6/6),67% (4/6)\n"
+                          "runB:NoTransfer:16,83% (5/6),67% (4/6),67% (4/6),100% (6/6)\n",
+    }
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
 # ---------------------------------------------------------------------------
 # config files and error handling
 
@@ -702,6 +751,71 @@ def test_manifest_entry_without_a_required_key_returns_2(arts, tmp_path, capsys)
     code = main(["features", "--in-dir", str(cohort), "--out-dir", str(tmp_path / "f")])
     assert code == 2
     assert "cohort.json: subject entry 0 lacks key 'stem'" in capsys.readouterr().err
+
+
+def test_dotted_subject_ids_keep_every_split_in_its_own_files(arts, tmp_path):
+    # a dot in an id stays in its file names: three subjects give six split pairs
+    cohort, feats = tmp_path / "cohort", tmp_path / "feats"
+    shutil.copytree(arts / "cohort", cohort)
+    doc = json.loads((cohort / "cohort.json").read_text())
+    for i, entry in enumerate(doc["subjects"]):
+        entry["subject_id"] = f"p.{i + 1}"
+    (cohort / "cohort.json").write_text(json.dumps(doc))
+    assert main(["features", "--in-dir", str(cohort), "--out-dir", str(feats),
+                 "--window-ms", "100", "--step-ms", "50", "--test-reps", "3"]) == 0
+    manifest = json.loads((feats / "features.json").read_text())
+    splits = [f"p.{i}_{part}" for i in (1, 2, 3) for part in ("train", "test")]
+    assert sorted(p.name for p in feats.iterdir()) == sorted(
+        ["features.json", *(f"{stem}{ext}" for stem in splits for ext in (".csv", ".json"))]
+    )
+    for entry in manifest["subjects"]:
+        for part in ("train", "test"):
+            assert len(signals.load_dataset(feats / entry[f"{part}_stem"])) == entry[f"{part}_count"]
+    assert main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS]) == 0
+
+
+@pytest.mark.parametrize("subject_id", ["", ".", "..", "../x", "a/b", "/x", 3])
+def test_subject_id_that_cannot_name_a_file_returns_2(arts, tmp_path, capsys, subject_id):
+    cohort = tmp_path / "in" / "cohort"
+    shutil.copytree(arts / "cohort", cohort)
+    doc = json.loads((cohort / "cohort.json").read_text())
+    doc["subjects"][1]["subject_id"] = subject_id
+    (cohort / "cohort.json").write_text(json.dumps(doc))
+    out = tmp_path / "in" / "f"
+    code = main(["features", "--in-dir", str(cohort), "--out-dir", str(out), "--test-reps", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{cohort / 'cohort.json'}: subject_id {subject_id!r} cannot name a file" in err
+    assert not out.exists() and sorted(p.name for p in (tmp_path / "in").iterdir()) == ["cohort"]
+
+
+def _features_argv(tmp):
+    return ["features", "--in-dir", tmp / "cohort", "--out-dir", tmp / "o", "--test-reps", "3"]
+
+
+def _run_argv(tmp):
+    return ["run", "--features", tmp / "feats", "--out-dir", tmp / "o", *RUN_FLAGS]
+
+
+@pytest.mark.parametrize(
+    "argv, relative",
+    [
+        (_features_argv, "cohort/s01.json"),
+        (_run_argv, "feats/s01_test.json"),
+        (_features_argv, "cohort/cohort.json"),
+        (_run_argv, "feats/features.json"),
+        (lambda tmp: ["synth", "--config", tmp / "config.json", "--out-dir", tmp / "o"], "config.json"),
+    ],
+    ids=["recording-sidecar", "feature-sidecar", "cohort-manifest", "features-manifest", "config"],
+)
+def test_unparsable_json_returns_2_naming_its_file(arts, tmp_path, capsys, argv, relative):
+    for name in ("cohort", "feats"):
+        shutil.copytree(arts / name, tmp_path / name)
+    path = tmp_path / relative
+    path.write_text('{"subjects": [],}')  # the trailing comma is what json rejects
+    assert main([str(a) for a in argv(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON: Expecting property name"), err
 
 
 def test_missing_input_dir_exits_2(tmp_path):

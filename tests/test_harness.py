@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from emgadapt.analysis import ConfusionMatrix
 from emgadapt.harness import (
+    CellResult,
     ExperimentConfig,
+    ExperimentResult,
     MkalSelection,
     SubjectData,
     experiment_roles,
@@ -454,6 +457,107 @@ def test_write_run_outputs_and_round_trip(tmp_path):
     write_run_outputs(res, again)
     for p in written:
         assert (again / p.name).read_bytes() == p.read_bytes()
+
+
+def test_write_run_outputs_writes_the_expected_text(tmp_path):
+    # a result built by hand, its accuracies exact in binary, so no figure depends on BLAS
+    cfg = ExperimentConfig(
+        "II", methods=("NoTransfer", "MA"), size_schedule=(2, 4), seeds=(0, 1),
+        grid=Grid(C_values=(1.0,), gamma_values=(0.5,), folds=2),
+        mkal=MkalSelection(p_grid=(1.5,), lambda_grid=(0.25,), epochs_online=1, epochs_batch=2),
+        source_train_cap=None,
+    )
+    cells = [
+        CellResult(target, seed, size, method, accuracy, ConfusionMatrix(np.array(counts)), {})
+        for target, seed, size, method, accuracy, counts in [
+            ("b", 0, 2, "MA", 0.5, [[1, 0], [1, 2]]),
+            ("a", 1, 2, "MA", 0.25, [[0, 1], [2, 1]]),
+            ("a", 0, 2, "MA", 0.75, [[2, 0], [1, 1]]),
+            ("b", 1, 2, "MA", 1.0, [[2, 0], [0, 2]]),
+            ("a", 0, 4, "NoTransfer", 0.0, [[0, 2], [2, 0]]),
+            ("b", 0, 4, "NoTransfer", 0.5, [[1, 1], [1, 1]]),
+            ("a", 1, 4, "NoTransfer", 0.125, [[0, 1], [2, 1]]),
+            ("b", 1, 4, "NoTransfer", 1.0, [[2, 0], [0, 2]]),
+        ]
+    ]
+    result = ExperimentResult(cfg, [("a", "intact"), ("b", "intact")], ["a", "b"], cells,
+                              ["target b: a warning"])
+    manifest = """{
+  "config": {
+    "base_seed": 0,
+    "experiment": "II",
+    "grid": {
+      "C_values": [
+        1.0
+      ],
+      "folds": 2,
+      "gamma_values": [
+        0.5
+      ],
+      "seed": 0
+    },
+    "jobs": 1,
+    "methods": [
+      "NoTransfer",
+      "MA"
+    ],
+    "mkal": {
+      "epochs_batch": 2,
+      "epochs_online": 1,
+      "lambda_grid": [
+        0.25
+      ],
+      "p_grid": [
+        1.5
+      ]
+    },
+    "seeds": [
+      0,
+      1
+    ],
+    "size_schedule": [
+      2,
+      4
+    ],
+    "source_train_cap": null
+  },
+  "source_models_trained": [
+    "a",
+    "b"
+  ],
+  "subjects": [
+    {
+      "condition": "intact",
+      "subject_id": "a"
+    },
+    {
+      "condition": "intact",
+      "subject_id": "b"
+    }
+  ],
+  "warnings": [
+    "target b: a warning"
+  ]
+}
+"""
+    expected = {
+        # per target the mean over seeds, then the mean, min and max over targets
+        "curves.csv": "method,size,mean,min,max\n"
+                      "MA,2,0.625,0.5,0.75\n"
+                      "NoTransfer,4,0.40625,0.0625,0.75\n",
+        "accuracies.csv": "method,size,target,seed_index,accuracy\n"
+                          "MA,2,a,0,0.75\nMA,2,a,1,0.25\nMA,2,b,0,0.5\nMA,2,b,1,1.0\n"
+                          "NoTransfer,4,a,0,0.0\nNoTransfer,4,a,1,0.125\n"
+                          "NoTransfer,4,b,0,0.5\nNoTransfer,4,b,1,1.0\n",
+        "confusion_MA_2.csv": "pred\\true,0,1\n0,5,1\n1,4,6\n",
+        "confusion_NoTransfer_4.csv": "pred\\true,0,1\n0,3,4\n1,5,4\n",
+        "manifest.json": manifest,
+    }
+    written = write_run_outputs(result, tmp_path)
+    assert [p.name for p in written] == list(expected)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 def test_accuracies_csv_matches_cells(tmp_path):

@@ -1,6 +1,7 @@
 """Lint: every module of the package imports only the standard library and
 numpy, uses each name it imports, every top-level function of the package
-is read somewhere, and every dataclass field is read outside its own class."""
+is read somewhere, every dataclass field is read outside its own class, and
+only the listed owner functions open, read or write files or parse JSON."""
 
 import ast
 import sys
@@ -28,6 +29,18 @@ DIAGNOSTICS = [
     "mkal.MkalModel.block_norms",  # the kept duals' per-block norms
     "multi_adapt.MaModel.loo_bound",  # the LOO hinge bound of the chosen beta
 ]
+
+
+# The only functions that open, read or write a file or parse JSON text, one owner per format.
+FILE_OWNERS = [
+    "harness.load_confusion_csv",  # reads the G x G matrix CSVs of a run
+    "harness.write_table",  # writes every CSV of `run` and `analyze`
+    "signals._read_csv",  # reads recording and feature tables
+    "signals._write_csv",  # writes recording and feature tables
+    "signals.read_json",  # reads every JSON document: sidecars, manifests, --config files
+    "signals.write_json",  # writes every JSON document
+]
+FILE_METHODS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
 
 
 def _is_all(node: ast.AST) -> bool:
@@ -137,6 +150,35 @@ def unread_fields(package: dict[str, str], others: list[str]) -> list[str]:
     )
 
 
+def _uses_files(tree: ast.AST) -> bool:
+    """Whether `tree` calls `open` (bare or as a method), a path's read or write
+    method, or `json.load`, `json.loads` or `json.dump`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            return True
+        if isinstance(func, ast.Attribute) and (
+            func.attr in FILE_METHODS
+            or (ast.unparse(func.value) == "json" and func.attr in ("load", "loads", "dump"))
+        ):
+            return True
+    return False
+
+
+def file_users(package: dict[str, str]) -> list[str]:
+    """`module.name` for each top-level statement of `package` (module name -> source)
+    that uses files as `_uses_files` tells: a function or class by its name, any
+    other statement as `<module>`."""
+    return sorted(
+        f"{module}.{getattr(node, 'name', '<module>')}"
+        for module, source in package.items()
+        for node in ast.parse(source).body
+        if _uses_files(node)
+    )
+
+
 def test_lint_flags_an_unused_import():
     source = "import os\nimport sys\nfrom a.b import c as d, e\nprint(sys, e)\n"
     assert unused_imports(source) == ["d", "os"]
@@ -166,6 +208,18 @@ def test_lint_flags_a_dataclass_field_nothing_reads():
     others = ["def second(b):\n    return b.read_elsewhere\n"]
     assert unread_fields(package, others) == ["a.A.read_by_its_class", "a.A.unread"]
     assert unread_fields(package, []) == ["a.A.read_by_its_class", "a.A.unread", "b.B.read_elsewhere"]
+
+
+def test_lint_flags_file_use_outside_the_owners():
+    package = {
+        "a": "import json\n\ndef owner(path):\n    return json.loads(path.read_text())\n\n"
+             "def caller(path):\n    return owner(path)\n\n"
+             "def inline(path, doc):\n    path.write_text(json.dumps(doc))\n",
+        "b": "CONFIG = open('x').read()\n\nclass Reader:\n    def read(self, p):\n"
+             "        with p.open() as fh:\n            return fh.read()\n\n"
+             "def dump(doc, fh):\n    json.dump(doc, fh)\n\ndef text(p):\n    return str(p)\n",
+    }
+    assert file_users(package) == ["a.inline", "a.owner", "b.<module>", "b.Reader", "b.dump"]
 
 
 def test_lint_flags_an_import_beyond_the_standard_library_and_numpy():
@@ -198,3 +252,9 @@ def test_every_dataclass_field_is_read_outside_its_class():
     others = [p.read_text() for p in sorted(PERFBENCH_DIR.glob("*.py"))]
     # a diagnostic that the package starts to read leaves the list
     assert unread_fields(package, others) == DIAGNOSTICS
+
+
+def test_only_the_owners_open_read_or_write_files():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    # a new file format gets its own owner on the list; a new writer of an old one reuses its owner
+    assert file_users(package) == FILE_OWNERS

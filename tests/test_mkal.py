@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -486,6 +486,8 @@ def test_lockstep_fit_rejects_configs_that_do_not_share_rows_order_or_budget(oth
     ),
     epochs=st.tuples(st.integers(0, 3), st.integers(0, 4)),
 )
+# p = 2 beside another p: numpy's pow against the square and root one candidate gets
+@example(seed=2048, n=18, k=2, g=3, grid=[(1.05, 1e-3), (2.0, 0.1)], epochs=(2, 2))
 def test_every_lockstep_model_equals_its_own_fit(seed, n, k, g, grid, epochs):
     rng = np.random.default_rng(seed)
     train, s_train = _random_problem(rng, n, k, g)

@@ -14,6 +14,7 @@ from emgadapt.model_selection import (
     stratified_folds,
     training_rows,
 )
+from emgadapt.multi_adapt import fit_ma
 from emgadapt.signals import Dataset
 
 
@@ -409,6 +410,27 @@ def test_either_cv_path_rejects_a_fold_that_leaves_one_training_row(spectral, mo
     ds = _noisy_blobs(0, (2, 1))
     with pytest.raises(ValueError, match="at least 2 training"):
         kfold_labels(ds, KernelSpec("gaussian", 1.0), [1.0], [np.array([0, 1]), np.array([2])])
+
+
+@pytest.mark.parametrize("C", [0.0, -1.0, float("nan")])
+def test_every_solve_rejects_a_C_that_is_not_positive(C, monkeypatch):
+    # check_ridge is the one check: each caller meets it before any 1 / C
+    ds = _noisy_blobs(0, (4, 4, 4))
+    spec = KernelSpec("gaussian", 1.0)
+    folds = stratified_folds(ds.labels, 3, 0)
+    for spectral in (False, True):
+        monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, f, num_C: spectral)
+        with pytest.raises(ValueError, match="C must be > 0"):
+            kfold_labels(ds, spec, [1.0, C], folds)
+    s_train = np.random.default_rng(0).normal(size=(len(ds), 2, 3))
+    with pytest.raises(ValueError, match="C must be > 0"):
+        fit_ma(ds, s_train, spec, C)
+    with pytest.raises(ValueError, match="C must be > 0"):
+        fit_ma(ds, s_train, spec, C, beta=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="C must be > 0"):
+        lssvm.solve_dual_system(gram(spec, ds.features, ds.features), C, lssvm.ova_targets(ds.labels, 3))
+    with pytest.raises(ValueError, match="C must be > 0"):
+        lssvm.fit(ds, spec, C)
 
 
 def test_kfold_scores_validation():

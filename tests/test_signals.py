@@ -421,6 +421,23 @@ def test_dataset_round_trip(tmp_path, mode):
         save_dataset(train, tmp_path / "short", names[:-1])
 
 
+def test_dotted_stems_keep_their_own_files(tmp_path):
+    # only a trailing .csv or .json is a suffix: s.a_train and s.a_test are two pairs of files
+    rec = _toy_recording(seed=5)
+    save_recording(rec, tmp_path / "s.a")
+    train, test = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
+    save_dataset(train, tmp_path / "s.a_train", _TOY_NAMES)
+    save_dataset(test, tmp_path / "s.a_test", _TOY_NAMES)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "s.a.csv", "s.a.json", "s.a_test.csv", "s.a_test.json", "s.a_train.csv", "s.a_train.json",
+    ]
+    assert np.array_equal(load_recording(tmp_path / "s.a").samples, rec.samples)
+    for stem, ds in (("s.a_train", train), ("s.a_test", test)):
+        for name in (stem, f"{stem}.csv", f"{stem}.json"):
+            back = load_dataset(tmp_path / name)
+            assert np.array_equal(back.features, ds.features) and np.array_equal(back.labels, ds.labels)
+
+
 def _reference_csv(header, rows):
     """The bytes csv.writer writes for `header` and `rows` of format_float values and ints."""
     buf = io.StringIO(newline="")
