@@ -17,7 +17,7 @@ from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
 from .model_selection import Grid, cross_validate, kfold_labels, select
-from .signals import Dataset, apply_normalizer, fit_normalizer
+from .signals import Dataset, NormStats, apply_normalizer, fit_normalizer
 
 
 def fit_no_transfer(train: Dataset, grid: Grid) -> LssvmModel:
@@ -32,11 +32,11 @@ def prior_feature_matrix(scores: np.ndarray) -> np.ndarray:
     return scores.reshape(n, k * g)
 
 
-def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> LssvmModel:
+def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> tuple[LssvmModel, NormStats]:
     """Linear LS-SVM over the normalized (N, K, G) source scores; C picked by CV.
 
-    The returned model carries the score normalization, so predictions take
-    the raw stacked score matrix (see `prior_feature_matrix`).
+    Returns the model and the score normalization it was trained under, so a
+    query tensor s scores as `lssvm.predict(model, stats.apply(prior_feature_matrix(s)))`.
     """
     s_tensor = lssvm.check_score_tensor(train, s_train)
     raw = Dataset(prior_feature_matrix(s_tensor), train.labels, train.num_classes)
@@ -46,6 +46,4 @@ def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> Lssvm
     candidates = [{"C": c} for c in C_values]
     fold_labels = partial(kfold_labels, ds, KernelSpec("linear"), C_values)
     best, _ = cross_validate(ds.labels, candidates, fold_labels, grid.folds, grid.seed)
-    model = lssvm.fit(ds, KernelSpec("linear"), best["C"])
-    model.norm_stats = stats
-    return model
+    return lssvm.fit(ds, KernelSpec("linear"), best["C"]), stats

@@ -283,6 +283,18 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(f"inputs disagree on class count: {sorted(all_g)}")
     g = all_g.pop()
 
+    corr_inputs = {}
+    for label in labels:
+        by_method: dict[str, list[int]] = {}
+        for method, size in per_run[label]:
+            by_method.setdefault(method, []).append(size)
+        for method in sorted(by_method):
+            size = max(by_method[method]) if args.corr_size == "max" else args.corr_size
+            if size not in by_method[method]:
+                parser.error(f"run {label} has no confusion for {method} at size {size}")
+            corr_inputs[f"{label}:{method}"] = per_run[label][(method, size)]
+    corr_keys, corr = recognition_correlation(corr_inputs)
+
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     keys = [(label, method, size) for label in labels for method, size in sorted(per_run[label])]
@@ -299,17 +311,6 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             diff = confusion_diff(per_run[a][(method, size)], per_run[b][(method, size)])
             written.append(harness.write_matrix_csv(outdir / f"diff_{method}_{size}.csv", diff))
 
-    corr_inputs = {}
-    for label in labels:
-        by_method: dict[str, list[int]] = {}
-        for method, size in per_run[label]:
-            by_method.setdefault(method, []).append(size)
-        for method in sorted(by_method):
-            size = max(by_method[method]) if args.corr_size == "max" else args.corr_size
-            if size not in by_method[method]:
-                parser.error(f"run {label} has no confusion for {method} at size {size}")
-            corr_inputs[f"{label}:{method}"] = per_run[label][(method, size)]
-    corr_keys, corr = recognition_correlation(corr_inputs)
     written.append(harness.write_table(outdir / "correlation.csv", ["pair", *corr_keys],
                                        ([key, *row] for key, row in zip(corr_keys, corr.tolist()))))
 

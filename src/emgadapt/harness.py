@@ -51,7 +51,7 @@ from .model_selection import (
     Grid, as_int, check_grid_values, cross_validate, kfold_labels, select, training_rows,
 )
 from .multi_adapt import fit_ma, predict_ma, source_scores
-from .signals import CONDITIONS, Dataset, apply_normalizer, fit_normalizer, format_float, write_json
+from .signals import CONDITIONS, Dataset, format_float, write_json
 
 METHODS = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
 EXPERIMENTS = ("II", "AA", "AI")
@@ -216,8 +216,8 @@ def _fit_eval_cell(
         return lssvm.predict(model, test.features)[0], dict(shared)
     if method == "PriorFeatures":
         grid = dataclasses.replace(cfg.grid, seed=_seed_int(base, *cell_key, 3))
-        model = fit_prior_features(sub, s_sub, grid)
-        return lssvm.predict(model, prior_feature_matrix(s_test))[0], {"C": model.C}
+        model, stats = fit_prior_features(sub, s_sub, grid)
+        return lssvm.predict(model, stats.apply(prior_feature_matrix(s_test)))[0], {"C": model.C}
     if method == "MA":
         kernel = KernelSpec("gaussian", shared["gamma"])
         model = fit_ma(sub, s_sub, kernel, shared["C"])
@@ -257,11 +257,10 @@ def _fit_eval_cell(
     if method == "HL2L":
         kernel1 = KernelSpec("gaussian", shared["gamma"])
         split_seed = _seed_int(base, *cell_key, 6)
-        _, raw_stack = stacking_dataset(sub, s_sub, kernel1, shared["C"], seed=split_seed)
-        stack_norm = apply_normalizer(raw_stack, fit_normalizer(raw_stack))
-        folds2 = max(2, min(cfg.grid.folds, len(stack_norm)))
+        _, _, stack = stacking_dataset(sub, s_sub, kernel1, shared["C"], seed=split_seed)
+        folds2 = max(2, min(cfg.grid.folds, len(stack)))
         grid2 = dataclasses.replace(cfg.grid, folds=folds2, seed=_seed_int(base, *cell_key, 7))
-        best2, _ = select(stack_norm, kfold_labels, grid2)
+        best2, _ = select(stack, kfold_labels, grid2)
         model = fit_hl2l(
             sub, s_sub, kernel1, shared["C"],
             KernelSpec("gaussian", best2["gamma"]), best2["C"], seed=split_seed,

@@ -18,7 +18,7 @@ import numpy as np
 from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
-from .signals import Dataset, apply_normalizer, fit_normalizer
+from .signals import Dataset, NormStats, apply_normalizer, fit_normalizer
 
 LAYER1_SHARE = 0.63  # of each class's training samples, before half-up rounding
 
@@ -26,7 +26,8 @@ LAYER1_SHARE = 0.63  # of each class's training samples, before half-up rounding
 @dataclass
 class Hl2lModel:
     layer1: LssvmModel
-    layer2: LssvmModel  # trained on normalized stacked score vectors
+    norm_stats: NormStats  # of the stacked score vectors layer 2 was trained on
+    layer2: LssvmModel  # trained on the normalized stacked score vectors
     num_sources: int
 
 
@@ -61,10 +62,11 @@ def stack_scores(target_scores: np.ndarray, source_scores_x: np.ndarray) -> np.n
 
 def stacking_dataset(
     train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float, seed: int = 0
-) -> tuple[LssvmModel, Dataset]:
-    """Layer 1 model plus the raw (unnormalized) stacked layer-2 training set.
+) -> tuple[LssvmModel, NormStats, Dataset]:
+    """Layer 1 model, the stack's normalization and the normalized stacked layer-2 training set.
 
-    `s_train` is the (N, K, G) source score tensor of the training rows.
+    `s_train` is the (N, K, G) source score tensor of the training rows.  The
+    normalization's statistics are those of the raw stacked score vectors.
     """
     s_tensor = lssvm.check_score_tensor(train, s_train)
     k = s_tensor.shape[1]
@@ -75,8 +77,9 @@ def stacking_dataset(
         raise ValueError("insufficient data for stacking: the held-out side is too small")
     layer1 = lssvm.fit(train.subset(side_a), kernel1, C1)
     t_scores = lssvm.decision_scores(layer1, train.features[side_b])
-    stacked = stack_scores(t_scores, s_tensor[side_b])
-    return layer1, Dataset(stacked, train.labels[side_b], train.num_classes)
+    raw = Dataset(stack_scores(t_scores, s_tensor[side_b]), train.labels[side_b], train.num_classes)
+    stats = fit_normalizer(raw)
+    return layer1, stats, apply_normalizer(raw, stats)
 
 
 def fit_hl2l(
@@ -88,11 +91,9 @@ def fit_hl2l(
     C2: float,
     seed: int = 0,
 ) -> Hl2lModel:
-    layer1, raw_ds = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
-    stats = fit_normalizer(raw_ds)
-    layer2 = lssvm.fit(apply_normalizer(raw_ds, stats), kernel2, C2)
-    layer2.norm_stats = stats
-    return Hl2lModel(layer1=layer1, layer2=layer2, num_sources=s_train.shape[1])
+    layer1, stats, stack = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
+    layer2 = lssvm.fit(stack, kernel2, C2)
+    return Hl2lModel(layer1=layer1, norm_stats=stats, layer2=layer2, num_sources=s_train.shape[1])
 
 
 def predict_hl2l(
@@ -103,4 +104,4 @@ def predict_hl2l(
         raise ValueError("source score tensor has the wrong number of sources")
     t_scores = lssvm.decision_scores(model.layer1, X)
     stacked = stack_scores(t_scores, source_scores_x)
-    return lssvm.predict(model.layer2, stacked)
+    return lssvm.predict(model.layer2, model.norm_stats.apply(stacked))

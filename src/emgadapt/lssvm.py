@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec, gram, gram_diagonal, gram_product
-from .signals import Dataset, NormStats
+from .signals import Dataset
 
 
 class NumericalError(RuntimeError):
@@ -40,7 +40,6 @@ class LssvmModel:
     support_inputs: np.ndarray  # N x d
     alphas: np.ndarray          # N x num_classes
     biases: np.ndarray          # num_classes
-    norm_stats: NormStats | None = None
 
     def __post_init__(self):
         self.support_inputs = np.asarray(self.support_inputs, dtype=float)
@@ -130,12 +129,10 @@ def fit(train: Dataset, kernel_spec: KernelSpec, C: float) -> LssvmModel:
 
 
 def decision_scores(model: LssvmModel, X: np.ndarray) -> np.ndarray:
-    """Per-class scores for query rows (applies stored normalization if any)."""
+    """Per-class scores for query rows: sum_i a_i k(x_i, x) + b."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be an M x d array")
-    if model.norm_stats is not None:
-        X = model.norm_stats.apply(X)
     if X.shape[1] != model.support_inputs.shape[1]:
         raise ValueError(
             f"query dimension {X.shape[1]} does not match model dimension "

@@ -51,12 +51,13 @@ def test_prior_features_uses_source_scores_only():
     target_train = _blobs(rng, n_per=15)
     target_test = _blobs(rng, n_per=15)
     s_train = source_scores(sources, target_train.features)
-    model = fit_prior_features(target_train, s_train, GRID)
+    model, stats = fit_prior_features(target_train, s_train, GRID)
     assert model.kernel.kind == "linear"
-    assert model.norm_stats is not None
+    assert isinstance(stats, NormStats)
     # the machine lives in stacked score space: K * G inputs
     assert model.support_inputs.shape[1] == len(sources) * 3
-    pred, _ = lssvm.predict(model, prior_feature_matrix(source_scores(sources, target_test.features)))
+    s_test = source_scores(sources, target_test.features)
+    pred, _ = lssvm.predict(model, stats.apply(prior_feature_matrix(s_test)))
     # sources match the target distribution here, so this should be easy
     assert np.mean(pred == target_test.labels) >= 0.9
 
@@ -71,10 +72,10 @@ def test_prior_features_normalization_is_train_statistics():
     rng = np.random.default_rng(9)
     train = _blobs(rng, n_per=12)
     source = lssvm.fit(_blobs(rng, n_per=20), KernelSpec("gaussian", 1.0), 10.0)
-    model = fit_prior_features(train, source_scores([source], train.features), GRID)
+    _, stats = fit_prior_features(train, source_scores([source], train.features), GRID)
     flat = prior_feature_matrix(source_scores([source], train.features))
-    assert_allclose(model.norm_stats.mean, flat.mean(axis=0), atol=1e-12)
-    assert_allclose(model.norm_stats.std, flat.std(axis=0), atol=1e-12)
+    assert_allclose(stats.mean, flat.mean(axis=0), atol=1e-12)
+    assert_allclose(stats.std, flat.std(axis=0), atol=1e-12)
 
 
 def _noisy_blobs(rng, counts, shift=0.0):
@@ -124,14 +125,14 @@ def test_prior_features_equals_the_per_C_reference(seed, counts, grid, spectral,
         # some training fold must lack a class, so the default-mask path runs
         folds = stratified_folds(train.labels, grid.folds, grid.seed)
         assert any(len(np.unique(np.delete(train.labels, f))) < train.num_classes for f in folds)
-    model = fit_prior_features(train, source_scores(sources, train.features), grid)
+    model, model_stats = fit_prior_features(train, source_scores(sources, train.features), grid)
     reference, stats, accuracies = _reference_prior_features(train, sources, grid)
     assert len(set(accuracies)) > 1
     assert model.C == reference.C
     assert model.alphas.tobytes() == reference.alphas.tobytes()
     assert model.biases.tobytes() == reference.biases.tobytes()
-    assert model.norm_stats.mean.tobytes() == stats.mean.tobytes()
-    assert model.norm_stats.std.tobytes() == stats.std.tobytes()
+    assert model_stats.mean.tobytes() == stats.mean.tobytes()
+    assert model_stats.std.tobytes() == stats.std.tobytes()
 
 
 def test_prior_features_builds_one_gram_per_fold(monkeypatch):
@@ -146,7 +147,7 @@ def test_prior_features_builds_one_gram_per_fold(monkeypatch):
 
     monkeypatch.setattr(lssvm, "solve_dual_system", counted)
     train = _noisy_blobs(rng, (10, 10, 10))
-    model = fit_prior_features(train, source_scores(sources, train.features), GRID)
+    model, _ = fit_prior_features(train, source_scores(sources, train.features), GRID)
     # the solves grouped by the Gram they ran on, in first-use order (`calls`
     # holds every Gram, so no id is reused): one per fold, shared by every C,
     # then the final fit's

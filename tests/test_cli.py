@@ -249,6 +249,15 @@ def test_analyze_corr_size_selection(arts, tmp_path):
     assert exc.value.code == 2
 
 
+def test_analyze_with_an_unknown_corr_size_writes_nothing(arts, tmp_path):
+    out = tmp_path / "ana"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--runs", str(arts / "runA"), str(arts / "runB"), "--out-dir", str(out),
+              "--corr-size", "999"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def _matrix_csv(rows: list[str]) -> str:
     return "pred\\true,0,1,2,3,4,5\n" + "".join(f"{r},{row}\n" for r, row in enumerate(rows))
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from emgadapt import harness, lssvm
 from emgadapt.analysis import ConfusionMatrix
+from emgadapt.baselines import prior_feature_matrix
 from emgadapt.harness import (
     CellResult,
     ExperimentConfig,
@@ -22,8 +24,11 @@ from emgadapt.harness import (
     train_source_model,
     write_run_outputs,
 )
-from emgadapt.model_selection import Grid
-from emgadapt.signals import Dataset
+from emgadapt.hl2l import fit_hl2l
+from emgadapt.kernels import KernelSpec
+from emgadapt.model_selection import Grid, select
+from emgadapt.multi_adapt import source_scores
+from emgadapt.signals import Dataset, NormStats
 
 GRID = Grid(C_values=(1.0, 10.0), gamma_values=(0.5,), folds=2, seed=0)
 MKAL_SEL = MkalSelection(p_grid=(1.5,), lambda_grid=(1e-2,), epochs_online=2, epochs_batch=4)
@@ -344,6 +349,60 @@ def test_all_methods_produce_cells_with_expected_params():
         assert mine["HL2L"].params["C1"] == mine["NoTransfer"].params["C"]
         assert mine["HL2L"].params["gamma1"] == mine["NoTransfer"].params["gamma"]
         assert mine["MKAL"].params["gamma"] == mine["NoTransfer"].params["gamma"]
+
+
+def _cell_inputs():
+    """A target's size-18 subset and test set with two fixed source machines' score tensors."""
+    target, *sources = _cohort(seed=8, train_per=10)
+    models = [lssvm.fit(s.train, KernelSpec("gaussian", 0.5), 10.0) for s in sources]
+    sub, test = target.train.subset(np.arange(18)), target.test
+    return sub, source_scores(models, sub.features), test, source_scores(models, test.features)
+
+
+def test_prior_features_cell_scores_the_test_set_under_the_training_normalization(monkeypatch):
+    sub, s_sub, test, s_test = _cell_inputs()
+    seen, predict = [], lssvm.predict
+
+    def recorded(model, X):
+        seen.append((model, X, lssvm.decision_scores(model, X)))
+        return predict(model, X)
+
+    monkeypatch.setattr(lssvm, "predict", recorded)
+    pred, _ = harness._fit_eval_cell(
+        "PriorFeatures", _small_cfg(), sub, s_sub, test, s_test, None, (3, 1, 0, 0)
+    )
+    [(model, X, scores)] = seen
+    flat = prior_feature_matrix(s_sub)
+    by_hand = NormStats(mean=flat.mean(axis=0), std=flat.std(axis=0)).apply(prior_feature_matrix(s_test))
+    assert X.tobytes() == by_hand.tobytes()
+    assert scores.tobytes() == lssvm.decision_scores(model, by_hand).tobytes()
+    assert_array_equal(pred, np.argmax(scores, axis=1))
+
+
+def test_hl2l_cell_selects_layer2_on_the_stack_layer2_trains_on(monkeypatch):
+    sub, s_sub, test, s_test = _cell_inputs()
+    selected, fitted = [], []
+
+    def recorded_select(train, fit_fn, grid):
+        selected.append(train)
+        return select(train, fit_fn, grid)
+
+    def recorded_fit(*args, **kwargs):
+        fitted.append(fit_hl2l(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(harness, "select", recorded_select)
+    monkeypatch.setattr(harness, "fit_hl2l", recorded_fit)
+    _, params = harness._fit_eval_cell(
+        "HL2L", _small_cfg(), sub, s_sub, test, s_test, {"C": 10.0, "gamma": 0.5}, (3, 1, 0, 0)
+    )
+    [stack], [model] = selected, fitted
+    assert len(stack) < len(sub)  # the held-out side only
+    assert stack.features.tobytes() == model.layer2.support_inputs.tobytes()
+    # labels too: layer 2 is the fit of the selected set at the selected (C, gamma)
+    refit = lssvm.fit(stack, KernelSpec("gaussian", params["gamma2"]), params["C2"])
+    assert model.layer2.alphas.tobytes() == refit.alphas.tobytes()
+    assert model.layer2.biases.tobytes() == refit.biases.tobytes()
 
 
 def test_no_transfer_only_skips_source_training():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from emgadapt import lssvm
 from emgadapt.hl2l import (
@@ -16,7 +16,7 @@ from emgadapt.hl2l import (
 )
 from emgadapt.kernels import KernelSpec
 from emgadapt.multi_adapt import source_scores
-from emgadapt.signals import Dataset
+from emgadapt.signals import Dataset, NormStats
 
 
 def _blobs(rng, n_per=15, spread=0.4, centers=((0, 0), (4, 0), (0, 4))):
@@ -80,11 +80,26 @@ def test_stacking_dataset_dimension_is_k_plus_one_times_g():
     train = _blobs(rng, n_per=12)
     sources = [_source(rng), _source(rng)]
     s_train = source_scores(sources, train.features)
-    layer1, raw = stacking_dataset(train, s_train, KernelSpec("gaussian", 1.0), 10.0, seed=0)
+    layer1, _, stack = stacking_dataset(train, s_train, KernelSpec("gaussian", 1.0), 10.0, seed=0)
     g, k = train.num_classes, len(sources)
-    assert raw.dim == (k + 1) * g
+    assert stack.dim == (k + 1) * g
     # the held-out side is the complement of the layer-1 side
-    assert len(raw) + layer1.support_inputs.shape[0] == len(train)
+    assert len(stack) + layer1.support_inputs.shape[0] == len(train)
+
+
+def test_stacking_dataset_normalizes_the_raw_stack_with_its_own_statistics():
+    rng = np.random.default_rng(11)
+    train = _blobs(rng, n_per=12)
+    s_train = source_scores([_source(rng), _source(rng)], train.features)
+    layer1, stats, stack = stacking_dataset(train, s_train, KernelSpec("gaussian", 1.0), 10.0, seed=6)
+    # the raw stack, rebuilt from layer 1 on the held-out side
+    _, side_b = stratified_split(train.labels, seed=6)
+    raw = stack_scores(lssvm.decision_scores(layer1, train.features[side_b]), s_train[side_b])
+    assert stats.mean.tobytes() == raw.mean(axis=0).tobytes()
+    assert stats.std.tobytes() == raw.std(axis=0).tobytes()
+    assert stack.features.tobytes() == stats.apply(raw).tobytes()
+    assert_array_equal(stack.labels, train.labels[side_b])
+    assert stack.num_classes == train.num_classes
 
 
 def test_stacking_requires_enough_samples():
@@ -113,7 +128,38 @@ def test_fit_predict_end_to_end():
     assert pred.shape == (len(test),)
     assert scores.shape == (len(test), 3)
     assert np.mean(pred == test.labels) >= 0.85
-    assert model.layer2.norm_stats is not None
+    assert isinstance(model.norm_stats, NormStats)
+
+
+def test_layer2_trains_on_the_stack_stacking_dataset_gives():
+    rng = np.random.default_rng(12)
+    train = _blobs(rng, n_per=10)
+    s_train = source_scores([_source(rng)], train.features)
+    k1 = KernelSpec("gaussian", 1.0)
+    model = fit_hl2l(train, s_train, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=8)
+    layer1, stats, stack = stacking_dataset(train, s_train, k1, 10.0, seed=8)
+    assert model.layer1.alphas.tobytes() == layer1.alphas.tobytes()
+    assert model.norm_stats.mean.tobytes() == stats.mean.tobytes()
+    assert model.norm_stats.std.tobytes() == stats.std.tobytes()
+    assert model.layer2.support_inputs.tobytes() == stack.features.tobytes()
+
+
+def test_predict_normalizes_the_stacked_scores_before_layer2():
+    rng = np.random.default_rng(13)
+    train, test = _blobs(rng, n_per=10), _blobs(rng, n_per=7)
+    sources = [_source(rng), _source(rng)]
+    model = fit_hl2l(
+        train, source_scores(sources, train.features),
+        KernelSpec("gaussian", 1.0), 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=1,
+    )
+    s_test = source_scores(sources, test.features)
+    pred, scores = predict_hl2l(model, test.features, s_test)
+    stacked = stack_scores(lssvm.decision_scores(model.layer1, test.features), s_test)
+    want = lssvm.decision_scores(model.layer2, model.norm_stats.apply(stacked))
+    assert scores.tobytes() == want.tobytes()
+    assert_array_equal(pred, np.argmax(want, axis=1))
+    # the raw stack is not what layer 2 was trained on: without the normalization the scores move
+    assert not np.array_equal(lssvm.decision_scores(model.layer2, stacked), want)
 
 
 def test_layer2_normalization_uses_stack_statistics():
@@ -123,8 +169,10 @@ def test_layer2_normalization_uses_stack_statistics():
     k1 = KernelSpec("gaussian", 1.0)
     s_train = source_scores(sources, train.features)
     model = fit_hl2l(train, s_train, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=4)
-    _, raw = stacking_dataset(train, s_train, k1, 10.0, seed=4)
-    assert_allclose(model.layer2.norm_stats.mean, raw.features.mean(axis=0), atol=1e-12)
+    layer1, _, _ = stacking_dataset(train, s_train, k1, 10.0, seed=4)
+    _, side_b = stratified_split(train.labels, seed=4)
+    raw = stack_scores(lssvm.decision_scores(layer1, train.features[side_b]), s_train[side_b])
+    assert_allclose(model.norm_stats.mean, raw.mean(axis=0), atol=1e-12)
 
 
 def test_fit_is_deterministic_given_seed():
