@@ -17,6 +17,7 @@ from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
 from .model_selection import Grid, cross_validate, kfold_labels, select
+from .multi_adapt import check_score_tensor
 from .signals import Dataset, NormStats, apply_normalizer, fit_normalizer
 
 
@@ -35,10 +36,10 @@ def prior_feature_matrix(scores: np.ndarray) -> np.ndarray:
 def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> tuple[LssvmModel, NormStats]:
     """Linear LS-SVM over the normalized (N, K, G) source scores; C picked by CV.
 
-    Returns the model and the score normalization it was trained under, so a
-    query tensor s scores as `lssvm.predict(model, stats.apply(prior_feature_matrix(s)))`.
+    Returns the model and the score normalization it was trained under, the
+    pair `predict_prior_features` takes.
     """
-    s_tensor = lssvm.check_score_tensor(train, s_train)
+    s_tensor = check_score_tensor(s_train, len(train), train.num_classes)
     raw = Dataset(prior_feature_matrix(s_tensor), train.labels, train.num_classes)
     stats = fit_normalizer(raw)
     ds = apply_normalizer(raw, stats)
@@ -47,3 +48,12 @@ def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> tuple
     fold_labels = partial(kfold_labels, ds, KernelSpec("linear"), C_values)
     best, _ = cross_validate(ds.labels, candidates, fold_labels, grid.folds, grid.seed)
     return lssvm.fit(ds, KernelSpec("linear"), best["C"]), stats
+
+
+def predict_prior_features(
+    model: LssvmModel, stats: NormStats, s_x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and scores of query rows from their (M, K, G) source scores."""
+    g = model.num_classes
+    s_x = check_score_tensor(s_x, len(s_x), g, model.support_inputs.shape[1] // g)
+    return lssvm.predict(model, stats.apply(prior_feature_matrix(s_x)))

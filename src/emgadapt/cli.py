@@ -102,7 +102,8 @@ def _config_defaults(args: argparse.Namespace) -> dict:
 
 
 def _manifest_subjects(path: Path, keys: tuple[str, ...]) -> list[dict]:
-    """The `subjects` entries of a cohort or features manifest, each holding `keys`."""
+    """The `subjects` entries of a cohort or features manifest, each holding a non-empty
+    string at every key in `keys`, which include `subject_id`; no two entries share an id."""
     entries = read_json(path, ("subjects",))["subjects"]
     if not isinstance(entries, list):
         raise ValueError(f"{path}: key 'subjects' must be a list")
@@ -110,6 +111,11 @@ def _manifest_subjects(path: Path, keys: tuple[str, ...]) -> list[dict]:
         for key in keys:
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"{path}: subject entry {i} lacks key {key!r}")
+            if not isinstance(entry[key], str) or not entry[key]:
+                raise ValueError(f"{path}: subject entry {i}: {key} must be a non-empty string, "
+                                 f"got {entry[key]!r}")
+        if any(e["subject_id"] == entry["subject_id"] for e in entries[:i]):
+            raise ValueError(f"{path}: subject entry {i} repeats subject_id {entry['subject_id']!r}")
     return entries
 
 
@@ -163,9 +169,9 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         cohort = _manifest_subjects(manifest_path, ("subject_id", "stem"))
         stems = [(e["subject_id"], e["stem"]) for e in cohort]
         for sid, _ in stems:  # an id names the subject's feature files
-            if not isinstance(sid, str) or sid in ("", ".", "..") or Path(sid).name != sid:
-                raise ValueError(f"{manifest_path}: subject_id {sid!r} cannot name a file: it must "
-                                 "be a non-empty string, not '.' or '..', with no path separator")
+            if sid in (".", "..") or Path(sid).name != sid:
+                raise ValueError(f"{manifest_path}: subject_id {sid!r} cannot name a file: "
+                                 "it must not be '.' or '..' or hold a path separator")
     else:
         stems = sorted((p.stem, p.stem) for p in indir.glob("*.json") if stem_paths(p)[0].exists())
     if not stems:
@@ -218,18 +224,9 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest_path = fdir / "features.json"
     if not manifest_path.exists():
         parser.error(f"{manifest_path} not found; run the features command first")
-    entries = _manifest_subjects(
-        manifest_path, ("subject_id", "condition", "train_stem", "test_stem")
-    )
-    subjects = [
-        SubjectData(
-            subject_id=e["subject_id"],
-            condition=e["condition"],
-            train=load_dataset(fdir / e["train_stem"]),
-            test=load_dataset(fdir / e["test_stem"]),
-        )
-        for e in entries
-    ]
+    entries = _manifest_subjects(manifest_path, ("subject_id", "condition", "train_stem", "test_stem"))
+    subjects = [SubjectData(e["subject_id"], e["condition"], load_dataset(fdir / e["train_stem"]),
+                            load_dataset(fdir / e["test_stem"])) for e in entries]
 
     cfg = ExperimentConfig(
         experiment=args.experiment,

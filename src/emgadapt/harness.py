@@ -42,7 +42,7 @@ import numpy as np
 
 from . import lssvm
 from .analysis import ConfusionMatrix, confusion
-from .baselines import fit_no_transfer, fit_prior_features, prior_feature_matrix
+from .baselines import fit_no_transfer, fit_prior_features, predict_prior_features
 from .hl2l import fit_hl2l, predict_hl2l, stacking_dataset
 from .kernels import KernelSpec
 from .lssvm import LssvmModel, NumericalError
@@ -217,7 +217,7 @@ def _fit_eval_cell(
     if method == "PriorFeatures":
         grid = dataclasses.replace(cfg.grid, seed=_seed_int(base, *cell_key, 3))
         model, stats = fit_prior_features(sub, s_sub, grid)
-        return lssvm.predict(model, stats.apply(prior_feature_matrix(s_test)))[0], {"C": model.C}
+        return predict_prior_features(model, stats, s_test)[0], {"C": model.C}
     if method == "MA":
         kernel = KernelSpec("gaussian", shared["gamma"])
         model = fit_ma(sub, s_sub, kernel, shared["C"])
@@ -285,8 +285,7 @@ def _context(where: str):
 def _run_target(
     cfg: ExperimentConfig, target: SubjectData, source_models: list[LssvmModel]
 ) -> tuple[list[CellResult], list[str]]:
-    pool = target.train
-    test = target.test
+    pool, test = target.train, target.test
     n_pool = len(pool)
     tkey = _key32(target.subject_id)
     warnings: list[str] = []
@@ -321,17 +320,10 @@ def _run_target(
                         method, cfg, sub, s_sub, test, s_test, shared, cell_key
                     )
                 cm = confusion(pred, test.labels, pool.num_classes)
-                cells.append(
-                    CellResult(
-                        target_id=target.subject_id,
-                        seed_index=seed_index,
-                        size=size,
-                        method=method,
-                        accuracy=float(np.mean(pred == test.labels)),
-                        confusion=cm,
-                        params=params,
-                    )
-                )
+                cells.append(CellResult(
+                    target_id=target.subject_id, seed_index=seed_index, size=size, method=method,
+                    accuracy=float(np.mean(pred == test.labels)), confusion=cm, params=params,
+                ))
     return cells, warnings
 
 
@@ -362,17 +354,12 @@ def run_experiment(cfg: ExperimentConfig, subjects: list[SubjectData]) -> Experi
          for _, sources in pairs],
     )
 
-    cells: list[CellResult] = []
-    warnings: list[str] = []
-    for c, w in outcomes:
-        cells.extend(c)
-        warnings.extend(w)
     return ExperimentResult(
         config=cfg,
         subjects=[(s.subject_id, s.condition) for s in subjects],
         source_ids=sorted(source_models.keys()),
-        cells=cells,
-        warnings=warnings,
+        cells=[c for target_cells, _ in outcomes for c in target_cells],
+        warnings=[w for _, target_warnings in outcomes for w in target_warnings],
     )
 
 

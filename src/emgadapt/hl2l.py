@@ -18,6 +18,7 @@ import numpy as np
 from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
+from .multi_adapt import check_score_tensor
 from .signals import Dataset, NormStats, apply_normalizer, fit_normalizer
 
 LAYER1_SHARE = 0.63  # of each class's training samples, before half-up rounding
@@ -68,7 +69,7 @@ def stacking_dataset(
     `s_train` is the (N, K, G) source score tensor of the training rows.  The
     normalization's statistics are those of the raw stacked score vectors.
     """
-    s_tensor = lssvm.check_score_tensor(train, s_train)
+    s_tensor = check_score_tensor(s_train, len(train), train.num_classes)
     k = s_tensor.shape[1]
     if len(train) < k + 2:
         raise ValueError("not enough training samples for stacking")
@@ -93,15 +94,13 @@ def fit_hl2l(
 ) -> Hl2lModel:
     layer1, stats, stack = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
     layer2 = lssvm.fit(stack, kernel2, C2)
-    return Hl2lModel(layer1=layer1, norm_stats=stats, layer2=layer2, num_sources=s_train.shape[1])
+    return Hl2lModel(layer1=layer1, norm_stats=stats, layer2=layer2, num_sources=len(s_train[0]))
 
 
 def predict_hl2l(
     model: Hl2lModel, X: np.ndarray, source_scores_x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted labels and layer-2 scores for query rows."""
-    if source_scores_x.shape[1] != model.num_sources:
-        raise ValueError("source score tensor has the wrong number of sources")
-    t_scores = lssvm.decision_scores(model.layer1, X)
-    stacked = stack_scores(t_scores, source_scores_x)
+    s_x = check_score_tensor(source_scores_x, len(X), model.layer1.num_classes, model.num_sources)
+    stacked = stack_scores(lssvm.decision_scores(model.layer1, X), s_x)
     return lssvm.predict(model.layer2, model.norm_stats.apply(stacked))

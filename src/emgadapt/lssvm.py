@@ -141,15 +141,6 @@ def decision_scores(model: LssvmModel, X: np.ndarray) -> np.ndarray:
     return gram_product(model.kernel, X, model.support_inputs, model.alphas) + model.biases
 
 
-def check_score_tensor(train: Dataset, scores: np.ndarray) -> np.ndarray:
-    """The (N, K, G) score tensor of K >= 1 source machines on `train`'s rows."""
-    scores = np.asarray(scores, dtype=float)
-    n, g = len(train), train.num_classes
-    if scores.ndim != 3 or scores.shape[0] != n or scores.shape[1] < 1 or scores.shape[2] != g:
-        raise ValueError(f"source score tensor must be ({n}, K >= 1, {g}), got {scores.shape}")
-    return scores
-
-
 def predict(model: LssvmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predicted labels and the score matrix; ties go to the smaller class id."""
     scores = decision_scores(model, X)

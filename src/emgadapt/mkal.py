@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec, gram, gram_product
-from .lssvm import check_score_tensor
+from .multi_adapt import check_score_tensor
 from .signals import Dataset
 
 
@@ -158,7 +158,7 @@ def fit_for_each_config(
         raise ValueError("need at least one training sample")
     if g < 2:
         raise ValueError("need at least 2 classes")
-    s_tensor = check_score_tensor(train, s_train)
+    s_tensor = check_score_tensor(s_train, n, g)
     first = cfgs[0]
     kernel0 = KernelSpec("gaussian", first.gamma)
 
@@ -317,11 +317,8 @@ def predict_mkal(
     model: MkalModel, X: np.ndarray, source_scores_x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted labels and scores; `source_scores_x` is the (M, K, G) tensor."""
-    X = np.asarray(X, dtype=float)
-    source_scores_x = np.asarray(source_scores_x, dtype=float)
     k = model.num_sources
-    if source_scores_x.shape != (X.shape[0], k, model.num_classes):
-        raise ValueError("source score tensor has the wrong shape")
+    source_scores_x = check_score_tensor(source_scores_x, len(X), model.num_classes, k)
     scores = gram_product(model.kernel0, X, model.train_inputs, model.dual_coeffs[0])
     for kb in range(k):
         w = model.train_source_scores[:, kb, :].T @ model.dual_coeffs[kb + 1]  # G x G

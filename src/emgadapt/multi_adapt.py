@@ -71,8 +71,20 @@ def source_scores(sources: list[LssvmModel], X: np.ndarray) -> np.ndarray:
             raise ValueError("source models disagree on class count")
         if s.support_inputs.shape[1] != d:
             raise ValueError("source models disagree on feature dimension")
-    out = np.stack([lssvm.decision_scores(s, X) for s in sources], axis=1)
-    return out
+    return np.stack([lssvm.decision_scores(s, X) for s in sources], axis=1)
+
+
+def check_score_tensor(
+    scores: np.ndarray, rows: int, num_classes: int, num_sources: int | None = None
+) -> np.ndarray:
+    """The float (rows, K, G) score tensor of K source machines, as `source_scores`
+    makes it: K is `num_sources`, or any K >= 1 when that is None."""
+    scores = np.asarray(scores, dtype=float)
+    k = scores.shape[1] if num_sources is None and scores.ndim == 3 else num_sources
+    if k is None or k < 1 or scores.shape != (rows, k, num_classes):
+        want = "K >= 1" if num_sources is None else num_sources
+        raise ValueError(f"source score tensor must be ({rows}, {want}, {num_classes}), got {scores.shape}")
+    return scores
 
 
 def project_beta(values: np.ndarray) -> np.ndarray:
@@ -103,7 +115,7 @@ def fit_ma(
     """
     if len(train) < 3:
         raise ValueError("need at least 3 training samples")
-    s_tensor = lssvm.check_score_tensor(train, s_train)
+    s_tensor = check_score_tensor(s_train, len(train), train.num_classes)
     _, k, g = s_tensor.shape
 
     kmat = gram(kernel_spec, train.features, train.features)
@@ -149,8 +161,7 @@ def fit_ma(
 
 def predict_ma(model: MaModel, X: np.ndarray, s_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and scores of X from its (M, K, G) source scores; ties go to the smaller class."""
-    if np.shape(s_x) != (len(X), *model.beta.values.shape):
-        raise ValueError("source score tensor has the wrong shape")
+    s_x = check_score_tensor(s_x, len(X), model.base.num_classes, len(model.beta.values))
     scores = lssvm.decision_scores(model.base, X)
     scores = scores + np.einsum("mkg,kg->mg", s_x, model.beta.values)
     return np.argmax(scores, axis=1), scores

@@ -377,7 +377,13 @@ def _read_csv(path: Path, header: list[str], ints: int, kind: str) -> tuple[np.n
         except ValueError as exc:
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     n = len(floats)
-    return np.array(floats).reshape(n, d), np.array(int_values, dtype=int).reshape(n, ints).T
+    features = np.array(floats).reshape(n, d)
+    try:
+        return features, np.array(int_values, dtype=int).reshape(n, ints).T
+    except OverflowError:  # int() reads any size; data value i is on line i // ints + 2
+        info = np.iinfo(int)
+        i = next(i for i, v in enumerate(int_values) if not info.min <= v <= info.max)
+        raise ValueError(f"{path} line {i // ints + 2}: {int_values[i]} is out of the int64 range") from None
 
 
 def _check_rows(path: Path, bad: np.ndarray, message: str) -> None:

@@ -783,7 +783,7 @@ def test_dotted_subject_ids_keep_every_split_in_its_own_files(arts, tmp_path):
     assert main(["run", "--features", str(feats), "--out-dir", str(tmp_path / "o"), *RUN_FLAGS]) == 0
 
 
-@pytest.mark.parametrize("subject_id", ["", ".", "..", "../x", "a/b", "/x", 3])
+@pytest.mark.parametrize("subject_id", [".", "..", "../x", "a/b", "/x"])
 def test_subject_id_that_cannot_name_a_file_returns_2(arts, tmp_path, capsys, subject_id):
     cohort = tmp_path / "in" / "cohort"
     shutil.copytree(arts / "cohort", cohort)
@@ -796,6 +796,53 @@ def test_subject_id_that_cannot_name_a_file_returns_2(arts, tmp_path, capsys, su
     err = capsys.readouterr().err
     assert f"{cohort / 'cohort.json'}: subject_id {subject_id!r} cannot name a file" in err
     assert not out.exists() and sorted(p.name for p in (tmp_path / "in").iterdir()) == ["cohort"]
+
+
+def _edited_manifest_argv(arts, tmp_path, manifest, edit):
+    """Argv of the command that reads a copy of `manifest` after `edit(doc)`, and its out dir:
+    `run` for features.json, `features` for cohort.json."""
+    indir, out = tmp_path / "in", tmp_path / "out"
+    shutil.copytree(arts / ("feats" if manifest == "features.json" else "cohort"), indir)
+    doc = json.loads((indir / manifest).read_text())
+    edit(doc)
+    (indir / manifest).write_text(json.dumps(doc))
+    if manifest == "features.json":
+        return ["run", "--features", str(indir), "--out-dir", str(out), *RUN_FLAGS], indir / manifest, out
+    return ["features", "--in-dir", str(indir), "--out-dir", str(out), "--test-reps", "3"], indir / manifest, out
+
+
+@pytest.mark.parametrize("manifest", ["cohort.json", "features.json"])
+def test_manifest_that_repeats_a_subject_id_returns_2_and_writes_nothing(arts, tmp_path, capsys, manifest):
+    def repeat_first_id(doc):
+        doc["subjects"][1]["subject_id"] = doc["subjects"][0]["subject_id"]
+
+    argv, path, out = _edited_manifest_argv(arts, tmp_path, manifest, repeat_first_id)
+    assert main(argv) == 2
+    assert f"{path}: subject entry 1 repeats subject_id 's00'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "manifest, key, value",
+    [
+        ("features.json", "train_stem", 5),
+        ("features.json", "test_stem", None),
+        ("features.json", "subject_id", 7),
+        ("features.json", "subject_id", ["a"]),
+        ("cohort.json", "stem", 3),
+        ("cohort.json", "subject_id", 3),
+        ("cohort.json", "subject_id", ""),
+    ],
+    ids=["train-stem-int", "test-stem-null", "id-int", "id-list", "stem-int", "cohort-id-int", "cohort-id-empty"],
+)
+def test_manifest_value_that_is_not_a_non_empty_string_returns_2(arts, tmp_path, capsys, manifest, key, value):
+    def set_value(doc):
+        doc["subjects"][1][key] = value
+
+    argv, path, out = _edited_manifest_argv(arts, tmp_path, manifest, set_value)
+    assert main(argv) == 2
+    assert f"{path}: subject entry 1: {key} must be a non-empty string, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _features_argv(tmp):

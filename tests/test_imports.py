@@ -1,7 +1,8 @@
 """Lint: every module of the package imports only the standard library and
 numpy, uses each name it imports, every top-level function of the package
-is read somewhere, every dataclass field is read outside its own class, and
-only the listed owner functions open, read or write files or parse JSON."""
+is read somewhere, every dataclass field is read outside its own class,
+only the listed owner functions open, read or write files or parse JSON,
+and the core modules import no method module."""
 
 import ast
 import sys
@@ -41,6 +42,12 @@ FILE_OWNERS = [
     "signals.write_json",  # writes every JSON document
 ]
 FILE_METHODS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
+
+# The LS-SVM core, the kernels and the signal layer know nothing of source
+# scores or of the methods built on them: they import none of these modules,
+# directly or through another module of the package.
+CORE_MODULES = ("kernels", "lssvm", "signals")
+METHOD_MODULES = ("baselines", "harness", "hl2l", "mkal", "multi_adapt")
 
 
 def _is_all(node: ast.AST) -> bool:
@@ -179,6 +186,22 @@ def file_users(package: dict[str, str]) -> list[str]:
     )
 
 
+def package_imports(source: str) -> list[str]:
+    """Modules of the package that `source` imports, relatively or as `emgadapt.<module>`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("emgadapt."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:  # absolute: only the package's own modules count
+                if parts[:1] != ["emgadapt"]:
+                    continue
+                parts = parts[1:]
+            found.update(parts[:1] or [a.name for a in node.names])
+    return sorted(found)
+
+
 def test_lint_flags_an_unused_import():
     source = "import os\nimport sys\nfrom a.b import c as d, e\nprint(sys, e)\n"
     assert unused_imports(source) == ["d", "os"]
@@ -227,6 +250,23 @@ def test_lint_flags_an_import_beyond_the_standard_library_and_numpy():
               "from scipy.sparse.csgraph import connected_components\nfrom . import kernels\n"
               "from .lssvm import fit\nimport sklearn, json\n\ndef late():\n    import torch\n")
     assert foreign_imports(source) == ["scipy", "sklearn", "torch"]
+
+
+def test_lint_finds_the_package_modules_a_module_imports():
+    source = ("from . import a, b\nfrom .c import x\nfrom .d.e import y\nfrom emgadapt import f\n"
+              "from emgadapt.g import z\nimport emgadapt.h.i, os\nimport numpy as np\nfrom os import path\n")
+    assert package_imports(source) == ["a", "b", "c", "d", "f", "g", "h"]
+
+
+@pytest.mark.parametrize("module", CORE_MODULES)
+def test_core_module_imports_no_method_module(module):
+    reached, todo = set(), [module]
+    while todo:  # every package module `module` loads, through any chain of imports
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(package_imports((PACKAGE_DIR / f"{name}.py").read_text()))
+    assert sorted(reached & set(METHOD_MODULES)) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)

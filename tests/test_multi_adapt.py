@@ -1,18 +1,22 @@
 """Hyperplane borrowing: projection, LOO bound geometry, degeneracy to No Transfer."""
 
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from emgadapt import lssvm
-from emgadapt.baselines import fit_prior_features
-from emgadapt.hl2l import fit_hl2l, stacking_dataset
+from emgadapt.baselines import fit_prior_features, predict_prior_features
+from emgadapt.hl2l import fit_hl2l, predict_hl2l, stacking_dataset
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.lssvm import bordered_inverse_block, ova_targets, solve_dual_system
-from emgadapt.mkal import MkalConfig, fit_mkal
+from emgadapt.mkal import MkalConfig, fit_mkal, predict_mkal
 from emgadapt.model_selection import Grid
 from emgadapt.multi_adapt import (
     BetaWeights,
+    check_score_tensor,
     fit_ma,
     loo_hinge_bound,
     predict_ma,
@@ -258,19 +262,71 @@ FITS = {
     "HL2L": lambda train, s: fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0),
     "MKAL": lambda train, s: fit_mkal(train, s, MkalConfig(gamma=1.0)),
 }
+
+
+def _prior_features_predict(train, s):
+    model, stats = FITS["PriorFeatures"](train, s)
+    return lambda X, s_x: predict_prior_features(model, stats, s_x)  # it reads no X
+
+
+# each method's query path (X, s_x), from a model trained on (train, s)
+PREDICTS = {
+    "MA": lambda train, s: partial(predict_ma, fit_ma(train, s, SPEC, 1.0)),
+    "PriorFeatures": _prior_features_predict,
+    "HL2L": lambda train, s: partial(predict_hl2l, fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0)),
+    "MKAL": lambda train, s: partial(predict_mkal, fit_mkal(train, s, MkalConfig(gamma=1.0))),
+}
 BAD_TENSORS = {
     "short-N": lambda s: s[:-1],
     "no-sources": lambda s: s[:, :0],
     "wrong-G": lambda s: s[:, :, :-1],
+    "2-D": lambda s: s[:, 0],
 }
+PREDICT_BAD = {**BAD_TENSORS, "extra-source": lambda s: np.concatenate([s, s[:, :1]], axis=1)}
+# the one message of multi_adapt.check_score_tensor, K a count or "K >= 1"
+SHAPE_ERROR = r"^source score tensor must be \(\d+, (\d+|K >= 1), \d+\), got \("
+
+
+def _scored_blobs():
+    rng = np.random.default_rng(50)
+    train = _blobs(rng, n_per=5)
+    return train, source_scores([_source(rng), _source(rng)], train.features)
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_TENSORS))
 @pytest.mark.parametrize("method", sorted(FITS))
 def test_methods_reject_a_score_tensor_of_the_wrong_shape(method, bad):
-    rng = np.random.default_rng(50)
-    train = _blobs(rng, n_per=5)
-    s_train = source_scores([_source(rng), _source(rng)], train.features)
+    train, s_train = _scored_blobs()
     FITS[method](train, s_train)  # the well-shaped tensor trains
-    with pytest.raises(ValueError, match="source score tensor"):
+    with pytest.raises(ValueError, match=SHAPE_ERROR):
         FITS[method](train, BAD_TENSORS[bad](s_train))
+
+
+@pytest.mark.parametrize(
+    "method, bad",
+    [(m, b) for m in sorted(PREDICTS) for b in sorted(PREDICT_BAD)
+     if (m, b) != ("PriorFeatures", "short-N")],  # its query rows are the tensor's own
+)
+def test_predictions_reject_a_score_tensor_of_the_wrong_shape(method, bad):
+    train, s_train = _scored_blobs()
+    predict = PREDICTS[method](train, s_train)
+    predict(train.features, s_train)  # the tensor the model was trained on predicts
+    with pytest.raises(ValueError, match=SHAPE_ERROR):
+        predict(train.features, PREDICT_BAD[bad](s_train))
+
+
+@pytest.mark.parametrize("method", sorted(PREDICTS))
+def test_methods_take_the_score_tensor_as_nested_lists(method):
+    train, s_train = _scored_blobs()
+    from_lists = PREDICTS[method](train, s_train.tolist())(train.features, s_train.tolist())
+    from_array = PREDICTS[method](train, s_train)(train.features, s_train)
+    assert all(np.array_equal(a, b) for a, b in zip(from_lists, from_array, strict=True))
+
+
+def test_check_score_tensor_returns_the_tensor_as_float():
+    s = np.arange(24).reshape(4, 2, 3)
+    for num_sources in (None, 2):
+        out = check_score_tensor(s, 4, 3, num_sources)
+        assert out.dtype == float and np.array_equal(out, s)
+    with pytest.raises(ValueError, match=re.escape("source score tensor must be (4, 3, 3), got (4, 2, 3)")):
+        check_score_tensor(s, 4, 3, 3)

@@ -558,11 +558,13 @@ def test_loaders_reject_an_empty_csv(tmp_path, which):
         ("recording", 7, -1, "0", "repetition indices must be positive"),
         ("dataset", 8, None, "0", "8 fields, header has 7"),
         ("recording", 8, None, "0", "5 fields, header has 4"),
+        ("dataset", 9, -1, str(2**64), f"{2**64} is out of the int64 range"),
+        ("recording", 9, -1, str(-(2**63) - 1), f"{-(2**63) - 1} is out of the int64 range"),
     ],
     ids=[
         "ds-float", "ds-int", "ds-non-finite", "ds-label-high", "ds-label-negative", "rec-float",
         "rec-label-int", "rec-repetition-int", "rec-label-high", "rec-repetition-zero",
-        "ds-field-count", "rec-field-count",
+        "ds-field-count", "rec-field-count", "ds-label-past-int64", "rec-repetition-past-int64",
     ],
 )
 def test_loaders_name_the_file_and_line_of_a_bad_field(
