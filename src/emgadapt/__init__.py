@@ -12,11 +12,11 @@ into the `emgadapt` command.
 
 from .analysis import ConfusionMatrix, confusion, confusion_diff, top4_similarity
 from .baselines import fit_no_transfer, fit_prior_features
-from .harness import ExperimentConfig, MkalSelection, SubjectData, run_experiment
+from .harness import ExperimentConfig, SubjectData, run_experiment
 from .hl2l import Hl2lModel, fit_hl2l, predict_hl2l
 from .kernels import KernelSpec, gram
 from .lssvm import LssvmModel, NumericalError
-from .mkal import MkalConfig, MkalModel, fit_mkal, predict_mkal
+from .mkal import MkalConfig, MkalModel, MkalSelection, fit_mkal, predict_mkal
 from .model_selection import Grid, select
 from .multi_adapt import MaModel, fit_ma, predict_ma
 from .signals import Dataset, Recording, WindowSpec, build_subject_datasets

@@ -265,6 +265,9 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     run_dirs = [Path(r) for r in args.runs]
     if not run_dirs:
         parser.error("need at least one --runs directory")
+    for i, r in enumerate(run_dirs):
+        if r.resolve() in (q.resolve() for q in run_dirs[:i]):
+            parser.error(f"run directory {r} is given twice")
     labels = [r.name or str(r) for r in run_dirs]
     if len(set(labels)) != len(labels):
         labels = [str(r) for r in run_dirs]
@@ -291,23 +294,21 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 parser.error(f"run {label} has no confusion for {method} at size {size}")
             corr_inputs[f"{label}:{method}"] = per_run[label][(method, size)]
     corr_keys, corr = recognition_correlation(corr_inputs)
-
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     keys = [(label, method, size) for label in labels for method, size in sorted(per_run[label])]
     names = [f"{label}:{method}:{size}" for label, method, size in keys]
     matrices = [per_run[label][(method, size)] for label, method, size in keys]
-    written = [harness.write_table(outdir / "similarity.csv", ["pair", *names], (
-        [name, *(similarity_cell(len(top4_similarity(m, other)[1]), g) for other in matrices)]
-        for name, m in zip(names, matrices)
-    ))]
-
+    similarity = [[name, *(similarity_cell(len(top4_similarity(m, o)[1]), g) for o in matrices)]
+                  for name, m in zip(names, matrices)]
+    diffs = {}
     if len(labels) == 2:
-        a, b = labels
-        for method, size in sorted(set(per_run[a]) & set(per_run[b])):
-            diff = confusion_diff(per_run[a][(method, size)], per_run[b][(method, size)])
-            written.append(harness.write_matrix_csv(outdir / f"diff_{method}_{size}.csv", diff))
+        a, b = (per_run[label] for label in labels)
+        diffs = {f"diff_{m}_{s}.csv": confusion_diff(a[m, s], b[m, s]) for m, s in sorted(set(a) & set(b))}
 
+    # every table is built, so a failure above leaves no directory behind
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = [harness.write_table(outdir / "similarity.csv", ["pair", *names], similarity)]
+    written += [harness.write_matrix_csv(outdir / name, diff) for name, diff in diffs.items()]
     written.append(harness.write_table(outdir / "correlation.csv", ["pair", *corr_keys],
                                        ([key, *row] for key, row in zip(corr_keys, corr.tolist()))))
 

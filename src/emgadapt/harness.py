@@ -19,9 +19,9 @@ proportions stay whatever the permutation produced (no balancing).  Per
 cell, (C, gamma) are re-selected by CV on the current training subset and
 shared by No Transfer, Multi Adapt and the H-L2L first layer; Prior Features
 picks C, and the H-L2L second layer its own (C, gamma) on the stacked score
-vectors, all through `kfold_labels`.  MKAL picks (p, lambda) through the
-same `cross_validate`, training a fold's candidates in lockstep.  Errors
-name the cell's method (or the shared selection), size, target and seed.
+vectors, all through `kfold_labels`.  MKAL picks (p, lambda) by the same
+CV protocol in `mkal.select_mkal`.  Errors name the cell's method (or the
+shared selection), size, target and seed.
 
 All randomness is derived from (base_seed, target id, seed value, size
 index), so results are identical no matter how work is scheduled across
@@ -46,34 +46,13 @@ from .baselines import fit_no_transfer, fit_prior_features, predict_prior_featur
 from .hl2l import fit_hl2l, predict_hl2l, stacking_dataset
 from .kernels import KernelSpec
 from .lssvm import LssvmModel, NumericalError
-from .mkal import MkalConfig, fit_for_each_config, fit_mkal, predict_mkal
-from .model_selection import (
-    Grid, as_int, check_grid_values, cross_validate, kfold_labels, select, training_rows,
-)
+from .mkal import MkalSelection, predict_mkal, select_mkal
+from .model_selection import Grid, as_int, kfold_labels, select
 from .multi_adapt import fit_ma, predict_ma, source_scores
 from .signals import CONDITIONS, Dataset, format_float, write_json
 
 METHODS = ("NoTransfer", "PriorFeatures", "MA", "MKAL", "HL2L")
 EXPERIMENTS = ("II", "AA", "AI")
-
-
-@dataclass(frozen=True)
-class MkalSelection:
-    """Validation grid and budgets for the multi-kernel method; CV uses the main grid's folds."""
-
-    p_grid: tuple[float, ...] = (1.05, 1.25, 1.5, 2.0)
-    lambda_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
-    epochs_online: int = 5
-    epochs_batch: int = 20
-
-    def __post_init__(self):
-        check_grid_values("p_grid", self.p_grid)
-        check_grid_values("lambda_grid", self.lambda_grid)
-        for name in ("epochs_online", "epochs_batch"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name), 0))
-        for p in self.p_grid:  # MkalConfig checks the ranges of p, lambda and the epochs
-            for lam in self.lambda_grid:
-                MkalConfig(p, lam, epochs_online=self.epochs_online, epochs_batch=self.epochs_batch)
 
 
 @dataclass(frozen=True)
@@ -223,37 +202,10 @@ def _fit_eval_cell(
         model = fit_ma(sub, s_sub, kernel, shared["C"])
         return predict_ma(model, test.features, s_test)[0], dict(shared)
     if method == "MKAL":
-        sel = cfg.mkal
-        fit_seed = _seed_int(base, *cell_key, 4)
-        candidates = [
-            {"lam": lam, "p": p} for lam in sorted(sel.lambda_grid) for p in sorted(sel.p_grid)
-        ]
-
-        def mkal_cfg(cand):
-            return MkalConfig(
-                p=cand["p"], lam=cand["lam"], gamma=shared["gamma"],
-                epochs_online=sel.epochs_online, epochs_batch=sel.epochs_batch, seed=fit_seed,
-            )
-
-        cfgs = [mkal_cfg(cand) for cand in candidates]
-
-        def fold_labels(folds):
-            out = []
-            for f, va in enumerate(folds):
-                tr = training_rows(folds, f)
-                # no name holds a fold's models, so they are freed before the next fold trains
-                out.append([predict_mkal(m, sub.features[va], s_sub[va])[0]
-                            for m in fit_for_each_config(sub.subset(tr), s_sub[tr], cfgs)])
-            return out
-
-        best, _ = cross_validate(
-            sub.labels, candidates, fold_labels, cfg.grid.folds, _seed_int(base, *cell_key, 5)
-        )
-        model = fit_mkal(sub, s_sub, mkal_cfg(best))
-        return (
-            predict_mkal(model, test.features, s_test)[0],
-            {"p": best["p"], "lam": best["lam"], "gamma": shared["gamma"]},
-        )
+        model = select_mkal(sub, s_sub, cfg.mkal, shared["gamma"], cfg.grid.folds,
+                            _seed_int(base, *cell_key, 5), _seed_int(base, *cell_key, 4))
+        return (predict_mkal(model, test.features, s_test)[0],
+                {"p": model.p, "lam": model.lam, "gamma": shared["gamma"]})
     if method == "HL2L":
         kernel1 = KernelSpec("gaussian", shared["gamma"])
         split_seed = _seed_int(base, *cell_key, 6)
@@ -265,10 +217,8 @@ def _fit_eval_cell(
             sub, s_sub, kernel1, shared["C"],
             KernelSpec("gaussian", best2["gamma"]), best2["C"], seed=split_seed,
         )
-        return (
-            predict_hl2l(model, test.features, s_test)[0],
-            {"C1": shared["C"], "gamma1": shared["gamma"], "C2": best2["C"], "gamma2": best2["gamma"]},
-        )
+        return (predict_hl2l(model, test.features, s_test)[0],
+                {"C1": shared["C"], "gamma1": shared["gamma"], "C2": best2["C"], "gamma2": best2["gamma"]})
     raise ValueError(f"unknown method: {method}")
 
 
@@ -292,9 +242,7 @@ def _run_target(
     sizes = [s for s in cfg.size_schedule if s <= n_pool]
     dropped = [s for s in cfg.size_schedule if s > n_pool]
     if dropped:
-        warnings.append(
-            f"target {target.subject_id}: dropped sizes {dropped} beyond pool of {n_pool}"
-        )
+        warnings.append(f"target {target.subject_id}: dropped sizes {dropped} beyond pool of {n_pool}")
     s_pool = source_scores(source_models, pool.features) if source_models else None
     s_test = source_scores(source_models, test.features) if source_models else None
     need_shared = any(m in ("NoTransfer", "MA", "MKAL", "HL2L") for m in cfg.methods)
@@ -340,6 +288,9 @@ def run_experiment(cfg: ExperimentConfig, subjects: list[SubjectData]) -> Experi
     if len(set(ids)) != len(ids):
         raise ValueError("subject ids must be unique")
     pairs = experiment_roles(cfg.experiment, subjects)
+    smallest, largest = cfg.size_schedule[0], max(len(t.train) for t, _ in pairs)
+    if smallest > largest:  # no cell at all: fail before any source model trains
+        raise ValueError(f"no target pool reaches size {smallest}: the largest has {largest} rows")
     need_sources = any(m != "NoTransfer" for m in cfg.methods)
 
     source_models: dict[str, LssvmModel] = {}

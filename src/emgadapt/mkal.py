@@ -38,6 +38,9 @@ candidate axis, so a step costs a fixed number of array operations whatever
 the number of candidates.  Each candidate stays independent of the others
 element by element, so every model is bit for bit the one `fit_mkal`, the
 one-config case, returns.
+
+Selection: `select_mkal` picks (p, lam) by stratified CV, training each
+fold's candidates in lockstep, and refits the winner on every row.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec, gram, gram_product
+from .model_selection import as_int, check_grid_values, cross_validate, training_rows
 from .multi_adapt import check_score_tensor
 from .signals import Dataset
 
@@ -68,6 +72,28 @@ class MkalConfig:
             raise ValueError("lam must be > 0")
         if self.epochs_online < 0 or self.epochs_batch < 0:
             raise ValueError("epoch counts must be >= 0")
+
+
+@dataclass(frozen=True)
+class MkalSelection:
+    """Validation grid and budgets for the multi-kernel method; CV uses the main grid's folds."""
+
+    p_grid: tuple[float, ...] = (1.05, 1.25, 1.5, 2.0)
+    lambda_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
+    epochs_online: int = 5
+    epochs_batch: int = 20
+
+    def __post_init__(self):
+        check_grid_values("p_grid", self.p_grid)
+        check_grid_values("lambda_grid", self.lambda_grid)
+        for name in ("epochs_online", "epochs_batch"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), 0))
+        self.configs(1.0, 0)  # MkalConfig checks the ranges of p, lambda and the epochs
+
+    def configs(self, gamma: float, seed: int) -> list[MkalConfig]:
+        """The candidates, lam ascending then p ascending, so ties go to the smaller lam, then p."""
+        return [MkalConfig(p, lam, gamma, self.epochs_online, self.epochs_batch, seed)
+                for lam in sorted(self.lambda_grid) for p in sorted(self.p_grid)]
 
 
 @dataclass
@@ -311,6 +337,28 @@ def fit_for_each_config(
         )
         for j, c in enumerate(cfgs)
     ]
+
+
+def select_mkal(
+    train: Dataset, s_train: np.ndarray, sel: MkalSelection, gamma: float,
+    folds: int, cv_seed: int, fit_seed: int,
+) -> MkalModel:
+    """`fit_mkal` on every row of the candidate of `sel.configs(gamma, fit_seed)` with the
+    best stratified CV accuracy, each fold's candidates trained in lockstep."""
+    s_train = check_score_tensor(s_train, len(train), train.num_classes)
+    cfgs = sel.configs(gamma, fit_seed)
+
+    def fold_labels(val_folds):
+        out = []
+        for f, va in enumerate(val_folds):
+            tr = training_rows(val_folds, f)
+            # no name holds a fold's models, so they are freed before the next fold trains
+            out.append([predict_mkal(m, train.features[va], s_train[va])[0]
+                        for m in fit_for_each_config(train.subset(tr), s_train[tr], cfgs)])
+        return out
+
+    best, _ = cross_validate(train.labels, [{"cfg": c} for c in cfgs], fold_labels, folds, cv_seed)
+    return fit_mkal(train, s_train, best["cfg"])
 
 
 def predict_mkal(

@@ -258,6 +258,30 @@ def test_analyze_with_an_unknown_corr_size_writes_nothing(arts, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("again", ["same-text", "dot-path"])
+def test_analyze_with_a_run_directory_given_twice_returns_2_and_writes_nothing(
+    arts, tmp_path, monkeypatch, capsys, again
+):
+    monkeypatch.chdir(arts)
+    out = tmp_path / "ana"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--runs", "runA", {"same-text": "runA", "dot-path": "./runA"}[again],
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "run directory runA is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_of_fewer_than_4_classes_writes_nothing(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "confusion_MA_8.csv").write_text("pred\\true,0,1,2\n0,3,1,0\n1,0,4,1\n2,1,0,3\n")
+    out = tmp_path / "ana"
+    assert main(["analyze", "--runs", str(run), "--out-dir", str(out)]) == 2
+    assert "top-4 overlap needs at least 4 classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _matrix_csv(rows: list[str]) -> str:
     return "pred\\true,0,1,2,3,4,5\n" + "".join(f"{r},{row}\n" for r, row in enumerate(rows))
 

@@ -26,6 +26,7 @@ from emgadapt.harness import (
 )
 from emgadapt.hl2l import fit_hl2l
 from emgadapt.kernels import KernelSpec
+from emgadapt.mkal import predict_mkal, select_mkal
 from emgadapt.model_selection import Grid, select
 from emgadapt.multi_adapt import source_scores
 from emgadapt.signals import Dataset, NormStats
@@ -405,6 +406,18 @@ def test_hl2l_cell_selects_layer2_on_the_stack_layer2_trains_on(monkeypatch):
     assert model.layer2.biases.tobytes() == refit.biases.tobytes()
 
 
+def test_mkal_cell_is_select_mkal_at_the_cell_seeds():
+    sub, s_sub, test, s_test = _cell_inputs()
+    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2), epochs_online=2, epochs_batch=4)
+    cfg, key = _small_cfg(mkal=sel), (3, 1, 0, 0)
+    pred, params = harness._fit_eval_cell("MKAL", cfg, sub, s_sub, test, s_test, {"gamma": 0.5}, key)
+    # the harness's seed tags: 5 deals the CV folds, 4 orders the samples of every fit
+    cv_seed, fit_seed = (harness._seed_int(cfg.base_seed, *key, tag) for tag in (5, 4))
+    model = select_mkal(sub, s_sub, sel, 0.5, cfg.grid.folds, cv_seed, fit_seed)
+    assert pred.tobytes() == predict_mkal(model, test.features, s_test)[0].tobytes()
+    assert params == {"p": model.p, "lam": model.lam, "gamma": 0.5}
+
+
 def test_no_transfer_only_skips_source_training():
     subs = _cohort(seed=5)
     cfg = _small_cfg(methods=("NoTransfer",), size_schedule=(9,), seeds=(0,))
@@ -421,6 +434,15 @@ def test_oversized_schedule_drops_sizes_with_warning():
     assert len(res.warnings) == 3
     for w in res.warnings:
         assert "10000" in w and "24" in w
+
+
+def test_schedule_beyond_every_pool_fails_before_training_a_source(monkeypatch):
+    trained = []
+    monkeypatch.setattr(harness, "train_source_model", lambda *args: trained.append(args))
+    cfg = _small_cfg(size_schedule=(25, 10_000), seeds=(0,))
+    with pytest.raises(ValueError, match="no target pool reaches size 25: the largest has 24 rows"):
+        run_experiment(cfg, _cohort(seed=6))  # pools of 24
+    assert trained == []
 
 
 def test_duplicate_subject_ids_rejected():

@@ -2,7 +2,8 @@
 numpy, uses each name it imports, every top-level function of the package
 is read somewhere, every dataclass field is read outside its own class,
 only the listed owner functions open, read or write files or parse JSON,
-and the core modules import no method module."""
+the core modules import no method module, and the harness runs no CV fold
+loop of its own."""
 
 import ast
 import sys
@@ -48,6 +49,10 @@ FILE_METHODS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
 # directly or through another module of the package.
 CORE_MODULES = ("kernels", "lssvm", "signals")
 METHOD_MODULES = ("baselines", "harness", "hl2l", "mkal", "multi_adapt")
+
+# The harness runs no fold loop of its own: `select` is its one CV call, for the
+# shared (C, gamma) and H-L2L's layer 2; MKAL's lockstep CV is `mkal.select_mkal`'s.
+FOLD_LOOP_NAMES = ("cross_validate", "training_rows")
 
 
 def _is_all(node: ast.AST) -> bool:
@@ -202,6 +207,15 @@ def package_imports(source: str) -> list[str]:
     return sorted(found)
 
 
+def imported_or_read_names(source: str) -> set[str]:
+    """Names `source` imports, under their own name whatever the alias, or reads, bare or
+    as an attribute."""
+    tree = ast.parse(source)
+    imported = {a.name.split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    return imported | set(_reads(tree))
+
+
 def test_lint_flags_an_unused_import():
     source = "import os\nimport sys\nfrom a.b import c as d, e\nprint(sys, e)\n"
     assert unused_imports(source) == ["d", "os"]
@@ -256,6 +270,17 @@ def test_lint_finds_the_package_modules_a_module_imports():
     source = ("from . import a, b\nfrom .c import x\nfrom .d.e import y\nfrom emgadapt import f\n"
               "from emgadapt.g import z\nimport emgadapt.h.i, os\nimport numpy as np\nfrom os import path\n")
     assert package_imports(source) == ["a", "b", "c", "d", "f", "g", "h"]
+
+
+def test_lint_finds_imported_or_read_names():
+    source = ("from .model_selection import cross_validate as cv\n"
+              "import emgadapt.model_selection as ms\nms.training_rows(folds, 0)\n")
+    assert set(FOLD_LOOP_NAMES) <= imported_or_read_names(source)
+
+
+def test_harness_runs_no_fold_loop_of_its_own():
+    names = imported_or_read_names((PACKAGE_DIR / "harness.py").read_text())
+    assert sorted(names & set(FOLD_LOOP_NAMES)) == []
 
 
 @pytest.mark.parametrize("module", CORE_MODULES)

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from emgadapt import lssvm, mkal
-from emgadapt.harness import MkalSelection
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.mkal import (
     MkalConfig,
     MkalModel,
+    MkalSelection,
     _block_grams,
     _block_sq_norms,
     _hinge_losses,
@@ -22,7 +22,9 @@ from emgadapt.mkal import (
     fit_mkal,
     group_norm,
     predict_mkal,
+    select_mkal,
 )
+from emgadapt.model_selection import stratified_folds
 from emgadapt.multi_adapt import source_scores
 from emgadapt.signals import Dataset
 
@@ -472,6 +474,46 @@ def test_lockstep_fit_rejects_configs_that_do_not_share_rows_order_or_budget(oth
         fit_for_each_config(train, s_train, [base, dataclasses.replace(base, p=2.0, **other)])
     with pytest.raises(ValueError, match="at least one config"):
         fit_for_each_config(train, s_train, [])
+
+
+def _reference_select(train, s_train, sel, gamma, folds, cv_seed, fit_seed):
+    """Brute force: each candidate trained alone on each fold that `stratified_folds` deals;
+    the first of the best mean accuracies in lam-then-p order is refit on every row.
+    Returns (model, mean accuracy per candidate)."""
+    val = stratified_folds(train.labels, folds, cv_seed)
+    accs = {}
+    for lam in sorted(sel.lambda_grid):
+        for p in sorted(sel.p_grid):
+            cfg = MkalConfig(p, lam, gamma, sel.epochs_online, sel.epochs_batch, fit_seed)
+            hits = []
+            for f, va in enumerate(val):
+                tr = np.concatenate(val[:f] + val[f + 1:])
+                model = fit_mkal(train.subset(tr), s_train[tr], cfg)
+                hits.append(np.mean(predict_mkal(model, train.features[va], s_train[va])[0]
+                                    == train.labels[va]))
+            accs[cfg] = np.mean(hits)
+    return fit_mkal(train, s_train, max(accs, key=accs.get)), list(accs.values())
+
+
+@pytest.mark.parametrize("problem_seed, tied", [(1, True), (2, False)], ids=["tied-best", "one-best"])
+def test_select_mkal_matches_a_brute_force_search(problem_seed, tied):
+    train, s_train = _random_problem(np.random.default_rng(problem_seed), 24, 2, 3)
+    # both axes given out of order: candidates run lam ascending, then p ascending
+    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2), epochs_online=2, epochs_batch=4)
+    want, accs = _reference_select(train, s_train, sel, 0.5, 3, cv_seed=1, fit_seed=2)
+    assert (accs.count(max(accs)) > 1) == tied
+    got = select_mkal(train, s_train, sel, 0.5, 3, cv_seed=1, fit_seed=2)
+    assert (got.p, got.lam) == (want.p, want.lam)
+    assert got.dual_coeffs.tobytes() == want.dual_coeffs.tobytes()
+    assert got.best_objective == want.best_objective
+
+
+def test_mkal_selection_configs_run_lam_then_p_ascending():
+    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2), epochs_online=3, epochs_batch=7)
+    assert sel.configs(0.5, 9) == [
+        MkalConfig(p, lam, gamma=0.5, epochs_online=3, epochs_batch=7, seed=9)
+        for lam, p in [(1e-2, 1.25), (1e-2, 2.0), (1e-1, 1.25), (1e-1, 2.0)]
+    ]
 
 
 @settings(max_examples=40, deadline=None)

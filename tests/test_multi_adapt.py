@@ -12,7 +12,7 @@ from emgadapt.baselines import fit_prior_features, predict_prior_features
 from emgadapt.hl2l import fit_hl2l, predict_hl2l, stacking_dataset
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.lssvm import bordered_inverse_block, ova_targets, solve_dual_system
-from emgadapt.mkal import MkalConfig, fit_mkal, predict_mkal
+from emgadapt.mkal import MkalConfig, MkalSelection, fit_mkal, predict_mkal, select_mkal
 from emgadapt.model_selection import Grid
 from emgadapt.multi_adapt import (
     BetaWeights,
@@ -255,12 +255,14 @@ def test_validation_errors():
 # the score tensor every method takes
 
 SPEC = KernelSpec("gaussian", 1.0)
+MKAL_GRID = MkalSelection(p_grid=(1.5, 2.0), lambda_grid=(1e-2,), epochs_online=2, epochs_batch=4)
 FITS = {
     "MA": lambda train, s: fit_ma(train, s, SPEC, 1.0),
     "PriorFeatures": lambda train, s: fit_prior_features(train, s, Grid(C_values=(1.0,), folds=2)),
     "stacking": lambda train, s: stacking_dataset(train, s, SPEC, 1.0),
     "HL2L": lambda train, s: fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0),
     "MKAL": lambda train, s: fit_mkal(train, s, MkalConfig(gamma=1.0)),
+    "select_mkal": lambda train, s: select_mkal(train, s, MKAL_GRID, 1.0, 2, 0, 0),
 }
 
 
@@ -275,6 +277,7 @@ PREDICTS = {
     "PriorFeatures": _prior_features_predict,
     "HL2L": lambda train, s: partial(predict_hl2l, fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0)),
     "MKAL": lambda train, s: partial(predict_mkal, fit_mkal(train, s, MkalConfig(gamma=1.0))),
+    "select_mkal": lambda train, s: partial(predict_mkal, FITS["select_mkal"](train, s)),
 }
 BAD_TENSORS = {
     "short-N": lambda s: s[:-1],
