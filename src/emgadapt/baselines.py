@@ -18,7 +18,7 @@ from .kernels import KernelSpec
 from .lssvm import LssvmModel
 from .model_selection import Grid, cross_validate, kfold_labels, select
 from .multi_adapt import check_score_tensor
-from .signals import Dataset, NormStats, apply_normalizer, fit_normalizer
+from .signals import Dataset, NormStats
 
 
 def fit_no_transfer(train: Dataset, grid: Grid) -> LssvmModel:
@@ -40,9 +40,9 @@ def fit_prior_features(train: Dataset, s_train: np.ndarray, grid: Grid) -> tuple
     pair `predict_prior_features` takes.
     """
     s_tensor = check_score_tensor(s_train, len(train), train.num_classes)
-    raw = Dataset(prior_feature_matrix(s_tensor), train.labels, train.num_classes)
-    stats = fit_normalizer(raw)
-    ds = apply_normalizer(raw, stats)
+    raw = prior_feature_matrix(s_tensor)
+    stats = NormStats.fit(raw)
+    ds = Dataset(stats.apply(raw), train.labels, train.num_classes)
     C_values = sorted(grid.C_values)
     candidates = [{"C": c} for c in C_values]
     fold_labels = partial(kfold_labels, ds, KernelSpec("linear"), C_values)

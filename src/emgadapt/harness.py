@@ -17,11 +17,11 @@ target's training pool is permuted once and the size-s training set is the
 first s entries, so smaller sets nest inside larger ones and class
 proportions stay whatever the permutation produced (no balancing).  Per
 cell, (C, gamma) are re-selected by CV on the current training subset and
-shared by No Transfer, Multi Adapt and the H-L2L first layer; Prior Features
-picks C, and the H-L2L second layer its own (C, gamma) on the stacked score
-vectors, all through `kfold_labels`.  MKAL picks (p, lambda) by the same
-CV protocol in `mkal.select_mkal`.  Errors name the cell's method (or the
-shared selection), size, target and seed.
+shared by No Transfer, Multi Adapt and the H-L2L first layer: the harness's
+only CV call.  Every other choice is its method's own, by the same protocol:
+Prior Features picks C, MKAL (p, lambda) in `mkal.select_mkal`, and H-L2L
+its layer-2 (C, gamma) on the stacked scores in `hl2l.select_hl2l`.  Errors
+name the cell's method (or the shared selection), size, target and seed.
 
 All randomness is derived from (base_seed, target id, seed value, size
 index), so results are identical no matter how work is scheduled across
@@ -43,7 +43,7 @@ import numpy as np
 from . import lssvm
 from .analysis import ConfusionMatrix, confusion
 from .baselines import fit_no_transfer, fit_prior_features, predict_prior_features
-from .hl2l import fit_hl2l, predict_hl2l, stacking_dataset
+from .hl2l import predict_hl2l, select_hl2l
 from .kernels import KernelSpec
 from .lssvm import LssvmModel, NumericalError
 from .mkal import MkalSelection, predict_mkal, select_mkal
@@ -207,18 +207,12 @@ def _fit_eval_cell(
         return (predict_mkal(model, test.features, s_test)[0],
                 {"p": model.p, "lam": model.lam, "gamma": shared["gamma"]})
     if method == "HL2L":
-        kernel1 = KernelSpec("gaussian", shared["gamma"])
-        split_seed = _seed_int(base, *cell_key, 6)
-        _, _, stack = stacking_dataset(sub, s_sub, kernel1, shared["C"], seed=split_seed)
-        folds2 = max(2, min(cfg.grid.folds, len(stack)))
-        grid2 = dataclasses.replace(cfg.grid, folds=folds2, seed=_seed_int(base, *cell_key, 7))
-        best2, _ = select(stack, kfold_labels, grid2)
-        model = fit_hl2l(
-            sub, s_sub, kernel1, shared["C"],
-            KernelSpec("gaussian", best2["gamma"]), best2["C"], seed=split_seed,
-        )
+        model = select_hl2l(sub, s_sub, KernelSpec("gaussian", shared["gamma"]), shared["C"],
+                            dataclasses.replace(cfg.grid, seed=_seed_int(base, *cell_key, 7)),
+                            _seed_int(base, *cell_key, 6))
+        l1, l2 = model.layer1, model.layer2
         return (predict_hl2l(model, test.features, s_test)[0],
-                {"C1": shared["C"], "gamma1": shared["gamma"], "C2": best2["C"], "gamma2": best2["gamma"]})
+                {"C1": l1.C, "gamma1": l1.kernel.gamma, "C2": l2.C, "gamma2": l2.kernel.gamma})
     raise ValueError(f"unknown method: {method}")
 
 

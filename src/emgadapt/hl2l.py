@@ -5,11 +5,13 @@ Layer 1 is an LS-SVM trained on the 63% side.  Every 37%-side sample is
 then re-encoded as the concatenation of layer 1's G scores with each
 source's G scores -- a (K+1)*G vector, target block first -- z-normalized,
 and layer 2 is a gaussian-kernel LS-SVM trained on those score vectors.
-Queries follow the same path with the stored normalization.
+Queries follow the same path with the stored normalization.  `select_hl2l`
+picks layer 2's (C, gamma) by CV on the stack and fits the model there.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,8 +20,9 @@ import numpy as np
 from . import lssvm
 from .kernels import KernelSpec
 from .lssvm import LssvmModel
+from .model_selection import Grid, kfold_labels, select
 from .multi_adapt import check_score_tensor
-from .signals import Dataset, NormStats, apply_normalizer, fit_normalizer
+from .signals import Dataset, NormStats
 
 LAYER1_SHARE = 0.63  # of each class's training samples, before half-up rounding
 
@@ -78,23 +81,31 @@ def stacking_dataset(
         raise ValueError("insufficient data for stacking: the held-out side is too small")
     layer1 = lssvm.fit(train.subset(side_a), kernel1, C1)
     t_scores = lssvm.decision_scores(layer1, train.features[side_b])
-    raw = Dataset(stack_scores(t_scores, s_tensor[side_b]), train.labels[side_b], train.num_classes)
-    stats = fit_normalizer(raw)
-    return layer1, stats, apply_normalizer(raw, stats)
+    raw = stack_scores(t_scores, s_tensor[side_b])
+    stats = NormStats.fit(raw)
+    return layer1, stats, Dataset(stats.apply(raw), train.labels[side_b], train.num_classes)
 
 
-def fit_hl2l(
-    train: Dataset,
-    s_train: np.ndarray,
-    kernel1: KernelSpec,
-    C1: float,
-    kernel2: KernelSpec,
-    C2: float,
-    seed: int = 0,
-) -> Hl2lModel:
+def fit_hl2l(train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float,
+             kernel2: KernelSpec, C2: float, seed: int = 0) -> Hl2lModel:
+    # In a cell this stacks a second time, after `select_hl2l`'s stack: layer 1 is fit twice,
+    # as perfbench/selftest.py asserts (hl2l.layer1_fits == 2 x cells).
     layer1, stats, stack = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
     layer2 = lssvm.fit(stack, kernel2, C2)
     return Hl2lModel(layer1=layer1, norm_stats=stats, layer2=layer2, num_sources=len(s_train[0]))
+
+
+def select_hl2l(train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float, grid: Grid,
+                seed: int) -> Hl2lModel:
+    """`fit_hl2l` at the layer-2 (C, gamma) that `select` picks on the stack of split `seed`,
+    with `grid.folds` clamped to the stack's rows (at least 2)."""
+    _, _, stack = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
+    if len(stack) < 3:  # each of a 2-row stack's 2 folds would train on 1 row
+        raise ValueError(f"layer 2 needs a stack of at least 3 rows for its CV, got {len(stack)}")
+    folds = max(2, min(grid.folds, len(stack)))
+    best, _ = select(stack, kfold_labels, dataclasses.replace(grid, folds=folds))
+    return fit_hl2l(train, s_train, kernel1, C1, KernelSpec("gaussian", best["gamma"]), best["C"],
+                    seed=seed)
 
 
 def predict_hl2l(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +124,13 @@ class NormStats:
         self.std = np.asarray(self.std, dtype=float)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValueError("mean and std must be 1-d arrays of equal length")
+
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "NormStats":
+        """The column means and standard deviations of the N x d rows `X`, N >= 1."""
+        if len(X) == 0:
+            raise ValueError("cannot fit normalizer on an empty dataset")
+        return cls(mean=X.mean(axis=0), std=X.std(axis=0))
 
     def scale(self) -> np.ndarray:
         # dimensions with (numerically) zero spread are mapped to constant 0
@@ -252,24 +259,13 @@ def feature_names(channels: int, feature_mode: str) -> list[str]:
     return [f"{block}_ch{c + 1}" for block in FEATURE_BLOCKS[feature_mode] for c in range(channels)]
 
 
-def fit_normalizer(train: Dataset) -> NormStats:
-    if len(train) == 0:
-        raise ValueError("cannot fit normalizer on an empty dataset")
-    return NormStats(mean=train.features.mean(axis=0), std=train.features.std(axis=0))
-
-
-def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
-    return replace(ds, features=stats.apply(ds.features))
-
-
-def average_feature_blocks(ds: Dataset) -> Dataset:
-    """Collapse the three per-channel feature blocks into their mean (d -> d/3)."""
-    d = ds.dim
+def average_feature_blocks(X: np.ndarray) -> np.ndarray:
+    """Collapse the three per-channel feature blocks of the rows `X` into their mean (d -> d/3)."""
+    d = X.shape[1]
     if d % 3 != 0:
         raise ValueError("feature dimension is not divisible into three blocks")
     c = d // 3
-    avg = (ds.features[:, :c] + ds.features[:, c : 2 * c] + ds.features[:, 2 * c :]) / 3.0
-    return Dataset(avg, ds.labels, ds.num_classes)
+    return (X[:, :c] + X[:, c : 2 * c] + X[:, 2 * c :]) / 3.0
 
 
 def build_subject_datasets(
@@ -293,17 +289,15 @@ def build_subject_datasets(
     if is_test.all() or not is_test.any():
         raise ValueError("no data: repetition holdout left an empty split")
     features = extract_features(rec.samples, windows.width, windows.step)  # all window offsets
-    train, test = (
-        Dataset(features[windows.offsets[rows] // windows.step], windows.labels[rows],
-                rec.num_classes)
-        for rows in (~is_test, is_test)
-    )
-    stats = fit_normalizer(train)
-    train, test = apply_normalizer(train, stats), apply_normalizer(test, stats)
+    train_x, test_x = (features[windows.offsets[rows] // windows.step] for rows in (~is_test, is_test))
+    stats = NormStats.fit(train_x)
+    train_x, test_x = stats.apply(train_x), stats.apply(test_x)
     if feature_mode == "averaged":
-        train, test = average_feature_blocks(train), average_feature_blocks(test)
-        stats2 = fit_normalizer(train)
-        train, test = apply_normalizer(train, stats2), apply_normalizer(test, stats2)
+        train_x, test_x = average_feature_blocks(train_x), average_feature_blocks(test_x)
+        stats = NormStats.fit(train_x)
+        train_x, test_x = stats.apply(train_x), stats.apply(test_x)
+    train, test = (Dataset(x, windows.labels[rows], rec.num_classes)
+                   for x, rows in ((train_x, ~is_test), (test_x, is_test)))
     return train, test
 
 
@@ -340,8 +334,13 @@ def read_json(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    """Write `doc` as the package writes every JSON file: sorted keys, indent 2, a final newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write `doc` as the package writes every JSON file: sorted keys, indent 2, a final newline.
+    A NaN or infinite float, which JSON has no value for, raises naming `path` and writes nothing."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 def _positive_int(path: Path, doc: dict, key: str) -> int:

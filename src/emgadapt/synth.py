@@ -44,18 +44,21 @@ class SubjectSpec:
             raise ValueError("need at least one movement class besides rest")
         if self.gain_matrix.shape != (c, c):
             raise ValueError("gain_matrix must be C x C")
-        if abs(np.linalg.det(self.gain_matrix)) < 1e-9:
-            raise ValueError("gain_matrix must be non-singular")
         if self.class_profiles.shape != (g, c):
             raise ValueError("class_profiles must be G x C")
+        for name in ("gain_matrix", "class_profiles"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if abs(np.linalg.det(self.gain_matrix)) < 1e-9:
+            raise ValueError("gain_matrix must be non-singular")
         if np.any(self.class_profiles < 0):
             raise ValueError("class profiles must be non-negative")
-        if not self.noise_floor > 0:
-            raise ValueError("noise_floor must be > 0")
+        if not 0 < self.noise_floor < math.inf:
+            raise ValueError(f"noise_floor must be > 0 and finite, got {self.noise_floor}")
         if not 0.0 <= self.degradation < 1.0:
             raise ValueError("degradation must lie in [0, 1)")
-        if self.rep_variability < 0.0:
-            raise ValueError("rep_variability must be >= 0")
+        if not 0.0 <= self.rep_variability < math.inf:
+            raise ValueError(f"rep_variability must be >= 0 and finite, got {self.rep_variability}")
 
 
 def generate_recording(
@@ -142,8 +145,12 @@ def generate_cohort(
         raise ValueError("n_subjects must be >= 1")
     if not 0.0 <= amputee_fraction <= 1.0:
         raise ValueError("amputee_fraction must lie in [0, 1]")
-    if shift_strength < 0:
-        raise ValueError("shift_strength must be >= 0")
+    if not 0 <= shift_strength < math.inf:
+        raise ValueError(f"shift_strength must be >= 0 and finite, got {shift_strength}")
+    if not 0.0 <= amputee_degradation < 1.0:  # checked here too, for a cohort with no amputee
+        raise ValueError(f"amputee_degradation must lie in [0, 1), got {amputee_degradation}")
+    if not all(map(math.isfinite, profile_range)):
+        raise ValueError(f"profile_range must be finite, got {profile_range}")
     # Knob calibration: raw rotations/jitter at strength 1.0 make subjects so
     # dissimilar that nothing transfers between them, defeating the point of
     # a multi-subject cohort.  The scale maps the default 0.3 to a moderate

@@ -721,6 +721,29 @@ def test_non_finite_time_value_returns_2(arts, tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--shift", "nan", "shift_strength must be >= 0 and finite, got nan"),
+        ("--shift", "inf", "shift_strength must be >= 0 and finite, got inf"),
+        ("--noise-floor", "inf", "noise_floor must be > 0 and finite, got inf"),
+        ("--rep-variability", "nan", "rep_variability must be >= 0 and finite, got nan"),
+        ("--rep-variability", "inf", "rep_variability must be >= 0 and finite, got inf"),
+        # the cohort has no amputee, so no subject would ever receive the value
+        ("--amputee-degradation", "nan", "amputee_degradation must lie in [0, 1), got nan"),
+        ("--profile-min", "nan", "profile_range must be finite, got (nan, 1.9)"),
+        ("--profile-max", "inf", "profile_range must be finite, got (0.6, inf)"),
+    ],
+    ids=["shift-nan", "shift-inf", "noise-floor-inf", "rep-variability-nan", "rep-variability-inf",
+         "amputee-degradation-nan", "profile-min-nan", "profile-max-inf"],
+)
+def test_synth_names_a_non_finite_setting_and_writes_nothing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "c"
+    assert main(["synth", *SYNTH_FLAGS, flag, value, "--out-dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subject_with_an_unknown_condition_returns_2(arts, tmp_path, capsys):
     feats = tmp_path / "feats"
     shutil.copytree(arts / "feats", feats)

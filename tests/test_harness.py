@@ -24,10 +24,10 @@ from emgadapt.harness import (
     train_source_model,
     write_run_outputs,
 )
-from emgadapt.hl2l import fit_hl2l
+from emgadapt.hl2l import predict_hl2l, select_hl2l
 from emgadapt.kernels import KernelSpec
 from emgadapt.mkal import predict_mkal, select_mkal
-from emgadapt.model_selection import Grid, select
+from emgadapt.model_selection import Grid
 from emgadapt.multi_adapt import source_scores
 from emgadapt.signals import Dataset, NormStats
 
@@ -380,32 +380,6 @@ def test_prior_features_cell_scores_the_test_set_under_the_training_normalizatio
     assert_array_equal(pred, np.argmax(scores, axis=1))
 
 
-def test_hl2l_cell_selects_layer2_on_the_stack_layer2_trains_on(monkeypatch):
-    sub, s_sub, test, s_test = _cell_inputs()
-    selected, fitted = [], []
-
-    def recorded_select(train, fit_fn, grid):
-        selected.append(train)
-        return select(train, fit_fn, grid)
-
-    def recorded_fit(*args, **kwargs):
-        fitted.append(fit_hl2l(*args, **kwargs))
-        return fitted[-1]
-
-    monkeypatch.setattr(harness, "select", recorded_select)
-    monkeypatch.setattr(harness, "fit_hl2l", recorded_fit)
-    _, params = harness._fit_eval_cell(
-        "HL2L", _small_cfg(), sub, s_sub, test, s_test, {"C": 10.0, "gamma": 0.5}, (3, 1, 0, 0)
-    )
-    [stack], [model] = selected, fitted
-    assert len(stack) < len(sub)  # the held-out side only
-    assert stack.features.tobytes() == model.layer2.support_inputs.tobytes()
-    # labels too: layer 2 is the fit of the selected set at the selected (C, gamma)
-    refit = lssvm.fit(stack, KernelSpec("gaussian", params["gamma2"]), params["C2"])
-    assert model.layer2.alphas.tobytes() == refit.alphas.tobytes()
-    assert model.layer2.biases.tobytes() == refit.biases.tobytes()
-
-
 def test_mkal_cell_is_select_mkal_at_the_cell_seeds():
     sub, s_sub, test, s_test = _cell_inputs()
     sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2), epochs_online=2, epochs_batch=4)
@@ -416,6 +390,20 @@ def test_mkal_cell_is_select_mkal_at_the_cell_seeds():
     model = select_mkal(sub, s_sub, sel, 0.5, cfg.grid.folds, cv_seed, fit_seed)
     assert pred.tobytes() == predict_mkal(model, test.features, s_test)[0].tobytes()
     assert params == {"p": model.p, "lam": model.lam, "gamma": 0.5}
+
+
+def test_hl2l_cell_is_select_hl2l_at_the_cell_seeds():
+    sub, s_sub, test, s_test = _cell_inputs()
+    cfg, key = _small_cfg(), (3, 1, 0, 0)
+    pred, params = harness._fit_eval_cell(
+        "HL2L", cfg, sub, s_sub, test, s_test, {"C": 10.0, "gamma": 0.5}, key
+    )
+    # the harness's seed tags: 7 deals layer 2's CV folds, 6 splits the stack
+    grid2 = dataclasses.replace(cfg.grid, seed=harness._seed_int(cfg.base_seed, *key, 7))
+    split_seed = harness._seed_int(cfg.base_seed, *key, 6)
+    model = select_hl2l(sub, s_sub, KernelSpec("gaussian", 0.5), 10.0, grid2, split_seed)
+    assert pred.tobytes() == predict_hl2l(model, test.features, s_test)[0].tobytes()
+    assert params == {"C1": 10.0, "gamma1": 0.5, "C2": model.layer2.C, "gamma2": model.layer2.kernel.gamma}
 
 
 def test_no_transfer_only_skips_source_training():

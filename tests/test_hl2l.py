@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from emgadapt import lssvm
+from emgadapt import hl2l, lssvm
 from emgadapt.hl2l import (
     fit_hl2l,
     predict_hl2l,
+    select_hl2l,
     stack_scores,
     stacking_dataset,
     stratified_split,
 )
 from emgadapt.kernels import KernelSpec
+from emgadapt.model_selection import Grid, select
 from emgadapt.multi_adapt import source_scores
 from emgadapt.signals import Dataset, NormStats
 
@@ -186,3 +188,51 @@ def test_fit_is_deterministic_given_seed():
     assert np.array_equal(a.layer2.alphas, b.layer2.alphas)
     c = fit_hl2l(*args, seed=4)
     assert not np.array_equal(a.layer1.alphas, c.layer1.alphas)
+
+
+# ---------------------------------------------------------------------------
+# layer-2 selection
+
+
+def test_hl2l_cell_selects_layer2_on_the_stack_layer2_trains_on(monkeypatch):
+    rng = np.random.default_rng(14)
+    train = _blobs(rng, n_per=10)
+    s_train = source_scores([_source(rng), _source(rng)], train.features)
+    selected, fitted = [], []
+
+    def recorded_select(*args):
+        selected.append((args[0], select(*args)))
+        return selected[-1][1]
+
+    def recorded_fit(*args, **kwargs):
+        fitted.append(fit_hl2l(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(hl2l, "select", recorded_select)
+    monkeypatch.setattr(hl2l, "fit_hl2l", recorded_fit)
+    grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=3, seed=5)
+    got = select_hl2l(train, s_train, KernelSpec("gaussian", 1.0), 10.0, grid, seed=2)
+    [(stack, (best, _))], [model] = selected, fitted
+    assert got is model
+    assert len(stack) < len(train)  # the held-out side only
+    assert stack.features.tobytes() == model.layer2.support_inputs.tobytes()
+    # labels too: layer 2 is the fit of the selected set at the selected (C, gamma)
+    refit = lssvm.fit(stack, KernelSpec("gaussian", best["gamma"]), best["C"])
+    assert model.layer2.alphas.tobytes() == refit.alphas.tobytes()
+    assert model.layer2.biases.tobytes() == refit.biases.tobytes()
+
+
+def test_select_hl2l_names_layer2_when_the_stack_is_too_small_for_its_cv():
+    rng = np.random.default_rng(15)
+    two = ((0, 0), (4, 0))
+    train = _blobs(rng, n_per=3, centers=two)  # 2 of each class's 3 rows go to layer 1
+    source = lssvm.fit(_blobs(rng, n_per=25, centers=two), KernelSpec("gaussian", 1.0), 10.0)
+    s_train = source_scores([source], train.features)
+    k1 = KernelSpec("gaussian", 1.0)
+    assert len(stacking_dataset(train, s_train, k1, 10.0, seed=0)[2]) == 2
+    grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=2, seed=0)
+    with pytest.raises(ValueError, match="layer 2 needs a stack of at least 3 rows for its CV, got 2"):
+        select_hl2l(train, s_train, k1, 10.0, grid, seed=0)
+    # at a given (C, gamma) layer 2 still trains on the 2 rows
+    model = fit_hl2l(train, s_train, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=0)
+    assert model.layer2.support_inputs.shape[0] == 2

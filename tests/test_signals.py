@@ -15,14 +15,13 @@ from numpy.testing import assert_allclose
 from emgadapt import synth
 from emgadapt.signals import (
     Dataset,
+    NormStats,
     Recording,
     WindowSpec,
-    apply_normalizer,
     average_feature_blocks,
     build_subject_datasets,
     extract_features,
     feature_names,
-    fit_normalizer,
     format_float,
     load_dataset,
     load_recording,
@@ -30,6 +29,7 @@ from emgadapt.signals import (
     save_recording,
     segment,
     window_count,
+    write_json,
 )
 
 
@@ -131,12 +131,9 @@ def _reference_datasets(rec, spec, test_reps):
         labels.append(label)
     if not split[True][1] or not split[False][1]:
         return None
-    train, test = (
-        Dataset(np.array(x), np.array(y), rec.num_classes)
-        for x, y in (split[False], split[True])
-    )
-    stats = fit_normalizer(train)
-    return apply_normalizer(train, stats), apply_normalizer(test, stats)
+    stats = NormStats.fit(np.array(split[False][0]))
+    return tuple(Dataset(stats.apply(np.array(x)), np.array(y), rec.num_classes)
+                 for x, y in (split[False], split[True]))
 
 
 def _features_of_one_window(window):
@@ -309,32 +306,35 @@ def test_features_need_windows_of_at_least_two_samples():
 
 
 def test_normalizer_two_point_example():
-    ds = Dataset(
-        features=np.array([[1.0], [3.0]]),
-        labels=np.array([0, 1]),
-        num_classes=2,
-    )
-    out = apply_normalizer(ds, fit_normalizer(ds))
-    assert_allclose(out.features, [[-1.0], [1.0]])
+    X = np.array([[1.0], [3.0]])
+    assert_allclose(NormStats.fit(X).apply(X), [[-1.0], [1.0]])
 
 
 def test_normalizer_constant_dimension_maps_to_zero():
-    ds = Dataset(
-        features=np.array([[5.0, 1.0], [5.0, 3.0], [5.0, 5.0]]),
-        labels=np.array([0, 1, 0]),
-        num_classes=2,
-    )
-    out = apply_normalizer(ds, fit_normalizer(ds))
-    assert_allclose(out.features[:, 0], 0.0)
-    assert out.features[:, 1].std() > 0
+    X = np.array([[5.0, 1.0], [5.0, 3.0], [5.0, 5.0]])
+    out = NormStats.fit(X).apply(X)
+    assert_allclose(out[:, 0], 0.0)
+    assert out[:, 1].std() > 0
+
+
+def test_normalizer_fit_rejects_no_rows():
+    with pytest.raises(ValueError, match="cannot fit normalizer on an empty dataset"):
+        NormStats.fit(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_nan_and_infinity_naming_the_file(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Out of range float values"):
+        write_json(path, {"flags": {"shift": value}})
+    assert not path.exists()
 
 
 def test_average_feature_blocks():
     feats = np.array([[1.0, 2.0, 10.0, 20.0, 100.0, 200.0]])
-    ds = Dataset(features=feats, labels=np.array([0]), num_classes=1)
-    avg = average_feature_blocks(ds)
-    assert_allclose(avg.features, [[37.0, 74.0]])
-    assert avg.dim == 2
+    avg = average_feature_blocks(feats)
+    assert_allclose(avg, [[37.0, 74.0]])
+    assert avg.shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,15 @@ def test_spec_validation():
         generate_recording(spec, movement_ms=1.0, rate_hz=100.0)  # sub-sample block
 
 
+@pytest.mark.parametrize("field", ["gain_matrix", "class_profiles"])
+def test_spec_rejects_a_non_finite_matrix_by_name(field):
+    spec = _spec()
+    bad = getattr(spec, field).copy()
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SubjectSpec(**{**vars(spec), field: bad})
+
+
 def test_rep_variability_wobbles_channel_power_between_reps():
     base = _spec(seed=11, channels=4, num_classes=3)
     wobbly = SubjectSpec(
