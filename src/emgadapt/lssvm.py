@@ -14,7 +14,11 @@ gives exact leave-one-out residuals without retraining:
     y_i - f_without_i(x_i) = a_i / inv(M)[i+1, i+1]
 
 and `kfold_scores` extends that to whole folds at every C from one
-eigendecomposition of K.
+spectrum of K.  Its cost follows the Gram's structure: a dense eigh where
+the Gram is one block or has no singleton row (a row with no off-diagonal
+entry above round-off), an eigh of the other rows where it has, with each
+singleton row solved in closed form, and for a linear kernel with fewer
+features than rows the thin SVD of the inputs, with no Gram at all.
 """
 
 from __future__ import annotations
@@ -164,18 +168,30 @@ def bordered_inverse_block(kmat: np.ndarray, C: float) -> tuple[np.ndarray, np.n
     return h, d
 
 
-def _gram_eigh(kernel_spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of K = gram(kernel_spec, X, X) after zeroing each |K_ij| < (eps / n) max_i K_ii,
-    one connected block of the remaining non-zero pattern at a time.
+def _gram_eigh(kernel_spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spectrum of K = gram(kernel_spec, X, X) as (lam, vecs, rows).
 
-    Each row loses less than eps max_i K_ii <= eps ||K||_2, which bounds the
-    move of K in 2-norm below eigh's own backward error, about n eps ||K||.
-    One block goes to `np.linalg.eigh` whole; else each block of 2+ rows gets
-    its own, and a single row i is the pair (K_ii, e_i).  The Gram is freed
-    once its blocks are copied out: the peak is a dense eigh's, 2 N x N arrays.
+    vecs is m x k with orthonormal columns, paired with lam[:k], over the rows
+    rows[:m]; `rows` orders all n rows.
+    - A linear kernel with fewer features d than rows n: the thin SVD
+      X = U S W^T gives vecs = U (m = n, k = d) and lam[:d] = S^2, and no Gram
+      is built.  lam[d:] = 0 is K's null space, the complement of U's columns.
+    - Else each |K_ij| < (eps / n) max_i K_ii is set to 0 in place.  Each row
+      moves by less than eps max_i K_ii <= eps ||K||_2, below eigh's own
+      backward error, about n eps ||K||.  The rows then fall into the
+      connected blocks of the remaining non-zero pattern.  One block goes to
+      `np.linalg.eigh` whole.  Else each block of 2+ rows gets its own eigh,
+      placed block-diagonally in an m x m vecs over those rows, ascending, and
+      each row left alone, a singleton row i = rows[j] for j >= m, keeps no
+      eigenvector: it is the eigenpair (lam[j] = K_ii, e_i).
+    The Gram is freed once its blocks are copied out, so the peak is a dense
+    eigh's, 2 N x N arrays.
     """
+    n, dim = X.shape
+    if kernel_spec.kind == "linear" and dim < n:
+        vecs, sv, _ = np.linalg.svd(X, full_matrices=False)
+        return np.concatenate((sv * sv, np.zeros(n - dim))), vecs, np.arange(n)
     kmat = gram(kernel_spec, X, X)
-    n = len(kmat)
     tol = np.finfo(float).eps / n * np.diagonal(kmat).max()
     for r in range(0, n, 256):  # 256 rows at a time: no N x N float temporary
         kmat[r : r + 256][np.abs(kmat[r : r + 256]) < tol] = 0.0
@@ -188,17 +204,24 @@ def _gram_eigh(kernel_spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, np.n
             frontier = np.flatnonzero(linked[frontier].any(axis=0) & (block < 0))
     del linked
     if block.max() == 0:  # the search from row 0 reached every row
-        return np.linalg.eigh(kmat)
-    order = np.argsort(block, kind="stable")
+        lam, vecs = np.linalg.eigh(kmat)
+        return lam, vecs, np.arange(n)
+    shared = np.bincount(block)[block] > 1
+    multi, single = np.flatnonzero(shared), np.flatnonzero(~shared)
+    order = multi[np.argsort(block[multi], kind="stable")]
     cuts = np.flatnonzero(np.diff(block[order])) + 1
-    pairs = [kmat[np.ix_(rows, rows)] for rows in np.split(order, cuts)]
+    # np.split of no rows gives one empty part: no block where every row is a singleton
+    pairs = [kmat[np.ix_(rows, rows)] for rows in np.split(order, cuts) if len(rows)]
+    lam = np.concatenate((np.empty(len(multi)), kmat[single, single]))
     del kmat
-    for i, sub in enumerate(pairs):
-        pairs[i] = np.linalg.eigh(sub) if len(sub) > 1 else (sub[0], np.ones((1, 1)))
-    lam, vecs = np.empty(n), np.zeros((n, n))
-    for rows, cols, (w, v) in zip(np.split(order, cuts), np.split(np.arange(n), cuts), pairs):
+    for i in range(len(pairs)):  # no name but pairs[i] holds a block once its eigh is done
+        pairs[i] = np.linalg.eigh(pairs[i])
+    m = len(multi)
+    vecs = np.zeros((m, m))
+    at = np.searchsorted(multi, order)  # each row's place among the rows that share a block
+    for rows, cols, (w, v) in zip(np.split(at, cuts), np.split(np.arange(m), cuts), pairs):
         lam[cols], vecs[rows[:, None], cols] = w, v
-    return lam, vecs
+    return lam, vecs, np.concatenate((multi, single))
 
 
 def kfold_scores(
@@ -207,21 +230,38 @@ def kfold_scores(
     C_values: Sequence[float],
     folds: Sequence[np.ndarray],
 ) -> list[list[np.ndarray]]:
-    """Exact held-out scores of every fold at every C, from one eigendecomposition.
+    """Exact held-out scores of every fold at every C, from one spectrum of K.
 
     out[f][j] holds the scores on the rows folds[f] of the model that
     `fit(train.subset(rest), kernel_spec, C_values[j])` trains on the other
     rows, up to round-off.  A class absent from those rows scores exactly -1,
-    the bias of its constant column's exact solution.  With K = V diag(lam) V^T, d = 1/(lam + 1/C),
-    A = K + I/C, u = A^-1 1, s = 1^T u and the full set's duals
-    alpha = A^-1 Y - u (u^T Y) / s, fold F's held-out scores are
-    Y_F - H_FF^-1 alpha_F with H_FF = W_F W_F^T - u_F u_F^T / s, W = V diag(sqrt(d))
-    (An, Liu & Venkatesh, Pattern Recognition 40, 2007).  Singleton folds
-    give exact leave-one-out.  The folds need not cover every row.
+    the bias of its constant column's exact solution.  With A = K + I/C,
+    u = A^-1 1, s = 1^T u and the full set's duals alpha = A^-1 Y - u (u^T Y) / s,
+    fold F's held-out scores are Y_F - x with H_FF x = alpha_F,
+    H = A^-1 - u u^T / s (An, Liu & Venkatesh, Pattern Recognition 40, 2007).
+    Singleton folds give exact leave-one-out.  The folds need not cover every
+    row.
+
+    `_gram_eigh`'s spectrum gives A^-1, so the cost follows the Gram's structure:
+    - Rows with eigenvectors V, d = 1/(lam + 1/C): A^-1 = W W^T over them,
+      W = V diag(sqrt(d)).  This dense path takes the whole Gram where it is
+      one block or has no singleton row, and else the rows of blocks of 2+ rows.
+    - A singleton row i, with no off-diagonal entry left in its row of K, is
+      its own 1 x 1 block of A and takes no part in the dense products.  Each
+      fold eliminates its singleton rows F_S through diag(K_ii + 1/C) and one
+      rank-1 (Sherman-Morrison) term for the bias: its other rows F_V solve
+      (W W^T - u u^T / s_F)_{F_V} x = alpha_{F_V} + u_{F_V} sum(alpha[F_S]) / s_F,
+      with s_F = s - sum(u[F_S]); then with t = (u_{F_V}^T x + sum(alpha[F_S])) / s_F,
+      x_i = (K_ii + 1/C) alpha_i + t on F_S.
+    - The thin spectrum of a linear kernel with fewer features than rows,
+      K = U diag(lam) U^T: A^-1 = C I - U diag(C lam d) U^T, so each fold's
+      dense part is C I - W_F W_F^T with W = U diag(sqrt(C lam d)), and no
+      N x N array is made.
 
     Raises NumericalError where `check_ridge` does, where lam + 1/C is not
-    resolved above the eigenvalues' round-off, n * eps * max|lam|, or where a
-    held-out score is not finite.
+    resolved above the eigenvalues' round-off, n * eps * max|lam| (the thin
+    spectrum's null space counts as lam = 0), where a held-out block is
+    singular, or where a held-out score is not finite.
     """
     n = len(train)
     if any(len(f) == 0 or n - len(f) < 2 for f in folds):
@@ -229,10 +269,13 @@ def kfold_scores(
     g = train.num_classes
     targets = ova_targets(train.labels, g)
     check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
-    lam, vecs = _gram_eigh(kernel_spec, train.features)
+    lam, vecs, rows = _gram_eigh(kernel_spec, train.features)
+    m, k = vecs.shape
+    thin = k < m
     floor = n * np.finfo(float).eps * float(np.abs(lam).max())
-    # V^T [1 Y] once; each C rescales it by d and maps it back
-    proj = vecs.T @ np.column_stack((np.ones(n), targets))
+    ones_targets = np.column_stack((np.ones(n), targets))
+    # V^T [1 Y] once; each C rescales it and maps it back
+    proj = vecs.T @ ones_targets[rows[:m]]
     per_C = []
     for C in C_values:
         shifted = lam + 1.0 / C
@@ -242,24 +285,47 @@ def kfold_scores(
                 f"{shifted.min():.3g} <= round-off {floor:.3g}"
             )
         d = 1.0 / shifted
-        sol = vecs @ (d[:, None] * proj)
+        if thin:
+            scale = C * lam[:k] * d[:k]  # C - d, without the cancellation
+            sol = C * ones_targets - vecs @ (scale[:, None] * proj)
+        else:
+            scale = d[:k]
+            sol = np.empty((n, g + 1))
+            sol[rows[:m]] = vecs @ (scale[:, None] * proj)
+            sol[rows[m:]] = d[m:, None] * ones_targets[rows[m:]]
         u = sol[:, 0]
         s = u.sum()
-        per_C.append((np.sqrt(d), u, s, sol[:, 1:] - np.outer(u, u @ targets) / s))
+        per_C.append((C, shifted, np.sqrt(scale), u, s, sol[:, 1:] - np.outer(u, u @ targets) / s))
+    slot = np.empty(n, dtype=int)
+    slot[rows] = np.arange(n)  # row i is rows[slot[i]]: slot[i] >= m for a singleton row
     out = []
     for f in folds:
         absent = np.ones(g, dtype=bool)
         absent[np.delete(train.labels, f)] = False
-        vf = vecs[f]
+        on_vecs = slot[f] < m
+        fv, fs = f[on_vecs], f[~on_vecs]
+        vf, lam_s = vecs[slot[fv]], slot[fs]
         scores = []
-        for root_d, u, s, alphas in per_C:
-            w = vf * root_d
+        for C, shifted, root, u, s, alphas in per_C:
+            w = vf * root
             # w @ w.T is one symmetric rank-k update, half the flops of a general product
-            h = w @ w.T - np.outer(u[f], u[f]) / s
+            h = w @ w.T
+            if thin:  # (A^-1)_FF = C I - W_F W_F^T
+                h *= -1.0
+                h[np.diag_indices(len(h))] += C
+            # the singleton rows fs leave the bias term the weight s_f and move alpha_s
+            # into the right-hand side; with none, s_f = s and this is the plain solve
+            s_f = s - u[fs].sum()
+            h -= np.outer(u[fv], u[fv]) / s_f
+            alpha_s = alphas[fs].sum(axis=0)
             try:
-                held_out = targets[f] - np.linalg.solve(h, alphas[f])
+                x = np.linalg.solve(h, alphas[fv] + np.outer(u[fv], alpha_s) / s_f)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"held-out block is singular: {exc}") from exc
+            held_out = np.empty((len(f), g))
+            held_out[on_vecs] = targets[fv] - x
+            t = (u[fv] @ x + alpha_s) / s_f
+            held_out[~on_vecs] = targets[fs] - (shifted[lam_s, None] * alphas[fs] + t)
             held_out[:, absent] = -1.0
             if not np.isfinite(held_out).all():
                 raise NumericalError("held-out scores are not finite")

@@ -154,9 +154,14 @@ def spectral_cv_is_cheaper(n: int, folds: int, num_C: int) -> bool:
     and folds * num_C products of size |F| x n x |F| (3 |F|^2 n: a product
     does 2 flops per term where an LU does 2/3).  Every term scales as n^3,
     so the choice rests on folds and num_C: 5 folds x 6 C is spectral,
-    3 folds x 3 C direct.  The eigh is counted dense, its worst case: the rule
-    is not gamma-aware on purpose, so a grid keeps its path, and its bits, at
-    every gamma even where `kfold_scores` splits the Gram into blocks.
+    3 folds x 3 C direct.  The eigh and the products are counted dense, their
+    worst case: the rule is not gamma-aware on purpose, so a grid keeps its
+    path, and its bits, at every gamma.  `kfold_scores` pays less where the
+    spectrum allows it: a Gram split into blocks gets one eigh per block, its
+    singleton rows (no off-diagonal entry) get no eigenvector and no share of
+    the products, and a linear kernel with fewer features than rows uses the
+    thin SVD of the inputs.  A Gram with neither, one block with no singleton
+    row, pays the dense count.
     """
     fold = n / folds
     direct = folds * num_C * (n - fold) ** 3

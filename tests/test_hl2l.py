@@ -236,3 +236,18 @@ def test_select_hl2l_names_layer2_when_the_stack_is_too_small_for_its_cv():
     # at a given (C, gamma) layer 2 still trains on the 2 rows
     model = fit_hl2l(train, s_train, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=0)
     assert model.layer2.support_inputs.shape[0] == 2
+
+
+def test_select_hl2l_names_layer2_and_its_folds_when_a_fold_would_train_on_one_row():
+    rng = np.random.default_rng(16)
+    train = _blobs(rng, n_per=3)  # 2 of each class's 3 rows go to layer 1: a 3-row stack
+    s_train = source_scores([_source(rng)], train.features)
+    k1 = KernelSpec("gaussian", 1.0)
+    assert len(stacking_dataset(train, s_train, k1, 10.0, seed=0)[2]) == 3
+    grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=2, seed=0)
+    # 2 folds of 2 and 1 rows: the 2-row fold trains on 1 row
+    with pytest.raises(ValueError, match="layer 2's 2-fold CV trains its largest fold on 1 of the stack's 3 rows"):
+        select_hl2l(train, s_train, k1, 10.0, grid, seed=0)
+    for folds in (3, 5):  # clamped to 3 folds of 1 row, each trained on 2
+        model = select_hl2l(train, s_train, k1, 10.0, Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=folds), seed=0)
+        assert model.layer2.support_inputs.shape[0] == 3

@@ -269,27 +269,39 @@ def test_kfold_scores_equal_per_fold_retraining(seed, counts, grid, kind):
         _assert_kfold_scores_equal_per_fold_retraining(ds, spec, grid.C_values, folds)
 
 
-SPLIT_SHAPES = ["shuffled-blocks", "all-singletons", "linear-with-negative-entries"]
+SPLIT_SHAPES = ["shuffled-blocks", "blocks-and-singleton-rows", "all-singletons",
+                "linear-with-negative-entries", "linear-with-more-features-than-rows"]
 
 
 def _split_case(shape):
     """(dataset, kernel, block of each row): the connected blocks that the Gram's
     entries at or above (eps / n) max_i K_ii form, each of them dense."""
     rng = np.random.default_rng(31)
-    if shape == "shuffled-blocks":
+    if shape in ("shuffled-blocks", "blocks-and-singleton-rows"):
         # 4 clusters 20 apart on the first axis: at gamma = 1 every entry across
         # clusters underflows to 0 and every entry within one stays above 1e-5
         block = np.repeat(np.arange(4), 12)
         feats = 0.5 * rng.normal(size=(48, 3))
         feats[:, 0] += 20.0 * block
-        perm = rng.permutation(48)
+        if shape == "blocks-and-singleton-rows":  # and 4 rows 1000 apart, each a block of its own
+            block = np.concatenate([block, 4 + np.arange(4)])
+            feats = np.concatenate([feats, 1000.0 * np.arange(1, 5)[:, None] * np.ones(3)])
+        perm = rng.permutation(len(block))
         return Dataset(feats[perm], perm % 3, 3), KernelSpec("gaussian", 1.0), block[perm]
     ds = _noisy_blobs(3, (14, 13, 13))
     if shape == "all-singletons":  # every squared distance times gamma exceeds 40
         return ds, KernelSpec("gaussian", 1e4), np.arange(len(ds))
-    # centered features: about half of the linear Gram's entries are negative
-    centered = Dataset(ds.features - ds.features.mean(axis=0), ds.labels, ds.num_classes)
-    return centered, KernelSpec("linear"), np.zeros(len(ds), dtype=int)
+    if shape == "linear-with-more-features-than-rows":  # d >= N: the dense eigh of the Gram
+        feats = rng.normal(size=(len(ds), 48)) + 3.0 * ds.features[:, :1]
+        feats -= feats.mean(axis=0)
+        return Dataset(feats, ds.labels, ds.num_classes), KernelSpec("linear"), np.zeros(len(ds), dtype=int)
+    # d < N: the thin spectrum.  Centered features, so about half of the linear Gram's
+    # entries are negative, and one all-zero row, K_ii = 0, a block of its own
+    feats = ds.features - ds.features.mean(axis=0)
+    feats[7] = 0.0
+    block = np.zeros(len(ds), dtype=int)
+    block[7] = 1
+    return Dataset(feats, ds.labels, ds.num_classes), KernelSpec("linear"), block
 
 
 @pytest.mark.parametrize("shape", SPLIT_SHAPES)
@@ -306,16 +318,70 @@ def test_gram_eigh_decomposes_the_flushed_gram_one_block_at_a_time(shape, monkey
     n, eps = len(k), np.finfo(float).eps
     flushed = np.where(np.abs(k) < eps / n * np.diag(k).max(), 0.0, k)
     same = block[:, None] == block[None, :]
-    assert np.all(flushed[~same] == 0.0) and np.all(flushed[same] != 0.0)
+    nonzero = np.diag(k) != 0  # the all-zero row has no non-zero entry at all
+    assert np.all(flushed[~same] == 0.0) and np.all(flushed[same & np.outer(nonzero, nonzero)] != 0.0)
     if spec.kind == "linear":  # the rule looks at |K_ij|: negative entries stay
         assert np.array_equal(flushed < 0, k < 0) and np.sum(k < 0) > n * n / 4
+    thin = spec.kind == "linear" and ds.features.shape[1] < n
     sizes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-    lam, vecs = lssvm._gram_eigh(spec, ds.features)
-    # one eigh per block of 2+ rows, none for a single row
-    assert sorted(sizes) == sorted(c for c in np.bincount(block) if c > 1)
-    assert np.linalg.norm((vecs * lam) @ vecs.T - flushed, 2) <= n * eps * np.linalg.norm(k, 2)
-    assert np.linalg.norm(vecs.T @ vecs - np.eye(n), 2) <= n * eps
+    lam, vecs, rows = lssvm._gram_eigh(spec, ds.features)
+    m, cols = vecs.shape
+    assert np.array_equal(np.sort(rows), np.arange(n)) and len(lam) == n
+    if thin:  # the thin SVD of X: no Gram, no eigh, and K's null space at lam = 0
+        assert sizes == [] and (m, cols) == ds.features.shape and np.all(lam[cols:] == 0.0)
+    else:  # one eigh per block of 2+ rows, none for a single row, which keeps no eigenvector
+        assert sorted(sizes) == sorted(c for c in np.bincount(block) if c > 1)
+        assert m == cols == np.sum(np.bincount(block)[block] > 1)
+        assert np.array_equal(lam[m:], np.diag(k)[rows[m:]])
+    # K = sum_j lam[j] q_j q_j^T: q_j is vecs' column j on rows[:m], then e_i for each singleton row i
+    q = np.zeros((n, cols + n - m))
+    q[rows[:m], :cols] = vecs
+    q[rows[m:], np.arange(cols, cols + n - m)] = 1.0
+    assert np.linalg.norm((q * lam[: q.shape[1]]) @ q.T - flushed, 2) <= n * eps * np.linalg.norm(k, 2)
+    assert np.linalg.norm(q.T @ q - np.eye(q.shape[1]), 2) <= n * eps
+
+
+def _reference_kfold_scores_one_block(train, kernel_spec, C_values, folds):
+    """The held-out scores from one dense eigh of the whole Gram, with no singleton rows and
+    no thin spectrum: what `kfold_scores` must give bit for bit where the Gram is one block."""
+    n, g = len(train), train.num_classes
+    targets = lssvm.ova_targets(train.labels, g)
+    lam, vecs = np.linalg.eigh(gram(kernel_spec, train.features, train.features))
+    proj = vecs.T @ np.column_stack((np.ones(n), targets))
+    per_C = []
+    for C in C_values:
+        d = 1.0 / (lam + 1.0 / C)
+        sol = vecs @ (d[:, None] * proj)
+        u = sol[:, 0]
+        s = u.sum()
+        per_C.append((np.sqrt(d), u, s, sol[:, 1:] - np.outer(u, u @ targets) / s))
+    out = []
+    for f in folds:
+        absent = np.ones(g, dtype=bool)
+        absent[np.delete(train.labels, f)] = False
+        scores = []
+        for root_d, u, s, alphas in per_C:
+            w = vecs[f] * root_d
+            held_out = targets[f] - np.linalg.solve(w @ w.T - np.outer(u[f], u[f]) / s, alphas[f])
+            held_out[:, absent] = -1.0
+            scores.append(held_out)
+        out.append(scores)
+    return out
+
+
+def test_kfold_scores_keep_the_bits_of_one_dense_eigh_where_the_gram_is_one_block():
+    ds = _noisy_blobs(2, (10, 10, 1))  # a fold lacks a class: its column stays -1
+    spec = KernelSpec("gaussian", 0.1)
+    k = gram(spec, ds.features, ds.features)
+    assert np.all(k >= np.finfo(float).eps / len(k))  # no entry is flushed: one block
+    folds = stratified_folds(ds.labels, 5, 3)
+    C_values = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+    got = lssvm.kfold_scores(ds, spec, C_values, folds)
+    want = _reference_kfold_scores_one_block(ds, spec, C_values, folds)
+    for got_f, want_f in zip(got, want, strict=True):
+        for a, b in zip(got_f, want_f, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n", [40, 100, 160, 250, 500, 600, 1000])
@@ -340,21 +406,36 @@ def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time(peak_bytes):
 
 
 def test_spectral_scorer_peak_memory_holds_where_the_gram_splits(peak_bytes):
-    # 392 rows as above and 8 rows 1000 apart: one block of 392 rows and 8
-    # single rows at gamma <= 1, then smaller blocks at gamma 100 and 1000
+    # 360 rows as above and 40 rows 1000 apart: one block of 360 rows and 40
+    # singleton rows at gamma <= 1, then smaller blocks and more singleton rows
+    # at gamma 100 and every row a singleton at gamma 1000
     rng = np.random.default_rng(6)
     n = 400
-    ds = _noisy_blobs(7, (98, 98, 98, 98))
-    far = 1000.0 * np.arange(1, 9)[:, None] * np.ones(3)
+    ds = _noisy_blobs(7, (90, 90, 90, 90))
+    far = 1000.0 * np.arange(1, 41)[:, None] * np.ones(3)
     ds = Dataset(np.concatenate([ds.features + rng.normal(size=ds.features.shape), far]),
-                 np.concatenate([ds.labels, np.arange(8) % 4]), 4)
+                 np.concatenate([ds.labels, np.arange(40) % 4]), 4)
     grid = Grid(C_values=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), gamma_values=(0.01, 1.0, 100.0, 1000.0), folds=5)
     assert spectral_cv_is_cheaper(n, grid.folds, len(grid.C_values))
     select(ds, kfold_labels, grid)
     _, peak = peak_bytes(lambda: select(ds, kfold_labels, grid))
-    # the flush works 256 rows at a time and the Gram is freed once its blocks
-    # are copied out, so no gamma holds more than the dense eigh's arrays
+    # measured 1.96 N x N arrays (2.00 before singleton rows kept no eigenvector):
+    # the flush works 256 rows at a time, and the Gram is freed once its 360-row
+    # block is copied out, so no gamma holds more than the dense eigh's arrays
     assert peak < 2.5 * n * n * 8
+
+
+def test_spectral_scorer_peak_memory_of_a_thin_linear_spectrum_stays_below_one_gram(peak_bytes):
+    n = 400
+    ds = _noisy_blobs(7, (100, 100, 100, 100))
+    C_values = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+    folds = stratified_folds(ds.labels, 5, 0)
+    assert spectral_cv_is_cheaper(n, len(folds), len(C_values)) and ds.features.shape[1] < n
+    kfold_labels(ds, KernelSpec("linear"), C_values, folds)
+    _, peak = peak_bytes(lambda: kfold_labels(ds, KernelSpec("linear"), C_values, folds))
+    # measured 0.43 N x N arrays: the thin SVD of X and a few |F| x |F| arrays per
+    # fold (|F| = N / 5), never the Gram; a dense eigh of the Gram measured 2.02
+    assert peak < n * n * 8
 
 
 @pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
@@ -381,6 +462,12 @@ def test_kfold_scores_reject_a_shift_below_the_eigenvalue_round_off(monkeypatch)
     with pytest.raises(lssvm.NumericalError, match="smallest eigenvalue"):
         lssvm.kfold_scores(ds, spec, [1.0, 1e12], folds)
     assert all(np.isfinite(s).all() for per_C in lssvm.kfold_scores(ds, spec, [1e3], folds) for s in per_C)
+    # the thin spectrum of a linear kernel (3 features, 100 rows) counts K's null space at 0
+    thin = Dataset(100.0 * ds.features, ds.labels, 3)
+    with pytest.raises(lssvm.NumericalError, match="smallest eigenvalue 1e-12"):
+        lssvm.kfold_scores(thin, KernelSpec("linear"), [1.0, 1e12], folds)
+    assert all(np.isfinite(s).all() for per_C in lssvm.kfold_scores(thin, KernelSpec("linear"), [1e3], folds)
+               for s in per_C)
 
 
 @pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
