@@ -15,8 +15,8 @@ import numpy as np
 
 from . import lssvm
 from .kernels import KernelSpec
-from .lssvm import LssvmModel
-from .model_selection import Grid, cross_validate, kfold_labels, select
+from .lssvm import LssvmModel, kfold_labels
+from .model_selection import Grid, cross_validate, select
 from .multi_adapt import check_score_tensor
 from .signals import Dataset, NormStats
 

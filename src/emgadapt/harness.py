@@ -45,9 +45,9 @@ from .analysis import ConfusionMatrix, confusion
 from .baselines import fit_no_transfer, fit_prior_features, predict_prior_features
 from .hl2l import predict_hl2l, select_hl2l
 from .kernels import KernelSpec
-from .lssvm import LssvmModel, NumericalError
+from .lssvm import LssvmModel, NumericalError, kfold_labels
 from .mkal import MkalSelection, predict_mkal, select_mkal
-from .model_selection import Grid, as_int, kfold_labels, select
+from .model_selection import Grid, as_int, select
 from .multi_adapt import fit_ma, predict_ma, source_scores
 from .signals import CONDITIONS, Dataset, format_float, write_json
 

@@ -19,6 +19,9 @@ the Gram is one block or has no singleton row (a row with no off-diagonal
 entry above round-off), an eigh of the other rows where it has, with each
 singleton row solved in closed form, and for a linear kernel with fewer
 features than rows the thin SVD of the inputs, with no Gram at all.
+
+`kfold_labels`, the one k-fold labeller, runs `kfold_scores` or one solve per (fold, C),
+by `spectral_cv_is_cheaper`; both paths train a fold on the same rows after the same checks.
 """
 
 from __future__ import annotations
@@ -224,6 +227,27 @@ def _gram_eigh(kernel_spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, np.n
     return lam, vecs, np.concatenate((multi, single))
 
 
+def checked_training_rows(
+    train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float], folds: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Each fold's training rows, every row outside it: the other folds' rows in fold order,
+    then the rows that no fold holds, ascending.  Raises ValueError unless every fold holds
+    1 to n - 2 rows in 0..n-1 and no row is in two folds, then calls `check_ridge`: the
+    checks that both k-fold paths meet before any solve."""
+    n = len(train)
+    for f, rows in enumerate(folds):
+        if not 1 <= len(rows) <= n - 2 or rows.min() < 0 or rows.max() >= n:
+            raise ValueError(f"fold {f} ({len(rows)} rows) must hold 1 to {n - 2} of the rows "
+                             f"0..{n - 1}, so that at least 2 training rows stay outside it")
+    held = np.bincount(np.concatenate([*folds, np.empty(0, dtype=int)]), minlength=n)
+    if held.max(initial=0) > 1:
+        raise ValueError(f"row {int(np.argmax(held))} is held out more than once")
+    check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
+    uncovered = np.flatnonzero(held == 0)
+    return [np.concatenate([rows for j, rows in enumerate(folds) if j != f] + [uncovered])
+            for f in range(len(folds))]
+
+
 def kfold_scores(
     train: Dataset,
     kernel_spec: KernelSpec,
@@ -258,17 +282,15 @@ def kfold_scores(
       dense part is C I - W_F W_F^T with W = U diag(sqrt(C lam d)), and no
       N x N array is made.
 
-    Raises NumericalError where `check_ridge` does, where lam + 1/C is not
-    resolved above the eigenvalues' round-off, n * eps * max|lam| (the thin
+    Raises as `checked_training_rows` does, NumericalError where lam + 1/C is
+    not resolved above the eigenvalues' round-off, n * eps * max|lam| (the thin
     spectrum's null space counts as lam = 0), where a held-out block is
     singular, or where a held-out score is not finite.
     """
     n = len(train)
-    if any(len(f) == 0 or n - len(f) < 2 for f in folds):
-        raise ValueError("every fold needs at least 1 row and at least 2 training rows outside it")
+    outside = checked_training_rows(train, kernel_spec, C_values, folds)
     g = train.num_classes
     targets = ova_targets(train.labels, g)
-    check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
     lam, vecs, rows = _gram_eigh(kernel_spec, train.features)
     m, k = vecs.shape
     thin = k < m
@@ -299,9 +321,9 @@ def kfold_scores(
     slot = np.empty(n, dtype=int)
     slot[rows] = np.arange(n)  # row i is rows[slot[i]]: slot[i] >= m for a singleton row
     out = []
-    for f in folds:
+    for f, rest in zip(folds, outside):
         absent = np.ones(g, dtype=bool)
-        absent[np.delete(train.labels, f)] = False
+        absent[train.labels[rest]] = False
         on_vecs = slot[f] < m
         fv, fs = f[on_vecs], f[~on_vecs]
         vf, lam_s = vecs[slot[fv]], slot[fs]
@@ -332,3 +354,49 @@ def kfold_scores(
             scores.append(held_out)
         out.append(scores)
     return out
+
+
+# a dense eigh of an n x n matrix costs about this many LU factorizations of the same
+# size: 5.1-8.1 measured for n = 40..1000, numpy 2.4 on single-threaded OpenBLAS
+EIGH_LU_EQUIVALENTS = 6.0
+
+
+def spectral_cv_is_cheaper(folds: int, num_C: int) -> bool:
+    """Whether `kfold_scores` costs fewer LU-equivalents than one LU solve per (fold, C).
+
+    An LU of size m costs m^3 and a fold holds a share 1 / folds of the n rows: the
+    direct path factors folds * num_C systems of (1 - 1 / folds) n rows, the spectral
+    path one eigh of size n and folds * num_C products of size |F| x n x |F| (3 |F|^2 n:
+    a product does 2 flops per term where an LU does 2/3).  n cancels: 5 folds x 6 C is
+    spectral, 3 x 3 direct.  The eigh and products are counted dense, the worst case,
+    which a split Gram or a thin linear spectrum undercuts: the rule is not gamma-aware
+    on purpose, so a grid keeps its path, and its bits, at every gamma.
+    """
+    share = 1.0 / folds
+    direct = folds * num_C * (1.0 - share) ** 3
+    spectral = EIGH_LU_EQUIVALENTS + folds * num_C * 3 * share**2
+    return spectral < direct
+
+
+def kfold_labels(
+    train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float], folds: Sequence[np.ndarray]
+) -> list[list[np.ndarray]]:
+    """One-vs-all LS-SVM labels of every fold's rows at every C: out[f][j] labels the rows
+    folds[f] by `fit` at C_values[j] on fold f's `checked_training_rows`, which each path
+    calls first.  `spectral_cv_is_cheaper` picks the path: `kfold_scores`, or per fold one
+    Gram of the training rows, one `solve_dual_system` per C on it and one query Gram, the
+    operations `fit` runs.  Their scores agree to round-off, so labels can differ only
+    where two classes' scores tie to round-off."""
+    if spectral_cv_is_cheaper(len(folds), len(C_values)):
+        scores = kfold_scores(train, kernel_spec, C_values, folds)
+        return [[np.argmax(s, axis=1) for s in per_C] for per_C in scores]
+    labels = []
+    for val, rest in zip(folds, checked_training_rows(train, kernel_spec, C_values, folds)):
+        fold = train.subset(rest)
+        kmat = gram(kernel_spec, fold.features, fold.features)
+        targets = ova_targets(fold.labels, fold.num_classes)
+        solved = [solve_dual_system(kmat, C, targets) for C in C_values]
+        del kmat  # freed before the query Gram, as after a fit
+        kq = gram(kernel_spec, train.features[val], fold.features)
+        labels.append([np.argmax(kq @ alphas + biases, axis=1) for alphas, biases in solved])
+    return labels

@@ -114,14 +114,6 @@ class MkalModel:
         return self.train_source_scores.shape[1]
 
 
-def group_norm(block_norms: np.ndarray, p: float) -> float:
-    """(2, p) group norm from per-block L2 norms: (sum ||w_k||^p)^(1/p)."""
-    block_norms = np.asarray(block_norms, dtype=float)
-    if np.any(block_norms < 0):
-        raise ValueError("block norms must be non-negative")
-    return float(np.sum(block_norms**p) ** (1.0 / p))
-
-
 def _block_grams(kernel0: KernelSpec, X: np.ndarray, s_tensor: np.ndarray) -> np.ndarray:
     """The (K+1, N, N) stack of block Grams: kernel0 on X, then each source's score Gram."""
     grams = np.empty((s_tensor.shape[1] + 1, len(X), len(X)))
@@ -218,7 +210,7 @@ def fit_for_each_config(
     row_idx = np.arange(n)
 
     def group_norms(norms: np.ndarray) -> np.ndarray:
-        """Each candidate's group_norm, without its input check (these norms are square roots)."""
+        """Each candidate's (2, p) group norm (sum_k ||w_k||^p)^(1/p), unchecked: norms are >= 0."""
         total = np.where(square, norms * norms, norms**p_col).sum(axis=1)
         return np.where(square[:, 0], np.sqrt(total), total**inv_p)
 

@@ -1,4 +1,5 @@
-"""Hyperparameter selection by stratified k-fold cross-validation."""
+"""Hyperparameter selection by stratified k-fold cross-validation: the protocol alone.
+It trains no model; a caller passes the fold labeller, `lssvm.kfold_labels` for an LS-SVM."""
 
 from __future__ import annotations
 
@@ -8,8 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import lssvm
-from .kernels import KernelSpec, gram, gram_diagonal
+from .kernels import KernelSpec
 from .signals import Dataset
 
 
@@ -118,7 +118,7 @@ def select(
     fit_fn(train, KernelSpec("gaussian", gamma), C_values, folds) is called
     once per gamma, ascending, with the C values ascending and the folds that
     `cross_validate` deals, and returns per fold the labels at every C, as
-    `kfold_labels` does, so one call can share work across folds and C.
+    `lssvm.kfold_labels` does, so one call can share work across folds and C.
 
     The table lists the candidates with C ascending then gamma ascending,
     so ties resolve to the smaller C and then the smaller gamma.
@@ -138,64 +138,3 @@ def select(
     candidates = [{"C": c, "gamma": g} for c in C_values for g in gamma_values]
     return cross_validate(train.labels, candidates, fold_labels, grid.folds, grid.seed)
 
-
-# a dense eigh of an n x n matrix costs about this many LU factorizations of the
-# same size (5.1-8.1 measured for n = 40..1000, numpy 2.4 on single-threaded
-# OpenBLAS); the Gram's blocks at large gamma make it cheaper, which is not counted
-EIGH_LU_EQUIVALENTS = 6.0
-
-
-def spectral_cv_is_cheaper(n: int, folds: int, num_C: int) -> bool:
-    """Whether `lssvm.kfold_scores` is cheaper than one LU solve per (fold, C).
-
-    Counted in LU-equivalents, with an LU of size m costing m^3 and a fold
-    holding n / folds rows: the direct path factors folds * num_C systems of
-    the n - n / folds training rows; the spectral path pays one eigh of size n
-    and folds * num_C products of size |F| x n x |F| (3 |F|^2 n: a product
-    does 2 flops per term where an LU does 2/3).  Every term scales as n^3,
-    so the choice rests on folds and num_C: 5 folds x 6 C is spectral,
-    3 folds x 3 C direct.  The eigh and the products are counted dense, their
-    worst case: the rule is not gamma-aware on purpose, so a grid keeps its
-    path, and its bits, at every gamma.  `kfold_scores` pays less where the
-    spectrum allows it: a Gram split into blocks gets one eigh per block, its
-    singleton rows (no off-diagonal entry) get no eigenvector and no share of
-    the products, and a linear kernel with fewer features than rows uses the
-    thin SVD of the inputs.  A Gram with neither, one block with no singleton
-    row, pays the dense count.
-    """
-    fold = n / folds
-    direct = folds * num_C * (n - fold) ** 3
-    spectral = EIGH_LU_EQUIVALENTS * n**3 + folds * num_C * 3 * fold**2 * n
-    return spectral < direct
-
-
-def kfold_labels(
-    train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float], folds: Sequence[np.ndarray]
-) -> list[list[np.ndarray]]:
-    """One-vs-all LS-SVM labels of every fold's rows at every C, trained on the other folds.
-
-    out[f][j] labels the rows folds[f] by `lssvm.fit` at C_values[j] on the
-    rows `training_rows(folds, f)`.  Takes the cheaper path by
-    `spectral_cv_is_cheaper`: `lssvm.kfold_scores`, or per fold one Gram of
-    the training rows, one `lssvm.solve_dual_system` per C on it and one
-    query Gram, the operations `lssvm.fit` runs.  Their scores agree to
-    round-off, so labels can differ only where two classes' scores tie to
-    round-off.
-    """
-    if spectral_cv_is_cheaper(len(train), len(folds), len(C_values)):
-        scores = lssvm.kfold_scores(train, kernel_spec, C_values, folds)
-        return [[np.argmax(s, axis=1) for s in per_C] for per_C in scores]
-    # as kfold_scores does, so neither path raises alone: each fold's fit checks fewer rows
-    lssvm.check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
-    labels = []
-    for f, val in enumerate(folds):
-        fold = train.subset(training_rows(folds, f))
-        if len(fold) < 2:
-            raise ValueError("need at least 2 training samples")
-        kmat = gram(kernel_spec, fold.features, fold.features)
-        targets = lssvm.ova_targets(fold.labels, fold.num_classes)
-        solved = [lssvm.solve_dual_system(kmat, C, targets) for C in C_values]
-        del kmat  # freed before the query Gram, as after a fit
-        kq = gram(kernel_spec, train.features[val], fold.features)
-        labels.append([np.argmax(kq @ alphas + biases, axis=1) for alphas, biases in solved])
-    return labels

@@ -12,7 +12,7 @@ import pytest
 from emgadapt import harness, signals, synth
 from emgadapt.cli import _floats, _ints, _sizes, main
 from emgadapt.harness import ExperimentConfig
-from emgadapt.model_selection import spectral_cv_is_cheaper
+from emgadapt.lssvm import spectral_cv_is_cheaper
 from emgadapt.signals import WindowSpec
 
 # at least 6 classes so top-4 set comparisons are non-trivial (with 5 or
@@ -470,7 +470,7 @@ def test_numerical_error_in_cross_validation_returns_2(
 ):
     # either CV path rejects the top C, so the path decides the speed only
     folds, grid_c = ("5", f"0.01,0.1,1,10,100,{top_C}") if spectral else ("3", f"0.01,1,{top_C}")
-    assert spectral_cv_is_cheaper(16, int(folds), len(grid_c.split(","))) == spectral
+    assert spectral_cv_is_cheaper(int(folds), len(grid_c.split(","))) == spectral
     code = main([
         "run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path),
         "--experiment", "II", "--methods", method, "--sizes", "16", "--folds", folds,

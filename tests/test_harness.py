@@ -313,6 +313,21 @@ def test_a_seed_runs_the_same_cells_whatever_seeds_run_beside_it():
         assert a.params == b.params
 
 
+def test_reversing_the_source_order_leaves_every_cell_unchanged():
+    subs = _cohort(seed=0, intact=4, amputee=2, train_per=10, test_per=20, spread=1.5)
+    intact, amputee = subs[:4], subs[4:]
+    assert [s.condition for s in subs] == ["intact"] * 4 + ["amputee"] * 2
+    grid = Grid(C_values=(0.1, 1.0, 10.0), gamma_values=(0.1, 0.5), folds=3)
+    cfg = _small_cfg(experiment="AI", methods=harness.METHODS, size_schedule=(15, 30), grid=grid)
+    res = run_experiment(cfg, subs)
+    assert len(res.cells) == 2 * 2 * 2 * 5  # targets x seeds x sizes x methods
+    # overlapping classes, so a moved score would show in the accuracies
+    assert len({c.accuracy for c in res.cells}) > 10
+    # the sources are the intact subjects in cohort order: MA's beta, MKAL's blocks and
+    # the Prior Features and H-L2L score columns all follow it
+    _same_cells(res.cells, run_experiment(cfg, intact[::-1] + amputee).cells)
+
+
 def test_parallel_run_matches_serial():
     subs = _cohort(seed=2)
     serial = run_experiment(_small_cfg(jobs=1), subs)

@@ -262,12 +262,12 @@ def test_decision_scores_of_a_large_query_peak_far_below_its_full_gram(peak_byte
     "spec", [KernelSpec("gaussian", 0.5), KernelSpec("linear")], ids=["gaussian", "linear"]
 )
 def test_kfold_labels_direct_path_equals_predict_of_each_model(spec, monkeypatch):
-    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: False)
+    monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda folds, num_C: False)
     rng = np.random.default_rng(9)
     ds = _random_dataset(rng, n=40, g=4, d=3)
     C_values = (0.1, 1.0, 10.0)
     folds = model_selection.stratified_folds(ds.labels, 3, seed=2)
-    got = model_selection.kfold_labels(ds, spec, C_values, folds)
+    got = lssvm.kfold_labels(ds, spec, C_values, folds)
     assert len(got) == len(folds)
     for f, val in enumerate(folds):
         assert len(got[f]) == len(C_values)

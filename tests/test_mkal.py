@@ -20,13 +20,21 @@ from emgadapt.mkal import (
     _hinge_losses,
     fit_for_each_config,
     fit_mkal,
-    group_norm,
     predict_mkal,
     select_mkal,
 )
 from emgadapt.model_selection import stratified_folds
 from emgadapt.multi_adapt import source_scores
 from emgadapt.signals import Dataset
+
+
+def group_norm(block_norms: np.ndarray, p: float) -> float:
+    """(2, p) group norm from per-block L2 norms, with its input check: the oracle for the
+    trainer's batched group norms."""
+    block_norms = np.asarray(block_norms, dtype=float)
+    if np.any(block_norms < 0):
+        raise ValueError("block norms must be non-negative")
+    return float(np.sum(block_norms**p) ** (1.0 / p))
 
 
 def mkal_objective(

@@ -5,12 +5,11 @@ import pytest
 
 from emgadapt import lssvm, model_selection
 from emgadapt.kernels import KernelSpec, gram
+from emgadapt.lssvm import kfold_labels, spectral_cv_is_cheaper
 from emgadapt.model_selection import (
     Grid,
     cross_validate,
-    kfold_labels,
     select,
-    spectral_cv_is_cheaper,
     stratified_folds,
     training_rows,
 )
@@ -237,7 +236,7 @@ def test_select_table_equals_the_per_candidate_reference(seed, counts, grid):
 @pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
 @pytest.mark.parametrize("seed, counts, grid", SELECT_CASES, ids=SELECT_IDS)
 def test_select_table_equals_the_reference_on_either_path(seed, counts, grid, spectral, monkeypatch):
-    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
+    monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda folds, num_C: spectral)
     ds = _noisy_blobs(seed, counts)
     assert select(ds, kfold_labels, grid)[1] == _reference_table(ds, grid)
 
@@ -384,10 +383,73 @@ def test_kfold_scores_keep_the_bits_of_one_dense_eigh_where_the_gram_is_one_bloc
             assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("n", [40, 100, 160, 250, 500, 600, 1000])
-def test_cost_rule_picks_direct_for_the_cohort_grid_and_spectral_for_the_cli_grid(n):
-    assert not spectral_cv_is_cheaper(n, 3, 3)
-    assert spectral_cv_is_cheaper(n, 5, 6)
+def _cost_rule_with_n(n, folds, num_C):
+    """The cost rule's two counts with the row count n kept, each term n^3 times the n-free one's."""
+    fold = n / folds
+    direct = folds * num_C * (n - fold) ** 3
+    spectral = lssvm.EIGH_LU_EQUIVALENTS * n**3 + folds * num_C * 3 * fold**2 * n
+    return spectral < direct
+
+
+@pytest.mark.parametrize(
+    "folds, num_C, spectral",
+    [(3, 3, False), (5, 6, True), (2, 6, False), (3, 6, False), (4, 6, False)],
+    ids=["cohort-grid", "cli-grid", "hl2l-2-folds", "hl2l-3-folds", "hl2l-4-folds"],
+)
+def test_cost_rule_picks_the_path_of_each_grid_in_use(folds, num_C, spectral):
+    # H-L2L clamps the grid's folds to its stack's rows; its stacks take 2-4 folds
+    assert spectral_cv_is_cheaper(folds, num_C) == spectral
+
+
+def test_cost_rule_without_n_agrees_with_the_counts_that_keep_it():
+    for folds in range(2, 21):
+        for num_C in range(1, 21):
+            want = spectral_cv_is_cheaper(folds, num_C)
+            for n in (folds, 40, 199, 1000, 2160, 12747):
+                assert _cost_rule_with_n(n, folds, num_C) == want, (n, folds, num_C)
+
+
+def _folds_that_leave_rows_out():
+    """30 shuffled rows of 3 classes and 3 folds over 20 of them: 10 rows are in no fold."""
+    ds = _noisy_blobs(11, (10, 10, 10))
+    held = np.random.default_rng(4).permutation(len(ds))[:20]
+    return ds, [np.sort(held[:7]), np.sort(held[7:14]), np.sort(held[14:])]
+
+
+@pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
+@pytest.mark.parametrize("spec", [KernelSpec("gaussian", 0.5), KernelSpec("linear")], ids=["gaussian", "linear"])
+def test_either_cv_path_trains_a_fold_on_every_row_outside_it(spec, spectral, monkeypatch):
+    monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda folds, num_C: spectral)
+    ds, folds = _folds_that_leave_rows_out()
+    C_values = (0.1, 1.0, 10.0)
+    got = kfold_labels(ds, spec, C_values, folds)
+    assert len(got) == len(folds)
+    for val, per_C in zip(folds, got, strict=True):
+        rest = ds.subset(np.setdiff1d(np.arange(len(ds)), val))
+        for C, labels in zip(C_values, per_C, strict=True):
+            assert np.array_equal(labels, lssvm.predict(lssvm.fit(rest, spec, C), ds.features[val])[0])
+
+
+@pytest.mark.parametrize(
+    "folds, message",
+    [
+        ([np.arange(0, 6), np.arange(0)], r"fold 1 \(0 rows\) must hold 1 to 28 of the rows 0\.\.29"),
+        ([np.arange(0, 6), np.arange(5, 12)], "row 5 is held out more than once"),
+        ([np.arange(0, 6), np.array([6, 30])], r"fold 1 \(2 rows\) must hold 1 to 28 of the rows 0\.\.29"),
+        ([np.arange(0, 6), np.array([6, -1])], r"fold 1 \(2 rows\) must hold 1 to 28 of the rows 0\.\.29"),
+        ([np.arange(0, 1), np.arange(1, 30)], r"fold 1 \(29 rows\) must hold 1 to 28 .* at least 2 training"),
+    ],
+    ids=["empty", "overlapping", "past-the-end", "negative", "one-training-row"],
+)
+def test_either_cv_path_raises_the_same_error_on_bad_folds(folds, message, monkeypatch):
+    ds = _noisy_blobs(11, (10, 10, 10))
+    errors = []
+    for spectral in (False, True):
+        monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda f, num_C: spectral)
+        with pytest.raises(ValueError, match=message) as exc:
+            kfold_labels(ds, KernelSpec("gaussian", 1.0), [1.0, 10.0], folds)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time(peak_bytes):
@@ -396,7 +458,7 @@ def test_spectral_scorer_peak_memory_holds_one_gamma_at_a_time(peak_bytes):
     ds = _noisy_blobs(7, (100, 100, 100, 100))
     ds = Dataset(ds.features + rng.normal(size=ds.features.shape), ds.labels, 4)
     grid = Grid(C_values=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), gamma_values=(0.01, 0.1, 1.0, 10.0), folds=5)
-    assert spectral_cv_is_cheaper(n, grid.folds, len(grid.C_values))
+    assert spectral_cv_is_cheaper(grid.folds, len(grid.C_values))
     select(ds, kfold_labels, grid)  # first-call allocations that outlive it stay out of the count
     _, peak = peak_bytes(lambda: select(ds, kfold_labels, grid))
     # measured 2.07 N x N arrays: one gamma's Gram while eigh writes its
@@ -416,7 +478,7 @@ def test_spectral_scorer_peak_memory_holds_where_the_gram_splits(peak_bytes):
     ds = Dataset(np.concatenate([ds.features + rng.normal(size=ds.features.shape), far]),
                  np.concatenate([ds.labels, np.arange(40) % 4]), 4)
     grid = Grid(C_values=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0), gamma_values=(0.01, 1.0, 100.0, 1000.0), folds=5)
-    assert spectral_cv_is_cheaper(n, grid.folds, len(grid.C_values))
+    assert spectral_cv_is_cheaper(grid.folds, len(grid.C_values))
     select(ds, kfold_labels, grid)
     _, peak = peak_bytes(lambda: select(ds, kfold_labels, grid))
     # measured 1.96 N x N arrays (2.00 before singleton rows kept no eigenvector):
@@ -430,7 +492,7 @@ def test_spectral_scorer_peak_memory_of_a_thin_linear_spectrum_stays_below_one_g
     ds = _noisy_blobs(7, (100, 100, 100, 100))
     C_values = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
     folds = stratified_folds(ds.labels, 5, 0)
-    assert spectral_cv_is_cheaper(n, len(folds), len(C_values)) and ds.features.shape[1] < n
+    assert spectral_cv_is_cheaper(len(folds), len(C_values)) and ds.features.shape[1] < n
     kfold_labels(ds, KernelSpec("linear"), C_values, folds)
     _, peak = peak_bytes(lambda: kfold_labels(ds, KernelSpec("linear"), C_values, folds))
     # measured 0.43 N x N arrays: the thin SVD of X and a few |F| x |F| arrays per
@@ -440,7 +502,7 @@ def test_spectral_scorer_peak_memory_of_a_thin_linear_spectrum_stays_below_one_g
 
 @pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
 def test_either_cv_path_names_an_overflowing_gram(spectral, monkeypatch):
-    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
+    monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda folds, num_C: spectral)
     rng = np.random.default_rng(16)
     # finite rows whose squared norms overflow: unchecked, half the Gram was NaN
     ds = Dataset(rng.normal(size=(60, 10)) * 1e160, np.arange(60) % 3, 3)
@@ -474,7 +536,7 @@ def test_kfold_scores_reject_a_shift_below_the_eigenvalue_round_off(monkeypatch)
 def test_either_cv_path_rejects_exactly_the_ridges_below_the_floor(spectral, monkeypatch):
     # rank-deficient kernels (one feature, duplicated rows, a tiny gamma) at a
     # C just above and just below 1 / (2 n eps trace(K)): the path decides the speed only
-    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
+    monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda folds, num_C: spectral)
     rng = np.random.default_rng(20)
     for trial in range(40):
         n, d = int(rng.integers(8, 60)), int(rng.integers(1, 4))
@@ -493,7 +555,7 @@ def test_either_cv_path_rejects_exactly_the_ridges_below_the_floor(spectral, mon
 
 @pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
 def test_either_cv_path_rejects_a_fold_that_leaves_one_training_row(spectral, monkeypatch):
-    monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, folds, num_C: spectral)
+    monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda folds, num_C: spectral)
     ds = _noisy_blobs(0, (2, 1))
     with pytest.raises(ValueError, match="at least 2 training"):
         kfold_labels(ds, KernelSpec("gaussian", 1.0), [1.0], [np.array([0, 1]), np.array([2])])
@@ -506,7 +568,7 @@ def test_every_solve_rejects_a_C_that_is_not_positive(C, monkeypatch):
     spec = KernelSpec("gaussian", 1.0)
     folds = stratified_folds(ds.labels, 3, 0)
     for spectral in (False, True):
-        monkeypatch.setattr(model_selection, "spectral_cv_is_cheaper", lambda n, f, num_C: spectral)
+        monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda f, num_C: spectral)
         with pytest.raises(ValueError, match="C must be > 0"):
             kfold_labels(ds, spec, [1.0, C], folds)
     s_train = np.random.default_rng(0).normal(size=(len(ds), 2, 3))
