@@ -15,13 +15,13 @@ tensor once for its pool and once for its test set, and every method takes
 rows of it.  For every random seed the
 target's training pool is permuted once and the size-s training set is the
 first s entries, so smaller sets nest inside larger ones and class
-proportions stay whatever the permutation produced (no balancing).  Per
-cell, (C, gamma) are re-selected by CV on the current training subset and
-shared by No Transfer, Multi Adapt and the H-L2L first layer: the harness's
-only CV call.  Every other choice is its method's own, by the same protocol:
-Prior Features picks C, MKAL (p, lambda) in `mkal.select_mkal`, and H-L2L
-its layer-2 (C, gamma) on the stacked scores in `hl2l.select_hl2l`.  Errors
-name the cell's method (or the shared selection), size, target and seed.
+proportions stay whatever the permutation produced (no balancing).  The
+harness runs no CV: per cell, `baselines.fit_no_transfer` trains No Transfer
+on the training subset, and the (C, gamma) it picks is shared by Multi
+Adapt, MKAL (gamma only) and the H-L2L first layer.  Every other choice is
+its method's own: Prior Features picks C, MKAL (p, lambda) in
+`mkal.select_mkal`, and H-L2L its layer-2 (C, gamma) in `hl2l.select_hl2l`.
+Errors name the cell's method (or the shared selection), size, target and seed.
 
 All randomness is derived from (base_seed, target id, seed value, size
 index), so results are identical no matter how work is scheduled across
@@ -44,10 +44,9 @@ from . import lssvm
 from .analysis import ConfusionMatrix, confusion
 from .baselines import fit_no_transfer, fit_prior_features, predict_prior_features
 from .hl2l import predict_hl2l, select_hl2l
-from .kernels import KernelSpec
-from .lssvm import LssvmModel, NumericalError, kfold_labels
+from .lssvm import LssvmModel, NumericalError
 from .mkal import MkalSelection, predict_mkal, select_mkal
-from .model_selection import Grid, as_int, select
+from .model_selection import Grid, as_int
 from .multi_adapt import fit_ma, predict_ma, source_scores
 from .signals import CONDITIONS, Dataset, format_float, write_json
 
@@ -57,6 +56,9 @@ EXPERIMENTS = ("II", "AA", "AI")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """`run_experiment` never reads `grid.seed`: every CV seed comes from `base_seed`
+    and the subject or cell key, while the manifest still records `grid.seed`."""
+
     experiment: str
     methods: tuple[str, ...] = METHODS
     size_schedule: tuple[int, ...] = tuple(range(120, 2161, 120))
@@ -185,29 +187,28 @@ def _fit_eval_cell(
     s_sub: np.ndarray | None,
     test: Dataset,
     s_test: np.ndarray | None,
-    shared: dict | None,
+    nt: LssvmModel | None,
     cell_key: tuple[int, ...],
 ) -> tuple[np.ndarray, dict]:
-    """Train one method on the size-s subset and predict the test set."""
+    """Train one method on the size-s subset and predict the test set.  NoTransfer predicts
+    with `nt`, the cell's No Transfer model; MA, MKAL and H-L2L start from its (C, gamma)."""
     base = cfg.base_seed
     if method == "NoTransfer":
-        model = lssvm.fit(sub, KernelSpec("gaussian", shared["gamma"]), shared["C"])
-        return lssvm.predict(model, test.features)[0], dict(shared)
+        return lssvm.predict(nt, test.features)[0], {"C": nt.C, "gamma": nt.kernel.gamma}
     if method == "PriorFeatures":
         grid = dataclasses.replace(cfg.grid, seed=_seed_int(base, *cell_key, 3))
         model, stats = fit_prior_features(sub, s_sub, grid)
         return predict_prior_features(model, stats, s_test)[0], {"C": model.C}
     if method == "MA":
-        kernel = KernelSpec("gaussian", shared["gamma"])
-        model = fit_ma(sub, s_sub, kernel, shared["C"])
-        return predict_ma(model, test.features, s_test)[0], dict(shared)
+        model = fit_ma(sub, s_sub, nt.kernel, nt.C)
+        return predict_ma(model, test.features, s_test)[0], {"C": nt.C, "gamma": nt.kernel.gamma}
     if method == "MKAL":
-        model = select_mkal(sub, s_sub, cfg.mkal, shared["gamma"], cfg.grid.folds,
+        model = select_mkal(sub, s_sub, cfg.mkal, nt.kernel.gamma, cfg.grid.folds,
                             _seed_int(base, *cell_key, 5), _seed_int(base, *cell_key, 4))
         return (predict_mkal(model, test.features, s_test)[0],
-                {"p": model.p, "lam": model.lam, "gamma": shared["gamma"]})
+                {"p": model.p, "lam": model.lam, "gamma": nt.kernel.gamma})
     if method == "HL2L":
-        model = select_hl2l(sub, s_sub, KernelSpec("gaussian", shared["gamma"]), shared["C"],
+        model = select_hl2l(sub, s_sub, nt.kernel, nt.C,
                             dataclasses.replace(cfg.grid, seed=_seed_int(base, *cell_key, 7)),
                             _seed_int(base, *cell_key, 6))
         l1, l2 = model.layer1, model.layer2
@@ -239,7 +240,7 @@ def _run_target(
         warnings.append(f"target {target.subject_id}: dropped sizes {dropped} beyond pool of {n_pool}")
     s_pool = source_scores(source_models, pool.features) if source_models else None
     s_test = source_scores(source_models, test.features) if source_models else None
-    need_shared = any(m in ("NoTransfer", "MA", "MKAL", "HL2L") for m in cfg.methods)
+    need_nt = any(m != "PriorFeatures" for m in cfg.methods)
 
     cells: list[CellResult] = []
     for seed_index, seed in enumerate(cfg.seeds):
@@ -250,16 +251,15 @@ def _run_target(
             s_sub = s_pool[idx] if s_pool is not None else None
             cell_key = (3, tkey, seed, size_index)
             where = f"at size {size} (target {target.subject_id}, seed {seed})"
-            shared = None
-            if need_shared:
+            nt = None
+            if need_nt:
                 grid = dataclasses.replace(cfg.grid, seed=_seed_int(cfg.base_seed, *cell_key, 2))
                 with _context(f"(C, gamma) selection {where}"):
-                    best, _ = select(sub, kfold_labels, grid)
-                shared = {"C": best["C"], "gamma": best["gamma"]}
+                    nt = fit_no_transfer(sub, grid)
             for method in cfg.methods:
                 with _context(f"{method} {where}"):
                     pred, params = _fit_eval_cell(
-                        method, cfg, sub, s_sub, test, s_test, shared, cell_key
+                        method, cfg, sub, s_sub, test, s_test, nt, cell_key
                     )
                 cm = confusion(pred, test.labels, pool.num_classes)
                 cells.append(CellResult(

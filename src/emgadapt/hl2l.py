@@ -101,8 +101,6 @@ def select_hl2l(train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: fl
     with `grid.folds` clamped to the stack's rows (at least 2).  Raises ValueError, naming
     layer 2, where a fold of that CV would train on fewer than 2 rows."""
     _, _, stack = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
-    if len(stack) < 3:  # each of a 2-row stack's 2 folds would train on 1 row
-        raise ValueError(f"layer 2 needs a stack of at least 3 rows for its CV, got {len(stack)}")
     folds = max(2, min(grid.folds, len(stack)))
     left = len(stack) - math.ceil(len(stack) / folds)  # the rows its largest fold trains on
     if left < 2:

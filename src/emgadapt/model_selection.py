@@ -51,8 +51,8 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     """Deal each class's shuffled members round-robin into `folds` folds.
 
     The dealing position carries over between classes, so fold sizes differ
-    by at most one globally and per class.  A class with fewer members than
-    folds simply lands in that many folds.
+    by at most one globally and per class, and no fold is empty.  A class
+    with fewer members than folds simply lands in that many folds.
     """
     labels = np.asarray(labels, dtype=int)
     n = labels.shape[0]
@@ -67,10 +67,7 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
         for idx in members:
             buckets[pos % folds].append(int(idx))
             pos += 1
-    out = [np.array(sorted(b), dtype=int) for b in buckets]
-    if any(len(b) == 0 for b in out):
-        raise ValueError("degenerate folds: a fold received no samples")
-    return out
+    return [np.array(sorted(b), dtype=int) for b in buckets]
 
 
 def training_rows(folds: Sequence[np.ndarray], f: int) -> np.ndarray:

@@ -367,6 +367,19 @@ def test_all_methods_produce_cells_with_expected_params():
         assert mine["MKAL"].params["gamma"] == mine["NoTransfer"].params["gamma"]
 
 
+def test_the_shared_pair_does_not_depend_on_which_methods_run():
+    subs = _cohort(seed=3, train_per=10, test_per=20, spread=1.5)
+    grid = Grid(C_values=(0.1, 1.0, 10.0), gamma_values=(0.1, 0.5, 2.0), folds=3)
+    cfg = _small_cfg(methods=harness.METHODS, size_schedule=(15, 30), grid=grid)
+    every = run_experiment(cfg, subs)
+    adapted = ("MA", "MKAL", "HL2L")
+    # without NoTransfer in the run, the cell still trains it for its (C, gamma)
+    alone = run_experiment(dataclasses.replace(cfg, methods=adapted), subs)
+    _same_cells(alone.cells, [c for c in every.cells if c.method in adapted])
+    # the cells pick more than one pair, so a pair fixed by the method set would show
+    assert len({tuple(c.params.values()) for c in alone.cells if c.method == "MA"}) > 1
+
+
 def _cell_inputs():
     """A target's size-18 subset and test set with two fixed source machines' score tensors."""
     target, *sources = _cohort(seed=8, train_per=10)
@@ -399,7 +412,8 @@ def test_mkal_cell_is_select_mkal_at_the_cell_seeds():
     sub, s_sub, test, s_test = _cell_inputs()
     sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2), epochs_online=2, epochs_batch=4)
     cfg, key = _small_cfg(mkal=sel), (3, 1, 0, 0)
-    pred, params = harness._fit_eval_cell("MKAL", cfg, sub, s_sub, test, s_test, {"gamma": 0.5}, key)
+    nt = lssvm.fit(sub, KernelSpec("gaussian", 0.5), 10.0)
+    pred, params = harness._fit_eval_cell("MKAL", cfg, sub, s_sub, test, s_test, nt, key)
     # the harness's seed tags: 5 deals the CV folds, 4 orders the samples of every fit
     cv_seed, fit_seed = (harness._seed_int(cfg.base_seed, *key, tag) for tag in (5, 4))
     model = select_mkal(sub, s_sub, sel, 0.5, cfg.grid.folds, cv_seed, fit_seed)
@@ -410,9 +424,8 @@ def test_mkal_cell_is_select_mkal_at_the_cell_seeds():
 def test_hl2l_cell_is_select_hl2l_at_the_cell_seeds():
     sub, s_sub, test, s_test = _cell_inputs()
     cfg, key = _small_cfg(), (3, 1, 0, 0)
-    pred, params = harness._fit_eval_cell(
-        "HL2L", cfg, sub, s_sub, test, s_test, {"C": 10.0, "gamma": 0.5}, key
-    )
+    nt = lssvm.fit(sub, KernelSpec("gaussian", 0.5), 10.0)
+    pred, params = harness._fit_eval_cell("HL2L", cfg, sub, s_sub, test, s_test, nt, key)
     # the harness's seed tags: 7 deals layer 2's CV folds, 6 splits the stack
     grid2 = dataclasses.replace(cfg.grid, seed=harness._seed_int(cfg.base_seed, *key, 7))
     split_seed = harness._seed_int(cfg.base_seed, *key, 6)

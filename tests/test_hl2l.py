@@ -231,7 +231,7 @@ def test_select_hl2l_names_layer2_when_the_stack_is_too_small_for_its_cv():
     k1 = KernelSpec("gaussian", 1.0)
     assert len(stacking_dataset(train, s_train, k1, 10.0, seed=0)[2]) == 2
     grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=2, seed=0)
-    with pytest.raises(ValueError, match="layer 2 needs a stack of at least 3 rows for its CV, got 2"):
+    with pytest.raises(ValueError, match="layer 2's 2-fold CV trains its largest fold on 1 of the stack's 2 rows; it needs at least 2"):
         select_hl2l(train, s_train, k1, 10.0, grid, seed=0)
     # at a given (C, gamma) layer 2 still trains on the 2 rows
     model = fit_hl2l(train, s_train, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=0)

@@ -3,7 +3,8 @@ numpy, uses each name it imports, every top-level function of the package
 is read somewhere, every dataclass field is read outside its own class,
 only the listed owner functions open, read or write files or parse JSON,
 the core modules import no method module, the CV protocol trains no model,
-and the harness runs no CV fold loop and no H-L2L layer-2 selection of its own."""
+and the harness runs no CV of its own: no fold loop, no selection and no H-L2L
+layer-2 selection."""
 
 import ast
 import sys
@@ -50,9 +51,11 @@ FILE_METHODS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
 CORE_MODULES = ("kernels", "lssvm", "signals")
 METHOD_MODULES = ("baselines", "harness", "hl2l", "mkal", "multi_adapt")
 
-# The harness runs no fold loop of its own: `select` is its one CV call, for the
-# shared (C, gamma); MKAL's lockstep CV is `mkal.select_mkal`'s.
+# The harness runs no fold loop of its own: MKAL's lockstep CV is `mkal.select_mkal`'s.
 FOLD_LOOP_NAMES = ("cross_validate", "training_rows")
+
+# Nor does it select: the shared (C, gamma) is the one `baselines.fit_no_transfer` picks.
+SELECTION_NAMES = ("select", "kfold_labels")
 
 # Nor does it stack or fit H-L2L: layer 2's selection and fit are `hl2l.select_hl2l`'s.
 HL2L_SELECTION_NAMES = ("stacking_dataset", "fit_hl2l")
@@ -302,11 +305,19 @@ def test_lint_finds_imported_or_read_names():
     source = ("from .model_selection import cross_validate as cv\n"
               "import emgadapt.model_selection as ms\nms.training_rows(folds, 0)\n")
     assert set(FOLD_LOOP_NAMES) <= imported_or_read_names(source)
+    source = ("from .lssvm import kfold_labels as kl\nfrom . import model_selection\n"
+              "best, _ = model_selection.select(sub, kl, grid)\n")
+    assert set(SELECTION_NAMES) <= imported_or_read_names(source)
 
 
 def test_harness_runs_no_fold_loop_of_its_own():
     names = imported_or_read_names((PACKAGE_DIR / "harness.py").read_text())
     assert sorted(names & set(FOLD_LOOP_NAMES)) == []
+
+
+def test_harness_selects_no_hyperparameters_of_its_own():
+    names = imported_or_read_names((PACKAGE_DIR / "harness.py").read_text())
+    assert sorted(names & set(SELECTION_NAMES)) == []
 
 
 def test_harness_leaves_hl2l_layer2_selection_to_select_hl2l():

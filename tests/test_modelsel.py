@@ -37,6 +37,15 @@ def test_folds_partition_all_indices():
         parts = stratified_folds(labels, folds, seed=int(rng.integers(1000)))
         joined = np.sort(np.concatenate(parts))
         assert np.array_equal(joined, np.arange(n))
+    # from as many rows as folds upward, every fold gets a row and sizes differ by at most 1
+    for folds in range(2, 8):
+        for n in range(folds, folds + 12):
+            for g in range(1, 6):
+                labels = rng.integers(0, g, size=n)
+                parts = stratified_folds(labels, folds, seed=int(rng.integers(1000)))
+                assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+                sizes = [len(p) for p in parts]
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 def test_folds_balanced_globally_and_per_class():
