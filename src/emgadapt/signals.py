@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -354,27 +355,86 @@ def _positive_int(path: Path, doc: dict, key: str) -> int:
 
 
 def _read_csv(path: Path, header: list[str], ints: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read what `_write_csv` writes: the float columns as an N x d matrix and the
-    last `ints` columns as an `ints` x N int array.  Every error names `path`,
-    and an error in a row also its line; `kind` names the file in a header error.
+    """Read what `_write_csv` writes: the float columns as a C-ordered N x d matrix and
+    the last `ints` columns as an `ints` x N int array.  Every error names `path`, and an
+    error in a row or a byte that is not UTF-8 also its line; `kind` names the file in a
+    header error.
+
+    After csv checks the header, numpy's C parser reads the body in one `np.loadtxt`
+    call, holding no Python object per row or field.  Where numpy reads a field it reads
+    the value Python's `float` or `int` does; where the two could differ, the row loop
+    `_read_rows` reads the body again and decides, so every value and every error is the
+    loop's.  That is when numpy raises or warns (on a `1_0`, a quoted field, non-ASCII
+    digits, an int column's `3.0` or a value past int64, or a wrong field count), when it
+    returns fewer rows than the body has lines (it skips blank lines), when a lone CR,
+    at which csv ends a row, ends a line, and when the body is empty.
     """
+    try:
+        with open(path, "rb") as fh:
+            lines = _count_lines(fh)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise ValueError(f"{path}: empty CSV, no header")
+            if first != header:
+                raise ValueError(f"unexpected {kind} CSV header in {path}")
+            if lines is not None and lines > 1:  # a header that matched is one line
+                fields = [("floats", float, (len(header) - ints,)), ("ints", int, (ints,))]
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        table = np.loadtxt(fh, np.dtype(fields), comments=None, delimiter=",", ndmin=1)
+                except Exception:  # whatever numpy rejects, the row loop names
+                    table = None
+                if table is not None and len(table) == lines - 1:  # numpy skips blank lines
+                    return np.ascontiguousarray(table["floats"]), table["ints"].T.copy()
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+            return _read_rows(path, reader, len(header), ints)
+    except UnicodeDecodeError:  # raised per chunk of text, so its offset is not the file's
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]  # csv ends a line at CR LF, LF and a lone CR
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ValueError(f"{path} line {line}: not UTF-8 text: {exc}") from None
+        raise
+
+
+def _count_lines(fh) -> int | None:
+    """The lines of the binary file `fh`, or None if a lone CR ends one."""
+    lines = lone_cr = 0
+    last = b""
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        if chunk.endswith(b"\r"):  # keep a CR LF in one chunk
+            chunk += fh.read(1)
+        lines += chunk.count(b"\n")
+        lone_cr += chunk.count(b"\r") - chunk.count(b"\r\n")
+        last = chunk[-1:]
+    if lone_cr:
+        return None
+    return lines + (last not in (b"", b"\n"))  # a last line with no line end counts too
+
+
+def _read_rows(path: Path, reader, width: int, ints: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows left in the csv `reader` of `path`, read field by field with Python's
+    `float` and `int`: what `_read_csv` returns, or the error it raises."""
     floats, int_values = [], []
-    d = len(header) - ints
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise ValueError(f"{path}: empty CSV, no header")
-        if first != header:
-            raise ValueError(f"unexpected {kind} CSV header in {path}")
-        try:  # one handler for the whole loop, so a row costs no more
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
-                floats.append(list(map(float, row[:d])))
-                int_values.extend(map(int, row[d:]))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    d = width - ints
+    try:  # one handler for the whole loop, so a row costs no more
+        for row in reader:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} fields, header has {width}")
+            floats.append(list(map(float, row[:d])))
+            int_values.extend(map(int, row[d:]))
+    except UnicodeDecodeError:  # _read_csv names its line
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     n = len(floats)
     features = np.array(floats).reshape(n, d)
     try:

@@ -43,7 +43,8 @@ FILE_OWNERS = [
     "signals.read_json",  # reads every JSON document: sidecars, manifests, --config files
     "signals.write_json",  # writes every JSON document
 ]
-FILE_METHODS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
+FILE_METHODS = ("open", "read_text", "write_text", "read_bytes", "write_bytes", "tofile")
+NUMPY_FILE_FUNCTIONS = ("loadtxt", "genfromtxt", "fromfile", "load", "save", "savez", "savetxt")
 
 # The LS-SVM core, the kernels and the signal layer know nothing of source
 # scores or of the methods built on them: they import none of these modules,
@@ -174,7 +175,8 @@ def unread_fields(package: dict[str, str], others: list[str]) -> list[str]:
 
 def _uses_files(tree: ast.AST) -> bool:
     """Whether `tree` calls `open` (bare or as a method), a path's read or write
-    method, or `json.load`, `json.loads` or `json.dump`."""
+    method, an array's `tofile`, `json.load`, `json.loads` or `json.dump`, or one of
+    numpy's file readers and writers in `NUMPY_FILE_FUNCTIONS`."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -184,6 +186,7 @@ def _uses_files(tree: ast.AST) -> bool:
         if isinstance(func, ast.Attribute) and (
             func.attr in FILE_METHODS
             or (ast.unparse(func.value) == "json" and func.attr in ("load", "loads", "dump"))
+            or (ast.unparse(func.value) in ("np", "numpy") and func.attr in NUMPY_FILE_FUNCTIONS)
         ):
             return True
     return False
@@ -265,8 +268,11 @@ def test_lint_flags_file_use_outside_the_owners():
         "b": "CONFIG = open('x').read()\n\nclass Reader:\n    def read(self, p):\n"
              "        with p.open() as fh:\n            return fh.read()\n\n"
              "def dump(doc, fh):\n    json.dump(doc, fh)\n\ndef text(p):\n    return str(p)\n",
+        "c": "import numpy as np\n\ndef table(p):\n    return np.loadtxt(p, delimiter=',')\n\n"
+             "def raw(a, p):\n    a.tofile(p)\n\ndef array(x):\n    return np.asarray(x)\n",
     }
-    assert file_users(package) == ["a.inline", "a.owner", "b.<module>", "b.Reader", "b.dump"]
+    assert file_users(package) == ["a.inline", "a.owner", "b.<module>", "b.Reader", "b.dump",
+                                   "c.raw", "c.table"]
 
 
 def test_lint_flags_an_import_beyond_the_standard_library_and_numpy():

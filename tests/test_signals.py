@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from emgadapt import synth
+from emgadapt import signals, synth
 from emgadapt.signals import (
     Dataset,
     NormStats,
@@ -582,6 +583,145 @@ def test_loaders_name_the_file_and_line_of_a_bad_field(
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"x.csv line {line}: {message}")):
         load(tmp_path / "x")
+
+
+# ---------------------------------------------------------------------------
+# the CSV reader: numpy's parser where it reads what the row loop reads, the row loop elsewhere
+
+
+_HEADER = ["f_1", "f_2", "label"]
+
+
+def _outcome(path):
+    """What `_read_csv` gives for a table of `_HEADER`: the bytes, shapes and dtypes of
+    its two arrays, or the text of the `ValueError` it raises.  It warns of nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # numpy warns on a body with no rows
+        try:
+            floats, ints = signals._read_csv(path, _HEADER, 1, "test")
+        except ValueError as exc:
+            return str(exc)
+        finally:
+            assert [str(w.message) for w in caught] == []
+    assert floats.flags.c_contiguous
+    return _outcome_of(floats, ints)
+
+
+def _outcome_of(floats, ints):
+    return floats.tobytes(), floats.shape, floats.dtype, ints.tobytes(), ints.shape, ints.dtype
+
+
+def _row_loop_outcome(path):
+    """`_outcome` with numpy's parser failing, so the row loop reads every row."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("numpy's parser is off")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", fail)
+        return _outcome(path)
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        (b"1,2,0\r\n\r\n3,4,1\r\n", "line 3: 0 fields, header has 3"),
+        (b"1,2,0\r\n# note\r\n", "line 3: 1 fields, header has 3"),
+        (b'"1.5",2,"1"\r\n', ([[1.5, 2.0]], [1])),
+        (b"1_0,2,0\r\n", ([[10.0, 2.0]], [0])),
+        (b"1,2,1_0\r\n", ([[1.0, 2.0]], [10])),
+        (b"1,2,3.0\r\n", "line 2: invalid literal for int() with base 10: '3.0'"),
+        (b"1,2,9223372036854775808\r\n", "line 2: 9223372036854775808 is out of the int64 range"),
+        (b"1,2,0\r3,4,1\r", ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
+        (b"1,2,0\r\r\n", "line 3: 0 fields, header has 3"),
+        (b"1,2,0\r\n3,4,1", ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
+        (b" 1.5 ,\t1.5, 2 \r\n", ([[1.5, 1.5]], [2])),
+        (b"1 5,2,0\r\n", "line 2: could not convert string to float: '1 5'"),
+        (b"+1,2,+1\r\n", ([[1.0, 2.0]], [1])),
+        ("١,٢.٥,٣\r\n".encode(), ([[1.0, 2.5]], [3])),
+        (b"1e400,-1e400,0\r\n", ([[math.inf, -math.inf]], [0])),
+        (b"nan,Infinity,0\r\n", ([[math.nan, math.inf]], [0])),
+        (b"1,2,0,\r\n", "line 2: 4 fields, header has 3"),
+        (b"\r\n", "line 2: 0 fields, header has 3"),
+        (b"", ([], [])),
+    ],
+    ids=[
+        "blank-line", "comment-line", "quoted", "underscore-float", "underscore-int", "int-3.0",
+        "int-past-int64", "lone-cr", "cr-cr-lf", "no-final-newline", "spaces-and-tab", "inner-space",
+        "plus-sign", "arabic-indic-digits", "1e400", "nan-and-infinity", "trailing-comma",
+        "blank-body", "header-only",
+    ],
+)
+def test_read_csv_gives_the_row_loops_values_or_error(tmp_path, body, expected):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"f_1,f_2,label\r\n" + body)
+    if isinstance(expected, str):
+        want = f"{path} {expected}"
+    else:
+        floats, labels = expected
+        want = _outcome_of(np.array(floats, dtype=float).reshape(-1, 2), np.array([labels], dtype=int))
+    assert _outcome(path) == _row_loop_outcome(path) == want
+
+
+def test_saved_tables_take_numpys_parser(tmp_path, monkeypatch):
+    # a silent fall back to the row loop would read the same values, only slower
+    rec = _toy_recording(seed=7)
+    save_recording(rec, tmp_path / "rec")
+    train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
+    save_dataset(train, tmp_path / "ds", _TOY_NAMES)
+
+    def row_loop(*args):
+        raise AssertionError("the row loop read a table that save_recording or save_dataset wrote")
+
+    monkeypatch.setattr(signals, "_read_rows", row_loop)
+    back = load_recording(tmp_path / "rec")
+    assert np.array_equal(back.samples, rec.samples) and np.array_equal(back.labels, rec.labels)
+    assert np.array_equal(back.repetitions, rec.repetitions)
+    ds = load_dataset(tmp_path / "ds")
+    assert np.array_equal(ds.features, train.features) and np.array_equal(ds.labels, train.labels)
+
+
+@pytest.mark.parametrize(
+    "which, line", [("recording", 1), ("recording", 3), ("recording", 421), ("dataset", 1), ("dataset", 3)]
+)
+def test_loaders_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, which, line):
+    load = _save_toy_files(tmp_path, which)
+    csv_path = tmp_path / "x.csv"
+    lines = csv_path.read_bytes().splitlines(keepends=True)
+    offset = len(b"".join(lines[: line - 1]))
+    if line == 421:  # past the first 8 KB, which text files decode a chunk at a time
+        assert offset > 8192
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    csv_path.write_bytes(b"".join(lines))
+    message = (f"x.csv line {line}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+               f"in position {offset}: invalid start byte")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(tmp_path / "x")
+
+
+_TABLE_ROWS = _reference_csv(
+    _HEADER, [((0.1, -2.5), (0,)), ((1e-300, 7.0), (3,)), ((-0.0, 123456789.125), (12,)), ((5e-324, 1e16), (1,))]
+).split(b"\r\n")[1:-1]
+_TOKENS = [b"", b"#", b",", b'"', b'"1.5"', b"1_0", b"3.0", b"1e0", str(2**63).encode(), b"\r", b"\n",
+           b"\r\n", b" ", b"\t", b" 1.5 ", b"1 5", b"+1", b"-", "٣".encode(), b"1e400", b"nan",
+           b"Infinity", b"\xff", b"\x00"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    order=st.lists(st.integers(0, len(_TABLE_ROWS) - 1), max_size=2 * len(_TABLE_ROWS)),
+    eol=st.sampled_from([b"\r\n", b"\n"]),
+    final_eol=st.booleans(),
+    token=st.sampled_from(_TOKENS),
+    at=st.integers(0, 10**6),
+)
+def test_numpys_parser_and_the_row_loop_agree_on_a_mutated_table(tmp_path_factory, order, eol, final_eol,
+                                                                  token, at):
+    # rows dropped, repeated or reordered, and one token spliced in anywhere after the header
+    body = eol.join(_TABLE_ROWS[i] for i in order) + (eol if final_eol and order else b"")
+    at %= len(body) + 1
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(b",".join(h.encode() for h in _HEADER) + b"\r\n" + body[:at] + token + body[at:])
+    assert _outcome(path) == _row_loop_outcome(path)
 
 
 @pytest.mark.parametrize(
