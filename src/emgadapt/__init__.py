@@ -16,7 +16,7 @@ from .harness import ExperimentConfig, SubjectData, run_experiment
 from .hl2l import Hl2lModel, fit_hl2l, predict_hl2l
 from .kernels import KernelSpec, gram
 from .lssvm import LssvmModel, NumericalError
-from .mkal import MkalConfig, MkalModel, MkalSelection, fit_mkal, predict_mkal
+from .mkal import MkalModel, MkalSelection, fit_mkal, predict_mkal
 from .model_selection import Grid, select
 from .multi_adapt import MaModel, fit_ma, predict_ma
 from .signals import Dataset, Recording, WindowSpec, build_subject_datasets
@@ -33,7 +33,6 @@ __all__ = [
     "KernelSpec",
     "LssvmModel",
     "MaModel",
-    "MkalConfig",
     "MkalModel",
     "MkalSelection",
     "NumericalError",

@@ -179,37 +179,48 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
     spec = WindowSpec(window_ms=args.window_ms, step_ms=args.step_ms)
     outdir = Path(args.out_dir)
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
     outdir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for subject_id, stem in stems:
-        rec = load_recording(indir / stem)
-        train, test = signals.build_subject_datasets(
-            rec, spec, test_reps=args.test_reps, feature_mode=args.feature_mode
-        )
-        names = signals.feature_names(rec.channels, args.feature_mode)
-        save_dataset(train, outdir / f"{subject_id}_train", names)
-        save_dataset(test, outdir / f"{subject_id}_test", names)
-        entries.append(
-            {
-                "subject_id": subject_id,
-                "condition": rec.condition,
-                "train_stem": f"{subject_id}_train",
-                "test_stem": f"{subject_id}_test",
-                "num_classes": rec.num_classes,
-                "dim": train.dim,
-                "train_count": len(train),
-                "test_count": len(test),
-            }
-        )
-    manifest = {
-        "kind": "features",
-        "window_ms": spec.window_ms,
-        "step_ms": spec.step_ms,
-        "feature_mode": args.feature_mode,
-        "test_reps": list(args.test_reps),
-        "subjects": entries,
-    }
-    write_json(outdir / "features.json", manifest)
+    written: list[Path] = []  # a failure removes these again, and the directories made here
+    try:
+        entries = []
+        for subject_id, stem in stems:
+            rec = load_recording(indir / stem)
+            train, test = signals.build_subject_datasets(
+                rec, spec, test_reps=args.test_reps, feature_mode=args.feature_mode
+            )
+            names = signals.feature_names(rec.channels, args.feature_mode)
+            for ds, part in ((train, "train"), (test, "test")):
+                written += stem_paths(outdir / f"{subject_id}_{part}")
+                save_dataset(ds, outdir / f"{subject_id}_{part}", names)
+            entries.append(
+                {
+                    "subject_id": subject_id,
+                    "condition": rec.condition,
+                    "train_stem": f"{subject_id}_train",
+                    "test_stem": f"{subject_id}_test",
+                    "num_classes": rec.num_classes,
+                    "dim": train.dim,
+                    "train_count": len(train),
+                    "test_count": len(test),
+                }
+            )
+        manifest = {
+            "kind": "features",
+            "window_ms": spec.window_ms,
+            "step_ms": spec.step_ms,
+            "feature_mode": args.feature_mode,
+            "test_reps": list(args.test_reps),
+            "subjects": entries,
+        }
+        written.append(outdir / "features.json")
+        write_json(outdir / "features.json", manifest)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
     total = sum(e["train_count"] + e["test_count"] for e in entries)
     print(f"wrote datasets for {len(entries)} subjects ({total} windows) to {outdir}")
     return 0
@@ -234,10 +245,7 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         size_schedule=args.sizes,
         seeds=tuple(range(args.num_seeds)),
         grid=Grid(C_values=args.grid_c, gamma_values=args.grid_gamma, folds=args.folds),
-        mkal=MkalSelection(
-            p_grid=args.mkal_p, lambda_grid=args.mkal_lambda,
-            epochs_online=args.mkal_epochs_online, epochs_batch=args.mkal_epochs_batch,
-        ),
+        mkal=MkalSelection(p_grid=args.mkal_p, lambda_grid=args.mkal_lambda),
         source_train_cap=args.source_cap,
         base_seed=args.base_seed,
         jobs=args.jobs,
@@ -382,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of p values")
     p.add_argument("--mkal-lambda", type=_floats, default=MkalSelection.lambda_grid,
                    help="comma list of lambda values")
-    p.add_argument("--mkal-epochs-online", type=int, default=MkalSelection.epochs_online)
-    p.add_argument("--mkal-epochs-batch", type=int, default=MkalSelection.epochs_batch)
     p.add_argument("--source-cap", type=_cap, default=ExperimentConfig.source_train_cap,
                    help="max source training vectors, 'none' to disable")
     p.add_argument("--jobs", type=int, default=ExperimentConfig.jobs)

@@ -31,13 +31,12 @@ epoch costs one K_k @ du product per block.  Block norms are recomputed from
 scratch only once per online epoch, when the caches are refreshed.  The best
 objective and the epoch it came from are kept on the model.
 
-Lockstep: `fit_for_each_config` trains several (p, lam) configs that share
-the rows, gamma, seed (so the sample order) and epoch counts at once.  The
-block Grams are built once; p, lam and the cached state carry a leading
-candidate axis, so a step costs a fixed number of array operations whatever
-the number of candidates.  Each candidate stays independent of the others
-element by element, so every model is bit for bit the one `fit_mkal`, the
-one-config case, returns.
+Lockstep: `fit_for_each_config` trains several (p, lam) pairs at once, at
+one gamma and one seed (so one sample order).  The block Grams are built
+once; p, lam and the cached state carry a leading candidate axis, so a step
+costs a fixed number of array operations whatever the number of candidates.
+Each candidate stays independent of the others element by element, so every
+model is bit for bit the one `fit_mkal`, the one-pair case, returns.
 
 Selection: `select_mkal` picks (p, lam) by stratified CV, training each
 fold's candidates in lockstep, and refits the winner on every row.
@@ -51,49 +50,39 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec, gram, gram_product
-from .model_selection import as_int, check_grid_values, cross_validate, training_rows
+from .model_selection import check_grid_values, cross_validate, training_rows
 from .multi_adapt import check_score_tensor
 from .signals import Dataset
 
 
-@dataclass(frozen=True)
-class MkalConfig:
-    p: float = 1.25
-    lam: float = 1e-3
-    gamma: float = 1.0        # bandwidth of the raw-feature block
-    epochs_online: int = 5
-    epochs_batch: int = 20
-    seed: int = 0
+EPOCHS_ONLINE = 5  # seeded online epochs, one step per training row
+EPOCHS_BATCH = 20  # batch subgradient sweeps after them
 
-    def __post_init__(self):
-        if not (1.0 < self.p <= 2.0):
-            raise ValueError("p must lie in (1, 2]")
-        if not self.lam > 0:
-            raise ValueError("lam must be > 0")
-        if self.epochs_online < 0 or self.epochs_batch < 0:
-            raise ValueError("epoch counts must be >= 0")
+
+def check_candidate(p: float, lam: float) -> None:
+    """Reject a (p, lam) pair the trainer cannot take: p must lie in (1, 2] and lam be > 0."""
+    if not (1.0 < p <= 2.0):
+        raise ValueError("p must lie in (1, 2]")
+    if not lam > 0:
+        raise ValueError("lam must be > 0")
 
 
 @dataclass(frozen=True)
 class MkalSelection:
-    """Validation grid and budgets for the multi-kernel method; CV uses the main grid's folds."""
+    """Validation grid for the multi-kernel method; CV uses the main grid's folds."""
 
     p_grid: tuple[float, ...] = (1.05, 1.25, 1.5, 2.0)
     lambda_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
-    epochs_online: int = 5
-    epochs_batch: int = 20
 
     def __post_init__(self):
         check_grid_values("p_grid", self.p_grid)
         check_grid_values("lambda_grid", self.lambda_grid)
-        for name in ("epochs_online", "epochs_batch"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name), 0))
-        self.configs(1.0, 0)  # MkalConfig checks the ranges of p, lambda and the epochs
+        for p, lam in self.candidates():
+            check_candidate(p, lam)
 
-    def configs(self, gamma: float, seed: int) -> list[MkalConfig]:
-        """The candidates, lam ascending then p ascending, so ties go to the smaller lam, then p."""
-        return [MkalConfig(p, lam, gamma, self.epochs_online, self.epochs_batch, seed)
-                for lam in sorted(self.lambda_grid) for p in sorted(self.p_grid)]
+    def candidates(self) -> list[tuple[float, float]]:
+        """The (p, lam) pairs, lam ascending then p ascending, so ties go to the smaller lam, then p."""
+        return [(p, lam) for lam in sorted(self.lambda_grid) for p in sorted(self.p_grid)]
 
 
 @dataclass
@@ -153,23 +142,23 @@ def _fold_small_multipliers(
     m[small] = 1.0
 
 
-def fit_mkal(train: Dataset, s_train: np.ndarray, cfg: MkalConfig) -> MkalModel:
-    """Train on the (N, K, G) source scores of the training rows."""
-    return fit_for_each_config(train, s_train, [cfg])[0]
+def fit_mkal(
+    train: Dataset, s_train: np.ndarray, p: float, lam: float, gamma: float, seed: int
+) -> MkalModel:
+    """Train one (p, lam) pair on the (N, K, G) source scores of the training rows; `gamma`
+    is the raw-feature block's bandwidth and `seed` orders the online epochs' samples."""
+    return fit_for_each_config(train, s_train, [(p, lam)], gamma, seed)[0]
 
 
 def fit_for_each_config(
-    train: Dataset, s_train: np.ndarray, cfgs: Sequence[MkalConfig]
+    train: Dataset, s_train: np.ndarray, candidates: Sequence[tuple[float, float]],
+    gamma: float, seed: int,
 ) -> list[MkalModel]:
-    """One model per config, trained in lockstep on the same rows; input order.
-
-    The configs may differ in p and lam only: they share gamma, the seed
-    (so the sample order) and the epoch counts, else ValueError.
-    """
-    if not cfgs:
-        raise ValueError("need at least one config")
-    if len({(c.gamma, c.seed, c.epochs_online, c.epochs_batch) for c in cfgs}) > 1:
-        raise ValueError("configs must share gamma, seed, epochs_online and epochs_batch")
+    """One model per (p, lam) pair, trained in lockstep on the same rows; input order."""
+    if not candidates:
+        raise ValueError("need at least one (p, lam) candidate")
+    for p, lam in candidates:
+        check_candidate(p, lam)
     n = len(train)
     g = train.num_classes
     if n < 1:
@@ -177,15 +166,14 @@ def fit_for_each_config(
     if g < 2:
         raise ValueError("need at least 2 classes")
     s_tensor = check_score_tensor(s_train, n, g)
-    first = cfgs[0]
-    kernel0 = KernelSpec("gaussian", first.gamma)
+    kernel0 = KernelSpec("gaussian", gamma)
 
-    nc = len(cfgs)
-    lams = np.array([c.lam for c in cfgs])
+    nc = len(candidates)
+    lams = np.array([lam for _, lam in candidates])
     # p on the candidate axis, so a candidate's bits never depend on which others
     # share its fit; numpy squares and roots for a lone exponent 2 or 0.5 (one
     # candidate) but calls pow for several, so p = 2 squares and roots itself
-    p_col = np.array([c.p for c in cfgs])[:, None]
+    p_col = np.array([p for p, _ in candidates])[:, None]
     inv_p = 1.0 / p_col[:, 0]
     square = p_col == 2.0
 
@@ -247,13 +235,13 @@ def fit_for_each_config(
         return scores
 
     # step sizes 1 / (lam * t) at every step t = 1, 2, ... of both phases
-    steps = np.arange(1, first.epochs_online * n + first.epochs_batch + 1)
+    steps = np.arange(1, EPOCHS_ONLINE * n + EPOCHS_BATCH + 1)
     etas = 1.0 / (lams * steps[:, None])
     eta_lams = etas * lams
 
-    rng = np.random.default_rng(first.seed)
+    rng = np.random.default_rng(seed)
     t = 0
-    for epoch in range(1, first.epochs_online + 1):
+    for epoch in range(1, EPOCHS_ONLINE + 1):
         for i in rng.permutation(n):
             t += 1
             fi = (m_col * f_hat[:, :, :, i]).sum(axis=1)
@@ -285,7 +273,7 @@ def fit_for_each_config(
         keep_best(epoch)
 
     scores = scores_now()
-    for epoch in range(first.epochs_online + 1, first.epochs_online + first.epochs_batch + 1):
+    for epoch in range(EPOCHS_ONLINE + 1, EPOCHS_ONLINE + EPOCHS_BATCH + 1):
         t += 1
         own = scores[:, row_idx, labels]
         masked = scores.copy()
@@ -316,8 +304,8 @@ def fit_for_each_config(
     inputs, scores_copy = train.features.copy(), s_tensor.copy()
     return [
         MkalModel(
-            c.p,
-            c.lam,
+            p,
+            lam,
             kernel0,
             num_classes=g,
             train_inputs=inputs,
@@ -327,7 +315,7 @@ def fit_for_each_config(
             best_objective=float(best_obj[j]),
             best_epoch=int(best_epoch[j]) or None,
         )
-        for j, c in enumerate(cfgs)
+        for j, (p, lam) in enumerate(candidates)
     ]
 
 
@@ -335,22 +323,23 @@ def select_mkal(
     train: Dataset, s_train: np.ndarray, sel: MkalSelection, gamma: float,
     folds: int, cv_seed: int, fit_seed: int,
 ) -> MkalModel:
-    """`fit_mkal` on every row of the candidate of `sel.configs(gamma, fit_seed)` with the
-    best stratified CV accuracy, each fold's candidates trained in lockstep."""
+    """`fit_mkal` on every row of the (p, lam) pair of `sel.candidates()` with the best
+    stratified CV accuracy, each fold's candidates trained in lockstep at `gamma` and `fit_seed`."""
     s_train = check_score_tensor(s_train, len(train), train.num_classes)
-    cfgs = sel.configs(gamma, fit_seed)
+    candidates = sel.candidates()
 
     def fold_labels(val_folds):
         out = []
         for f, va in enumerate(val_folds):
             tr = training_rows(val_folds, f)
             # no name holds a fold's models, so they are freed before the next fold trains
-            out.append([predict_mkal(m, train.features[va], s_train[va])[0]
-                        for m in fit_for_each_config(train.subset(tr), s_train[tr], cfgs)])
+            out.append([predict_mkal(m, train.features[va], s_train[va])[0] for m in
+                        fit_for_each_config(train.subset(tr), s_train[tr], candidates, gamma, fit_seed)])
         return out
 
-    best, _ = cross_validate(train.labels, [{"cfg": c} for c in cfgs], fold_labels, folds, cv_seed)
-    return fit_mkal(train, s_train, best["cfg"])
+    best, _ = cross_validate(train.labels, [{"p": p, "lam": lam} for p, lam in candidates],
+                             fold_labels, folds, cv_seed)
+    return fit_mkal(train, s_train, best["p"], best["lam"], gamma, fit_seed)
 
 
 def predict_mkal(

@@ -288,7 +288,11 @@ def build_subject_datasets(
     windows = segment(rec, spec)
     is_test = np.isin(windows.repetitions, test_reps)
     if is_test.all() or not is_test.any():
-        raise ValueError("no data: repetition holdout left an empty split")
+        side = "test" if not is_test.any() else "training"
+        held = ", ".join(map(str, np.unique(windows.repetitions))) or "none"
+        raise ValueError(f"recording {rec.subject_id}: test repetitions "
+                         f"({', '.join(map(str, test_reps))}) leave the {side} split empty; "
+                         f"it holds repetitions {held}")
     features = extract_features(rec.samples, windows.width, windows.step)  # all window offsets
     train_x, test_x = (features[windows.offsets[rows] // windows.step] for rows in (~is_test, is_test))
     stats = NormStats.fit(train_x)

@@ -39,7 +39,7 @@ from emgadapt.cli import main
 from emgadapt.harness import ExperimentConfig, MkalSelection, SubjectData, run_experiment
 from emgadapt.hl2l import fit_hl2l, predict_hl2l
 from emgadapt.kernels import KernelSpec, gram
-from emgadapt.mkal import MkalConfig, fit_mkal, predict_mkal
+from emgadapt.mkal import fit_mkal, predict_mkal
 from emgadapt.model_selection import Grid
 from emgadapt.multi_adapt import fit_ma, predict_ma, source_scores
 from emgadapt.signals import Dataset, Recording, WindowSpec, segment, window_count
@@ -141,10 +141,9 @@ def test_criterion_03_degenerate_settings_collapse_to_simple_forms():
 
     # MKAL whose source blocks never score is the raw-kernel machine alone
     ds = _blob_dataset(rng, 3, 8, dim=2)
-    cfg = MkalConfig(lam=1e-2, gamma=0.5, seed=7)
-    model = fit_mkal(ds, source_scores([_zero_source(3, 2)], ds.features), cfg)
+    model = fit_mkal(ds, source_scores([_zero_source(3, 2)], ds.features), 1.25, 1e-2, 0.5, 7)
     query = rng.normal(size=(25, 2)) * 2.0
-    single = gram(KernelSpec("gaussian", cfg.gamma), query, ds.features) @ model.dual_coeffs[0]
+    single = gram(KernelSpec("gaussian", 0.5), query, ds.features) @ model.dual_coeffs[0]
     pred, scores = predict_mkal(model, query, np.zeros((25, 1, 3)))
     assert np.array_equal(pred, np.argmax(single, axis=1))
     assert_allclose(scores, single, atol=1e-12)

@@ -365,6 +365,26 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_removed_mkal_epoch_flag_exits_2(arts, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--features", str(arts / "feats"), "--out-dir", str(tmp_path / "o"),
+              *RUN_FLAGS, "--mkal-epochs-online", "3"])
+    assert exc.value.code == 2
+    assert "--mkal-epochs-online" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_holding_a_removed_mkal_epoch_key_exits_2(arts, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"mkal_epochs_batch": 4}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--features", str(arts / "feats"),
+              "--out-dir", str(tmp_path / "o"), *RUN_FLAGS])
+    assert exc.value.code == 2
+    assert "unknown config keys: mkal_epochs_batch" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_required_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["synth"])
@@ -691,6 +711,57 @@ def test_non_finite_recording_sample_returns_2(arts, tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "samples contain non-finite values" in err
     assert "s01.csv line 6" in err
+
+
+def _cohort_with_a_bad_float_in_its_last_recording(arts, tmp_path):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(arts / "cohort", cohort)
+    csv_path = cohort / "s02.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[5] = ",".join(["0.5x"] + lines[5].split(",")[1:])
+    csv_path.write_text("\n".join(lines) + "\n")
+    return cohort
+
+
+def test_features_failing_on_a_later_subject_leave_no_out_dir(arts, tmp_path, capsys):
+    cohort = _cohort_with_a_bad_float_in_its_last_recording(arts, tmp_path)
+    out = tmp_path / "new" / "f"
+    code = main(["features", "--in-dir", str(cohort), "--out-dir", str(out), "--test-reps", "3"])
+    assert code == 2
+    assert "s02.csv line 6" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()  # s00 and s01 were written before s02 failed
+
+
+def test_features_failing_keep_what_the_out_dir_held_before(arts, tmp_path, capsys):
+    cohort = _cohort_with_a_bad_float_in_its_last_recording(arts, tmp_path)
+    out = tmp_path / "f"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    code = main(["features", "--in-dir", str(cohort), "--out-dir", str(out), "--test-reps", "3"])
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
+@pytest.mark.parametrize(
+    "test_reps, message",
+    [
+        ("5,6", "recording s00: test repetitions (5, 6) leave the test split empty; "
+                "it holds repetitions 1, 2, 3"),
+        ("1,2,3", "recording s00: test repetitions (1, 2, 3) leave the training split empty; "
+                  "it holds repetitions 1, 2, 3"),
+    ],
+    ids=["test-side", "training-side"],
+)
+def test_features_with_an_empty_split_name_the_recording_and_write_nothing(
+    arts, tmp_path, capsys, test_reps, message
+):
+    out = tmp_path / "f"
+    code = main(["features", "--in-dir", str(arts / "cohort"), "--out-dir", str(out),
+                 "--test-reps", test_reps])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _infinite_sidecar_rate(arts, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from emgadapt import harness, lssvm
+from emgadapt import harness, lssvm, mkal
 from emgadapt.analysis import ConfusionMatrix
 from emgadapt.baselines import prior_feature_matrix
 from emgadapt.harness import (
@@ -32,7 +32,14 @@ from emgadapt.multi_adapt import source_scores
 from emgadapt.signals import Dataset, NormStats
 
 GRID = Grid(C_values=(1.0, 10.0), gamma_values=(0.5,), folds=2, seed=0)
-MKAL_SEL = MkalSelection(p_grid=(1.5,), lambda_grid=(1e-2,), epochs_online=2, epochs_batch=4)
+MKAL_SEL = MkalSelection(p_grid=(1.5,), lambda_grid=(1e-2,))
+
+
+@pytest.fixture(autouse=True)
+def short_mkal_budget(monkeypatch):
+    """Every MKAL fit here runs 2 online and 4 batch epochs, for speed."""
+    monkeypatch.setattr(mkal, "EPOCHS_ONLINE", 2)
+    monkeypatch.setattr(mkal, "EPOCHS_BATCH", 4)
 
 
 def _blobs(rng, centers, per_class, spread):
@@ -176,13 +183,13 @@ def test_grid_and_mkal_selection_ints_reach_the_manifest_as_ints():
     cfg = ExperimentConfig(
         experiment="II",
         grid=Grid(folds=np.int64(3), seed=np.int64(1)),
-        mkal=MkalSelection(epochs_online=np.int32(2), epochs_batch=np.uint8(4)),
+        mkal=MkalSelection(p_grid=(1.5,), lambda_grid=(1e-2,)),
     )
     doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
     assert (doc["grid"]["folds"], doc["grid"]["seed"]) == (3, 1)
-    assert (doc["mkal"]["epochs_online"], doc["mkal"]["epochs_batch"]) == (2, 4)
-    ints = (cfg.grid.folds, cfg.grid.seed, cfg.mkal.epochs_online, cfg.mkal.epochs_batch)
-    assert all(type(v) is int for v in ints)
+    # the epoch budget is mkal's own constant, not a selection field
+    assert doc["mkal"] == {"p_grid": [1.5], "lambda_grid": [1e-2]}
+    assert all(type(v) is int for v in (cfg.grid.folds, cfg.grid.seed))
 
 
 @pytest.mark.parametrize(
@@ -193,12 +200,8 @@ def test_grid_and_mkal_selection_ints_reach_the_manifest_as_ints():
         (lambda: Grid(folds=1), "folds"),
         (lambda: Grid(seed=1.0), "seed"),
         (lambda: Grid(seed=-1), "seed"),
-        (lambda: MkalSelection(epochs_online=1.5), "epochs_online"),
-        (lambda: MkalSelection(epochs_batch=np.float64(2.0)), "epochs_batch"),
-        (lambda: MkalSelection(epochs_batch=False), "epochs_batch"),
     ],
-    ids=["folds-float", "folds-bool", "folds-1", "seed-float", "seed-negative",
-         "online-float", "batch-numpy-float", "batch-bool"],
+    ids=["folds-float", "folds-bool", "folds-1", "seed-float", "seed-negative"],
 )
 def test_grid_and_mkal_selection_reject_floats_and_bools_in_int_fields(make, field):
     with pytest.raises(ValueError, match=field):
@@ -217,12 +220,10 @@ def test_grid_and_mkal_selection_reject_floats_and_bools_in_int_fields(make, fie
         ({"p_grid": (1.5, 3.0)}, "p must lie"),
         ({"p_grid": (1.0,)}, "p must lie"),
         ({"lambda_grid": (-1e-2,)}, "lambda_grid"),
-        ({"epochs_online": -1}, "epoch"),
-        ({"epochs_batch": -1}, "epoch"),
     ],
     ids=[
         "empty-p", "empty-lambda", "nan-p", "inf-lambda", "duplicate-p", "duplicate-lambda",
-        "p-above-2", "p-at-1", "negative-lambda", "negative-online-epochs", "negative-batch-epochs",
+        "p-above-2", "p-at-1", "negative-lambda",
     ],
 )
 def test_mkal_selection_rejects_what_mkal_config_or_the_grid_rejects(fields, message):
@@ -231,7 +232,7 @@ def test_mkal_selection_rejects_what_mkal_config_or_the_grid_rejects(fields, mes
 
 
 def test_mkal_selection_accepts_the_boundary_values():
-    sel = MkalSelection(p_grid=(2.0, 1.0001), lambda_grid=(1e-9,), epochs_online=0, epochs_batch=0)
+    sel = MkalSelection(p_grid=(2.0, 1.0001), lambda_grid=(1e-9,))
     assert sel.p_grid == (2.0, 1.0001)
 
 
@@ -410,7 +411,7 @@ def test_prior_features_cell_scores_the_test_set_under_the_training_normalizatio
 
 def test_mkal_cell_is_select_mkal_at_the_cell_seeds():
     sub, s_sub, test, s_test = _cell_inputs()
-    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2), epochs_online=2, epochs_batch=4)
+    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2))
     cfg, key = _small_cfg(mkal=sel), (3, 1, 0, 0)
     nt = lssvm.fit(sub, KernelSpec("gaussian", 0.5), 10.0)
     pred, params = harness._fit_eval_cell("MKAL", cfg, sub, s_sub, test, s_test, nt, key)
@@ -561,7 +562,7 @@ def test_write_run_outputs_writes_the_expected_text(tmp_path):
     cfg = ExperimentConfig(
         "II", methods=("NoTransfer", "MA"), size_schedule=(2, 4), seeds=(0, 1),
         grid=Grid(C_values=(1.0,), gamma_values=(0.5,), folds=2),
-        mkal=MkalSelection(p_grid=(1.5,), lambda_grid=(0.25,), epochs_online=1, epochs_batch=2),
+        mkal=MkalSelection(p_grid=(1.5,), lambda_grid=(0.25,)),
         source_train_cap=None,
     )
     cells = [
@@ -599,8 +600,6 @@ def test_write_run_outputs_writes_the_expected_text(tmp_path):
       "MA"
     ],
     "mkal": {
-      "epochs_batch": 2,
-      "epochs_online": 1,
       "lambda_grid": [
         0.25
       ],

@@ -1,5 +1,6 @@
 """Multi-kernel training: group norm, objective bound, block behavior."""
 
+import contextlib
 import dataclasses
 import itertools
 
@@ -12,7 +13,6 @@ from numpy.testing import assert_allclose
 from emgadapt import lssvm, mkal
 from emgadapt.kernels import KernelSpec, gram
 from emgadapt.mkal import (
-    MkalConfig,
     MkalModel,
     MkalSelection,
     _block_grams,
@@ -97,14 +97,28 @@ def test_group_norm_identities():
         group_norm(np.array([-1.0]), 2.0)
 
 
+@contextlib.contextmanager
+def budget(online: int, batch: int):
+    """Train with `online` online and `batch` batch epochs instead of the fixed budget.
+    A context manager, not a fixture, so that hypothesis bodies can use it too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mkal, "EPOCHS_ONLINE", online)
+        mp.setattr(mkal, "EPOCHS_BATCH", batch)
+        yield
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MkalConfig(p=1.0)
-    with pytest.raises(ValueError):
-        MkalConfig(p=2.5)
-    with pytest.raises(ValueError):
-        MkalConfig(lam=0.0)
-    MkalConfig(p=2.0, lam=1e-3)
+    rng = np.random.default_rng(0)
+    train, s_train = _random_problem(rng, 10, 2, 3)
+    for p, lam, message in [(1.0, 1e-3, r"p must lie in \(1, 2\]"), (2.5, 1e-3, "p must lie"),
+                            (1.5, 0.0, "lam must be > 0"), (1.5, -1e-2, "lam must be > 0")]:
+        with pytest.raises(ValueError, match=message):
+            fit_mkal(train, s_train, p, lam, 1.0, 0)
+        with pytest.raises(ValueError, match=message):
+            fit_for_each_config(train, s_train, [(1.5, 1e-2), (p, lam)], 1.0, 0)
+    with pytest.raises(ValueError, match="at least one"):
+        fit_for_each_config(train, s_train, [], 1.0, 0)
+    fit_mkal(train, s_train, 2.0, 1e-3, 1.0, 0)
 
 
 def test_objective_never_exceeds_one():
@@ -113,15 +127,15 @@ def test_objective_never_exceeds_one():
     sources = [_source(rng)]
     for lam in (1e-3, 1e-1, 1e3):
         s_train = source_scores(sources, train.features)
-        model = fit_mkal(train, s_train, MkalConfig(lam=lam, gamma=1.0, seed=2))
+        model = fit_mkal(train, s_train, 1.25, lam, 1.0, 2)
         assert model_objective(model, train) <= 1.0 + 1e-9
 
 
 def test_zero_budget_returns_the_zero_model():
     rng = np.random.default_rng(2)
     train = _blobs(rng, n_per=8)
-    cfg = MkalConfig(lam=1e-2, gamma=1.0, epochs_online=0, epochs_batch=0)
-    model = fit_mkal(train, source_scores([_source(rng)], train.features), cfg)
+    with budget(0, 0):
+        model = fit_mkal(train, source_scores([_source(rng)], train.features), 1.25, 1e-2, 1.0, 0)
     assert np.all(model.dual_coeffs == 0.0)
     assert_allclose(model.block_norms, 0.0)
     assert model_objective(model, train) == pytest.approx(1.0)
@@ -131,7 +145,7 @@ def test_absurd_regularization_keeps_the_model_negligible():
     rng = np.random.default_rng(2)
     train = _blobs(rng, n_per=8)
     s_train = source_scores([_source(rng)], train.features)
-    model = fit_mkal(train, s_train, MkalConfig(lam=1e6, gamma=1.0))
+    model = fit_mkal(train, s_train, 1.25, 1e6, 1.0, 0)
     assert np.all(model.block_norms <= 1e-5)
     assert model_objective(model, train) <= 1.0 + 1e-9
 
@@ -142,7 +156,7 @@ def test_trained_model_beats_the_zero_model_and_classifies():
     test = _blobs(rng, n_per=30)
     sources = [_source(rng), _source(rng)]
     s_train = source_scores(sources, train.features)
-    model = fit_mkal(train, s_train, MkalConfig(lam=1e-2, gamma=1.0, seed=0))
+    model = fit_mkal(train, s_train, 1.25, 1e-2, 1.0, 0)
     assert model_objective(model, train) < 1.0
     pred, _ = predict_mkal(model, test.features, source_scores(sources, test.features))
     assert np.mean(pred == test.labels) >= 0.85
@@ -151,14 +165,14 @@ def test_trained_model_beats_the_zero_model_and_classifies():
 def test_zero_score_sources_reduce_to_a_single_kernel_machine():
     rng = np.random.default_rng(4)
     train = _blobs(rng, n_per=8)
-    cfg = MkalConfig(lam=1e-2, gamma=0.5, seed=7)
-    one = fit_mkal(train, source_scores([_zero_source()], train.features), cfg)
-    two = fit_mkal(train, source_scores([_zero_source(), _zero_source()], train.features), cfg)
+    one = fit_mkal(train, source_scores([_zero_source()], train.features), 1.25, 1e-2, 0.5, 7)
+    two = fit_mkal(train, source_scores([_zero_source(), _zero_source()], train.features),
+                   1.25, 1e-2, 0.5, 7)
     # dead blocks never influence training: block-0 trajectories coincide
     assert np.array_equal(one.dual_coeffs[0], two.dual_coeffs[0])
 
     query = rng.normal(size=(25, 2)) * 2.0
-    scores_single = gram(cfg_kernel(cfg), query, train.features) @ one.dual_coeffs[0]
+    scores_single = gram(KernelSpec("gaussian", 0.5), query, train.features) @ one.dual_coeffs[0]
     labels_single = np.argmax(scores_single, axis=1)
     s_q = np.zeros((25, 1, 3))
     pred, scores = predict_mkal(one, query, s_q)
@@ -166,16 +180,12 @@ def test_zero_score_sources_reduce_to_a_single_kernel_machine():
     assert_allclose(scores, scores_single, atol=1e-12)
 
 
-def cfg_kernel(cfg: MkalConfig) -> KernelSpec:
-    return KernelSpec("gaussian", cfg.gamma)
-
-
 def test_identical_sources_get_identical_blocks():
     rng = np.random.default_rng(5)
     train = _blobs(rng, n_per=8)
     src = _source(rng)
     s_train = source_scores([src, src], train.features)
-    model = fit_mkal(train, s_train, MkalConfig(p=2.0, lam=1e-2, gamma=1.0, seed=1))
+    model = fit_mkal(train, s_train, 2.0, 1e-2, 1.0, 1)
     assert_allclose(model.block_norms[1], model.block_norms[2], atol=1e-12)
     assert np.array_equal(model.dual_coeffs[1], model.dual_coeffs[2])
 
@@ -186,7 +196,7 @@ def test_informative_source_outweighs_scrambled_source():
     good = _source(rng)
     bad = _source(rng, scramble=True)
     s_train = source_scores([good, bad], train.features)
-    model = fit_mkal(train, s_train, MkalConfig(p=1.25, lam=1e-2, gamma=1.0, seed=0))
+    model = fit_mkal(train, s_train, 1.25, 1e-2, 1.0, 0)
     assert model.block_norms[1] > model.block_norms[2]
 
 
@@ -216,9 +226,8 @@ def test_fit_is_deterministic():
     rng = np.random.default_rng(8)
     train = _blobs(rng, n_per=8)
     sources = [_source(rng)]
-    cfg = MkalConfig(lam=1e-2, gamma=1.0, seed=3)
-    a = fit_mkal(train, source_scores(sources, train.features), cfg)
-    b = fit_mkal(train, source_scores(sources, train.features), cfg)
+    a = fit_mkal(train, source_scores(sources, train.features), 1.25, 1e-2, 1.0, 3)
+    b = fit_mkal(train, source_scores(sources, train.features), 1.25, 1e-2, 1.0, 3)
     assert np.array_equal(a.dual_coeffs, b.dual_coeffs)
 
 
@@ -227,7 +236,7 @@ def test_raw_block_is_gaussian_at_the_config_gamma():
     train = _blobs(rng, n_per=6)
     sources = [_source(rng)]
     s_train = source_scores(sources, train.features)
-    model = fit_mkal(train, s_train, MkalConfig(lam=1e-2, gamma=0.7, seed=0))
+    model = fit_mkal(train, s_train, 1.25, 1e-2, 0.7, 0)
     assert model.kernel0 == KernelSpec("gaussian", 0.7)
 
 
@@ -237,12 +246,12 @@ def _einsum_sq_norms(grams, duals):
     )
 
 
-def _reference_fit(train, s_tensor, cfg):
+def _reference_fit(train, s_tensor, p, lam, gamma, seed):
     """The trainer as first written: one Python step per block, every
     shrink through group_norm, batch-phase norms recomputed by einsum.
     Returns the best duals and their block norms."""
     n, g = len(train), train.num_classes
-    grams = _block_grams(KernelSpec("gaussian", cfg.gamma), train.features, s_tensor)
+    grams = _block_grams(KernelSpec("gaussian", gamma), train.features, s_tensor)
     nb = len(grams)
     labels = train.labels
     c_hat = np.zeros((nb, n, g))
@@ -252,11 +261,11 @@ def _reference_fit(train, s_tensor, cfg):
 
     def shrink_factors(sq_true, eta):
         norms = np.sqrt(np.maximum(sq_true, 0.0))
-        q = group_norm(norms, cfg.p)
+        q = group_norm(norms, p)
         if q <= 0.0:
             return np.ones_like(norms)
-        gg = np.where(norms > 0.0, (np.where(norms > 0.0, norms, 1.0) / q) ** (cfg.p - 2.0), 0.0)
-        return np.maximum(0.0, 1.0 - eta * cfg.lam * gg)
+        gg = np.where(norms > 0.0, (np.where(norms > 0.0, norms, 1.0) / q) ** (p - 2.0), 0.0)
+        return np.maximum(0.0, 1.0 - eta * lam * gg)
 
     def apply_shrink(eta):
         nonlocal m
@@ -271,12 +280,12 @@ def _reference_fit(train, s_tensor, cfg):
         scores = (m[:, None, None] * f_hat).sum(axis=0)
         loss = float(np.mean(_hinge_losses(scores, labels)))
         norms = np.sqrt(np.maximum(m * m * sq_hat, 0.0))
-        return cfg.lam / 2.0 * group_norm(norms, cfg.p) ** 2 + loss
+        return lam / 2.0 * group_norm(norms, p) ** 2 + loss
 
     best_obj, best_duals = 1.0, np.zeros((nb, n, g))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     t = 0
-    for _ in range(cfg.epochs_online):
+    for _ in range(mkal.EPOCHS_ONLINE):
         for i in rng.permutation(n):
             t += 1
             fi = (m[:, None] * f_hat[:, i, :]).sum(axis=0)
@@ -285,7 +294,7 @@ def _reference_fit(train, s_tensor, cfg):
             masked[yi] = -np.inf
             yhat = int(np.argmax(masked))
             violated = 1.0 - (fi[yi] - fi[yhat]) > 0.0
-            eta = 1.0 / (cfg.lam * t)
+            eta = 1.0 / (lam * t)
             apply_shrink(eta)
             if not violated:
                 continue
@@ -306,9 +315,9 @@ def _reference_fit(train, s_tensor, cfg):
         obj = objective_now()
         if obj < best_obj:
             best_obj, best_duals = obj, m[:, None, None] * c_hat
-    for _ in range(cfg.epochs_batch):
+    for _ in range(mkal.EPOCHS_BATCH):
         t += 1
-        eta = 1.0 / (cfg.lam * t)
+        eta = 1.0 / (lam * t)
         scores = (m[:, None, None] * f_hat).sum(axis=0)
         own = scores[np.arange(n), labels]
         masked = scores.copy()
@@ -340,10 +349,9 @@ def test_fit_matches_the_per_block_reference_trainer(p, lam, n_sources):
     train = _blobs(rng, n_per=12, spread=0.8)
     test = _blobs(rng, n_per=10, spread=0.8)
     sources = [_source(rng, scramble=(k == 2)) for k in range(n_sources)]
-    cfg = MkalConfig(p=p, lam=lam, gamma=0.5, seed=4)
     s_train = source_scores(sources, train.features)
-    model = fit_mkal(train, s_train, cfg)
-    duals, norms = _reference_fit(train, s_train, cfg)
+    model = fit_mkal(train, s_train, p, lam, 0.5, 4)
+    duals, norms = _reference_fit(train, s_train, p, lam, 0.5, 4)
     assert_allclose(model.dual_coeffs, duals, rtol=1e-9)
     assert_allclose(model.block_norms, norms, rtol=1e-9)
     ref = dataclasses.replace(model, dual_coeffs=duals, block_norms=norms)
@@ -370,7 +378,7 @@ def test_model_reports_the_objective_and_epoch_it_kept():
     train = _blobs(rng, n_per=8)
     s_train = source_scores([_source(rng), _source(rng)], train.features)
     for lam in (1e-3, 1e-2, 1e-1):
-        model = fit_mkal(train, s_train, MkalConfig(p=1.5, lam=lam, gamma=1.0, seed=1))
+        model = fit_mkal(train, s_train, 1.5, lam, 1.0, 1)
         assert abs(model.best_objective - model_objective(model, train)) <= 1e-12
         assert model.best_objective < 1.0 and 1 <= model.best_epoch <= 25
 
@@ -378,17 +386,18 @@ def test_model_reports_the_objective_and_epoch_it_kept():
 def test_zero_budget_reports_the_zero_model():
     rng = np.random.default_rng(14)
     train = _blobs(rng, n_per=4)
-    cfg = MkalConfig(lam=1e-2, epochs_online=0, epochs_batch=0)
-    model = fit_mkal(train, source_scores([_source(rng)], train.features), cfg)
+    with budget(0, 0):
+        model = fit_mkal(train, source_scores([_source(rng)], train.features), 1.25, 1e-2, 1.0, 0)
     assert (model.best_objective, model.best_epoch) == (1.0, None)
 
 
-def _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs):
-    models = fit_for_each_config(train, s_train, cfgs)
-    assert len(models) == len(cfgs)
-    for cfg, model in zip(cfgs, models):
-        alone = fit_mkal(train, s_train, cfg)
-        assert (model.p, model.lam) == (cfg.p, cfg.lam)
+def _assert_lockstep_matches_one_at_a_time(train, s_train, grid):
+    """Every (p, lam) of `grid` trained in lockstep at gamma 0.5 and seed 3 equals its own fit."""
+    models = fit_for_each_config(train, s_train, grid, 0.5, 3)
+    assert len(models) == len(grid)
+    for (p, lam), model in zip(grid, models):
+        alone = fit_mkal(train, s_train, p, lam, 0.5, 3)
+        assert (model.p, model.lam) == (p, lam)
         assert np.array_equal(model.dual_coeffs, alone.dual_coeffs)
         assert np.array_equal(model.block_norms, alone.block_norms)
         assert model.best_objective == alone.best_objective
@@ -402,16 +411,12 @@ def _random_problem(rng, n, k, g, absent_class=False):
     return Dataset(feats, labels, g), s_train
 
 
-def _configs(grid, **shared):
-    return [MkalConfig(p=p, lam=lam, gamma=0.5, seed=3, **shared) for p, lam in grid]
-
-
 LOCKSTEP_CASES = {
     "unsorted-p": dict(grid=[(2.0, 1e-2), (1.05, 1e-2), (1.5, 1e-2), (1.25, 1e-2)]),
     "repeated-p": dict(grid=[(1.25, 1e-1), (2.0, 1e-3), (1.25, 1e-3), (1.25, 1e-2)]),
     "absent-class": dict(grid=[(1.25, 1e-2), (2.0, 1e-2)], absent_class=True),
-    "no-online-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs_online=0),
-    "no-batch-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs_batch=0),
+    "no-online-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs=(0, mkal.EPOCHS_BATCH)),
+    "no-batch-epochs": dict(grid=[(1.5, 1e-2), (2.0, 1e-1)], epochs=(mkal.EPOCHS_ONLINE, 0)),
     "one-source": dict(grid=[(1.05, 1e-3), (1.5, 1e-2), (2.0, 1e-1)], k=1),
     # the 16 candidates of a CLI run: p from 1.05 to 2.0, lam from 1e-4 to 1e-1
     "cli-default-grid": dict(
@@ -422,13 +427,13 @@ LOCKSTEP_CASES = {
 
 @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
 def test_lockstep_fit_matches_one_fit_per_config(case):
-    spec = dict(LOCKSTEP_CASES[case])
+    spec = LOCKSTEP_CASES[case]
     rng = np.random.default_rng(15)
     train, s_train = _random_problem(
-        rng, 30, spec.pop("k", 3), 4, absent_class=spec.pop("absent_class", False)
+        rng, 30, spec.get("k", 3), 4, absent_class=spec.get("absent_class", False)
     )
-    cfgs = _configs(spec.pop("grid"), **spec)
-    _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs)
+    with budget(*spec.get("epochs", (mkal.EPOCHS_ONLINE, mkal.EPOCHS_BATCH))):
+        _assert_lockstep_matches_one_at_a_time(train, s_train, spec["grid"])
 
 
 def test_block_grams_are_exactly_symmetric():
@@ -444,8 +449,9 @@ def test_lockstep_fit_holds_about_one_gram_stack(peak_bytes):
     rng = np.random.default_rng(19)
     n, k = 400, 6
     train, s_train = _random_problem(rng, n, k, 4)
-    cfgs = _configs([(1.25, 1e-2), (2.0, 1e-2)], epochs_online=1, epochs_batch=2)
-    _, peak = peak_bytes(lambda: fit_for_each_config(train, s_train, cfgs))
+    grid = [(1.25, 1e-2), (2.0, 1e-2)]
+    with budget(1, 2):
+        _, peak = peak_bytes(lambda: fit_for_each_config(train, s_train, grid, 0.5, 3))
     # measured 1.25 stacks of (K+1) x N x N floats: the stack, the raw
     # block's Gram before it is copied in, and the candidate state; a
     # transposed twin of the stack read 2.17
@@ -463,25 +469,10 @@ def test_lockstep_fit_matches_when_multipliers_fold_back(monkeypatch):
     monkeypatch.setattr(mkal, "_fold_small_multipliers", spy)
     rng = np.random.default_rng(16)
     train, s_train = _random_problem(rng, 25, 4, 3)
-    cfgs = _configs([(1.05, 1e-1), (2.0, 1e3), (1.25, 1e3)])
-    fit_for_each_config(train, s_train, cfgs)
+    grid = [(1.05, 1e-1), (2.0, 1e3), (1.25, 1e3)]
+    fit_for_each_config(train, s_train, grid, 0.5, 3)
     assert sum(folds) > 0
-    _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs)
-
-
-@pytest.mark.parametrize(
-    "other",
-    [dict(gamma=2.0), dict(seed=4), dict(epochs_online=2), dict(epochs_batch=3)],
-    ids=["gamma", "seed", "epochs-online", "epochs-batch"],
-)
-def test_lockstep_fit_rejects_configs_that_do_not_share_rows_order_or_budget(other):
-    rng = np.random.default_rng(17)
-    train, s_train = _random_problem(rng, 10, 2, 3)
-    base = MkalConfig(p=1.5, lam=1e-2)
-    with pytest.raises(ValueError, match="share"):
-        fit_for_each_config(train, s_train, [base, dataclasses.replace(base, p=2.0, **other)])
-    with pytest.raises(ValueError, match="at least one config"):
-        fit_for_each_config(train, s_train, [])
+    _assert_lockstep_matches_one_at_a_time(train, s_train, grid)
 
 
 def _reference_select(train, s_train, sel, gamma, folds, cv_seed, fit_seed):
@@ -492,36 +483,33 @@ def _reference_select(train, s_train, sel, gamma, folds, cv_seed, fit_seed):
     accs = {}
     for lam in sorted(sel.lambda_grid):
         for p in sorted(sel.p_grid):
-            cfg = MkalConfig(p, lam, gamma, sel.epochs_online, sel.epochs_batch, fit_seed)
             hits = []
             for f, va in enumerate(val):
                 tr = np.concatenate(val[:f] + val[f + 1:])
-                model = fit_mkal(train.subset(tr), s_train[tr], cfg)
+                model = fit_mkal(train.subset(tr), s_train[tr], p, lam, gamma, fit_seed)
                 hits.append(np.mean(predict_mkal(model, train.features[va], s_train[va])[0]
                                     == train.labels[va]))
-            accs[cfg] = np.mean(hits)
-    return fit_mkal(train, s_train, max(accs, key=accs.get)), list(accs.values())
+            accs[p, lam] = np.mean(hits)
+    return fit_mkal(train, s_train, *max(accs, key=accs.get), gamma, fit_seed), list(accs.values())
 
 
 @pytest.mark.parametrize("problem_seed, tied", [(1, True), (2, False)], ids=["tied-best", "one-best"])
 def test_select_mkal_matches_a_brute_force_search(problem_seed, tied):
     train, s_train = _random_problem(np.random.default_rng(problem_seed), 24, 2, 3)
     # both axes given out of order: candidates run lam ascending, then p ascending
-    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2), epochs_online=2, epochs_batch=4)
-    want, accs = _reference_select(train, s_train, sel, 0.5, 3, cv_seed=1, fit_seed=2)
+    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2))
+    with budget(2, 4):
+        want, accs = _reference_select(train, s_train, sel, 0.5, 3, cv_seed=1, fit_seed=2)
+        got = select_mkal(train, s_train, sel, 0.5, 3, cv_seed=1, fit_seed=2)
     assert (accs.count(max(accs)) > 1) == tied
-    got = select_mkal(train, s_train, sel, 0.5, 3, cv_seed=1, fit_seed=2)
     assert (got.p, got.lam) == (want.p, want.lam)
     assert got.dual_coeffs.tobytes() == want.dual_coeffs.tobytes()
     assert got.best_objective == want.best_objective
 
 
 def test_mkal_selection_configs_run_lam_then_p_ascending():
-    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2), epochs_online=3, epochs_batch=7)
-    assert sel.configs(0.5, 9) == [
-        MkalConfig(p, lam, gamma=0.5, epochs_online=3, epochs_batch=7, seed=9)
-        for lam, p in [(1e-2, 1.25), (1e-2, 2.0), (1e-1, 1.25), (1e-1, 2.0)]
-    ]
+    sel = MkalSelection(p_grid=(2.0, 1.25), lambda_grid=(1e-1, 1e-2))
+    assert sel.candidates() == [(1.25, 1e-2), (2.0, 1e-2), (1.25, 1e-1), (2.0, 1e-1)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -541,5 +529,5 @@ def test_mkal_selection_configs_run_lam_then_p_ascending():
 def test_every_lockstep_model_equals_its_own_fit(seed, n, k, g, grid, epochs):
     rng = np.random.default_rng(seed)
     train, s_train = _random_problem(rng, n, k, g)
-    cfgs = _configs(grid, epochs_online=epochs[0], epochs_batch=epochs[1])
-    _assert_lockstep_matches_one_at_a_time(train, s_train, cfgs)
+    with budget(*epochs):
+        _assert_lockstep_matches_one_at_a_time(train, s_train, grid)

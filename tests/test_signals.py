@@ -237,7 +237,7 @@ def test_batch_windows_and_features_match_the_per_window_reference(case):
 
     ref_sets = _reference_datasets(rec, spec, test_reps)
     if ref_sets is None:
-        with pytest.raises(ValueError, match="empty split"):
+        with pytest.raises(ValueError, match="split empty"):
             build_subject_datasets(rec, spec, test_reps=test_reps)
         return
     for ds, ref_ds in zip(build_subject_datasets(rec, spec, test_reps=test_reps), ref_sets):
@@ -383,11 +383,18 @@ def test_build_subject_datasets_averaged_mode_dimension():
 
 
 def test_build_subject_datasets_empty_split_raises():
-    rec = _toy_recording()
-    with pytest.raises(ValueError):
-        build_subject_datasets(
-            rec, WindowSpec(10.0, 5.0), test_reps=(1, 2, 3, 4, 5, 6)
-        )
+    rec = _toy_recording()  # repetitions 1-6
+    spec = WindowSpec(10.0, 5.0)
+    with pytest.raises(ValueError, match=re.escape(
+        "recording t00: test repetitions (1, 2, 3, 4, 5, 6) leave the training split empty; "
+        "it holds repetitions 1, 2, 3, 4, 5, 6"
+    )):
+        build_subject_datasets(rec, spec, test_reps=(1, 2, 3, 4, 5, 6))
+    with pytest.raises(ValueError, match=re.escape(
+        "recording t00: test repetitions (7) leave the test split empty; "
+        "it holds repetitions 1, 2, 3, 4, 5, 6"
+    )):
+        build_subject_datasets(rec, spec, test_reps=(7,))
 
 
 # ---------------------------------------------------------------------------
