@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import harness, signals, synth
@@ -131,13 +133,13 @@ def cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         profile_range=(args.profile_min, args.profile_max), rep_variability=args.rep_variability,
     )
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     for spec in specs:
         rec = synth.generate_recording(
             spec, reps=args.reps, movement_ms=args.movement_ms, rest_ms=args.rest_ms,
             rate_hz=args.rate_hz,
         )
+        outdir.mkdir(parents=True, exist_ok=True)  # the first recording has checked the flags
         save_recording(rec, outdir / spec.subject_id)
         entries.append(
             {
@@ -181,7 +183,8 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     outdir = Path(args.out_dir)
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []  # a failure removes these again, and the directories made here
+    # every file is written here first, so a failure leaves --out-dir as it was
+    stage = Path(tempfile.mkdtemp(prefix=".features-", dir=outdir))
     try:
         entries = []
         for subject_id, stem in stems:
@@ -191,8 +194,7 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             )
             names = signals.feature_names(rec.channels, args.feature_mode)
             for ds, part in ((train, "train"), (test, "test")):
-                written += stem_paths(outdir / f"{subject_id}_{part}")
-                save_dataset(ds, outdir / f"{subject_id}_{part}", names)
+                save_dataset(ds, stage / f"{subject_id}_{part}", names)
             entries.append(
                 {
                     "subject_id": subject_id,
@@ -213,13 +215,13 @@ def cmd_features(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             "test_reps": list(args.test_reps),
             "subjects": entries,
         }
-        written.append(outdir / "features.json")
-        write_json(outdir / "features.json", manifest)
+        write_json(stage / "features.json", manifest)
+        # renames on one file system; the manifest goes last, after the files it names
+        for path in sorted(stage.iterdir(), key=lambda p: (p.name == "features.json", p.name)):
+            path.replace(outdir / path.name)
+        stage.rmdir()
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for d in made:
-            d.rmdir()
+        shutil.rmtree(made[-1] if made else stage)
         raise
     total = sum(e["train_count"] + e["test_count"] for e in entries)
     print(f"wrote datasets for {len(entries)} subjects ({total} windows) to {outdir}")

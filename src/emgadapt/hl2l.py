@@ -35,7 +35,7 @@ class Hl2lModel:
     num_sources: int
 
 
-def stratified_split(labels: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def stratified_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-class split: round(LAYER1_SHARE * n_c) half-up to the first side, at least 1.
 
     Classes with a single sample go entirely to the first (layer 1) side.
@@ -65,7 +65,7 @@ def stack_scores(target_scores: np.ndarray, source_scores_x: np.ndarray) -> np.n
 
 
 def stacking_dataset(
-    train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float, seed: int = 0
+    train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float, seed: int
 ) -> tuple[LssvmModel, NormStats, Dataset]:
     """Layer 1 model, the stack's normalization and the normalized stacked layer-2 training set.
 
@@ -87,7 +87,7 @@ def stacking_dataset(
 
 
 def fit_hl2l(train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float,
-             kernel2: KernelSpec, C2: float, seed: int = 0) -> Hl2lModel:
+             kernel2: KernelSpec, C2: float, seed: int) -> Hl2lModel:
     # In a cell this stacks a second time, after `select_hl2l`'s stack: layer 1 is fit twice,
     # as perfbench/selftest.py asserts (hl2l.layer1_fits == 2 x cells).
     layer1, stats, stack = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
@@ -98,15 +98,14 @@ def fit_hl2l(train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float
 def select_hl2l(train: Dataset, s_train: np.ndarray, kernel1: KernelSpec, C1: float, grid: Grid,
                 seed: int) -> Hl2lModel:
     """`fit_hl2l` at the layer-2 (C, gamma) that `select` picks on the stack of split `seed`,
-    with `grid.folds` clamped to the stack's rows (at least 2).  Raises ValueError, naming
-    layer 2, where a fold of that CV would train on fewer than 2 rows."""
+    with `grid.folds` clamped to the stack's rows (at least 2); a ValueError of that CV, such as
+    a fold left with under 2 training rows, names layer 2, its fold count and the stack."""
     _, _, stack = stacking_dataset(train, s_train, kernel1, C1, seed=seed)
     folds = max(2, min(grid.folds, len(stack)))
-    left = len(stack) - math.ceil(len(stack) / folds)  # the rows its largest fold trains on
-    if left < 2:
-        raise ValueError(f"layer 2's {folds}-fold CV trains its largest fold on {left} of the "
-                         f"stack's {len(stack)} rows; it needs at least 2")
-    best, _ = select(stack, kfold_labels, dataclasses.replace(grid, folds=folds))
+    try:
+        best, _ = select(stack, kfold_labels, dataclasses.replace(grid, folds=folds))
+    except ValueError as exc:
+        raise ValueError(f"layer 2's {folds}-fold CV on the stack of {len(stack)} rows: {exc}") from exc
     return fit_hl2l(train, s_train, kernel1, C1, KernelSpec("gaussian", best["gamma"]), best["C"],
                     seed=seed)
 

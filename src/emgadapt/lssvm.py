@@ -21,7 +21,7 @@ singleton row solved in closed form, and for a linear kernel with fewer
 features than rows the thin SVD of the inputs, with no Gram at all.
 
 `kfold_labels`, the one k-fold labeller, runs `kfold_scores` or one solve per (fold, C),
-by `spectral_cv_is_cheaper`; both paths train a fold on the same rows after the same checks.
+by `spectral_cv_is_cheaper`; both check the folds alike and train fold f on `training_rows`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec, gram, gram_diagonal, gram_product
+from .model_selection import training_rows
 from .signals import Dataset
 
 
@@ -230,22 +231,18 @@ def _gram_eigh(kernel_spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, np.n
 def checked_training_rows(
     train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float], folds: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """Each fold's training rows, every row outside it: the other folds' rows in fold order,
-    then the rows that no fold holds, ascending.  Raises ValueError unless every fold holds
-    1 to n - 2 rows in 0..n-1 and no row is in two folds, then calls `check_ridge`: the
-    checks that both k-fold paths meet before any solve."""
+    """Each fold's `training_rows`: the checks that both k-fold paths meet before any solve.
+    Raises ValueError unless the folds partition the rows 0..n-1 and each holds 1 to n - 2
+    of them, then calls `check_ridge`."""
     n = len(train)
+    if not np.array_equal(np.sort(np.concatenate([*folds, np.empty(0, dtype=int)])), np.arange(n)):
+        raise ValueError(f"the folds must partition the {n} rows 0..{n - 1}, each row in one fold")
     for f, rows in enumerate(folds):
-        if not 1 <= len(rows) <= n - 2 or rows.min() < 0 or rows.max() >= n:
-            raise ValueError(f"fold {f} ({len(rows)} rows) must hold 1 to {n - 2} of the rows "
-                             f"0..{n - 1}, so that at least 2 training rows stay outside it")
-    held = np.bincount(np.concatenate([*folds, np.empty(0, dtype=int)]), minlength=n)
-    if held.max(initial=0) > 1:
-        raise ValueError(f"row {int(np.argmax(held))} is held out more than once")
+        if not 1 <= len(rows) <= n - 2:
+            raise ValueError(f"fold {f} ({len(rows)} rows) must hold 1 to {n - 2} of the {n} rows, "
+                             "so that at least 2 training rows stay outside it")
     check_ridge(gram_diagonal(kernel_spec, train.features), C_values)
-    uncovered = np.flatnonzero(held == 0)
-    return [np.concatenate([rows for j, rows in enumerate(folds) if j != f] + [uncovered])
-            for f in range(len(folds))]
+    return [training_rows(folds, f) for f in range(len(folds))]
 
 
 def kfold_scores(
@@ -263,8 +260,8 @@ def kfold_scores(
     u = A^-1 1, s = 1^T u and the full set's duals alpha = A^-1 Y - u (u^T Y) / s,
     fold F's held-out scores are Y_F - x with H_FF x = alpha_F,
     H = A^-1 - u u^T / s (An, Liu & Venkatesh, Pattern Recognition 40, 2007).
-    Singleton folds give exact leave-one-out.  The folds need not cover every
-    row.
+    Singleton folds give exact leave-one-out.  The folds partition the rows, as
+    the formulas assume.
 
     `_gram_eigh`'s spectrum gives A^-1, so the cost follows the Gram's structure:
     - Rows with eigenvectors V, d = 1/(lam + 1/C): A^-1 = W W^T over them,
@@ -382,10 +379,10 @@ def kfold_labels(
     train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float], folds: Sequence[np.ndarray]
 ) -> list[list[np.ndarray]]:
     """One-vs-all LS-SVM labels of every fold's rows at every C: out[f][j] labels the rows
-    folds[f] by `fit` at C_values[j] on fold f's `checked_training_rows`, which each path
-    calls first.  `spectral_cv_is_cheaper` picks the path: `kfold_scores`, or per fold one
-    Gram of the training rows, one `solve_dual_system` per C on it and one query Gram, the
-    operations `fit` runs.  Their scores agree to round-off, so labels can differ only
+    folds[f] by `fit` at C_values[j] on every other fold's rows, the `checked_training_rows`
+    that each path takes first.  `spectral_cv_is_cheaper` picks the path: `kfold_scores`, or
+    per fold one Gram of the training rows, one `solve_dual_system` per C on it and one query
+    Gram, the operations `fit` runs.  Their scores agree to round-off, so labels can differ only
     where two classes' scores tie to round-off."""
     if spectral_cv_is_cheaper(len(folds), len(C_values)):
         scores = kfold_scores(train, kernel_spec, C_values, folds)

@@ -743,6 +743,18 @@ def test_features_failing_keep_what_the_out_dir_held_before(arts, tmp_path, caps
     assert (out / "notes.txt").read_text() == "mine\n"
 
 
+def test_features_failing_into_an_earlier_feature_dir_leave_it_byte_identical(arts, tmp_path, capsys):
+    out = tmp_path / "f"
+    shutil.copytree(arts / "feats", out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cohort = _cohort_with_a_bad_float_in_its_last_recording(arts, tmp_path)
+    code = main(["features", "--in-dir", str(cohort), "--out-dir", str(out), "--test-reps", "3"])
+    assert code == 2
+    assert "s02.csv line 6" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["run", "--features", str(out), "--out-dir", str(tmp_path / "run"), *RUN_FLAGS]) == 0
+
+
 @pytest.mark.parametrize(
     "test_reps, message",
     [
@@ -813,6 +825,22 @@ def test_synth_names_a_non_finite_setting_and_writes_nothing(tmp_path, capsys, f
     assert main(["synth", *SYNTH_FLAGS, flag, value, "--out-dir", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--reps", "0", "reps must be >= 1"),
+        ("--movement-ms", "0.001", "0.001 ms is shorter than one sample at 100.0 Hz"),
+        ("--rate-hz", "0", "rate_hz must be > 0"),
+    ],
+    ids=["reps", "movement-ms", "rate-hz"],
+)
+def test_synth_rejecting_a_recording_flag_makes_no_directory(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "sy" / "a" / "b"
+    assert main(["synth", *SYNTH_FLAGS, flag, value, "--out-dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sy").exists()
 
 
 def test_subject_with_an_unknown_condition_returns_2(arts, tmp_path, capsys):

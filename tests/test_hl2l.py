@@ -109,8 +109,23 @@ def test_stacking_requires_enough_samples():
     tiny = _blobs(rng, n_per=1)  # 3 samples, every class single -> no 37% side
     with pytest.raises(ValueError):
         stacking_dataset(
-            tiny, source_scores([_source(rng)], tiny.features), KernelSpec("gaussian", 1.0), 10.0
+            tiny, source_scores([_source(rng)], tiny.features), KernelSpec("gaussian", 1.0), 10.0, seed=0
         )
+
+
+def test_stacking_needs_two_rows_more_than_sources():
+    rng = np.random.default_rng(2)
+    two = ((0, 0), (4, 0))
+    sources = [lssvm.fit(_blobs(rng, n_per=25, centers=two), KernelSpec("gaussian", 1.0), 10.0)
+               for _ in range(3)]
+    # k + 2 = 5 rows: class 0's 3 rows split 2 + 1 and class 1's 2 rows 1 + 1, a 2-row stack
+    train = _blobs(rng, n_per=3, centers=two).subset(np.arange(5))
+    k1 = KernelSpec("gaussian", 1.0)
+    assert len(stacking_dataset(train, source_scores(sources, train.features), k1, 10.0, seed=0)[2]) == 2
+    # 4 rows split 1 + 1 per class would stack 2 rows too; only the k + 2 guard rejects them
+    four = train.subset(np.array([0, 1, 3, 4]))
+    with pytest.raises(ValueError, match="^not enough training samples for stacking$"):
+        stacking_dataset(four, source_scores(sources, four.features), k1, 10.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +246,8 @@ def test_select_hl2l_names_layer2_when_the_stack_is_too_small_for_its_cv():
     k1 = KernelSpec("gaussian", 1.0)
     assert len(stacking_dataset(train, s_train, k1, 10.0, seed=0)[2]) == 2
     grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=2, seed=0)
-    with pytest.raises(ValueError, match="layer 2's 2-fold CV trains its largest fold on 1 of the stack's 2 rows; it needs at least 2"):
+    with pytest.raises(ValueError, match=r"^layer 2's 2-fold CV on the stack of 2 rows: fold 0 \(1 rows\) must hold "
+                                         r"1 to 0 of the 2 rows, so that at least 2 training rows stay outside it$"):
         select_hl2l(train, s_train, k1, 10.0, grid, seed=0)
     # at a given (C, gamma) layer 2 still trains on the 2 rows
     model = fit_hl2l(train, s_train, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=0)
@@ -246,7 +262,8 @@ def test_select_hl2l_names_layer2_and_its_folds_when_a_fold_would_train_on_one_r
     assert len(stacking_dataset(train, s_train, k1, 10.0, seed=0)[2]) == 3
     grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=2, seed=0)
     # 2 folds of 2 and 1 rows: the 2-row fold trains on 1 row
-    with pytest.raises(ValueError, match="layer 2's 2-fold CV trains its largest fold on 1 of the stack's 3 rows"):
+    with pytest.raises(ValueError, match=r"^layer 2's 2-fold CV on the stack of 3 rows: fold 0 \(2 rows\) must hold "
+                                         r"1 to 1 of the 3 rows"):
         select_hl2l(train, s_train, k1, 10.0, grid, seed=0)
     for folds in (3, 5):  # clamped to 3 folds of 1 row, each trained on 2
         model = select_hl2l(train, s_train, k1, 10.0, Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=folds), seed=0)

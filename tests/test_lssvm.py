@@ -195,6 +195,12 @@ def test_validation_errors():
         _loo_residuals(ds, KernelSpec("linear"), 1.0)  # needs >= 3 samples
 
 
+def test_a_query_of_the_wrong_dimension_names_both_dimensions():
+    model = lssvm.fit(_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0, 1, 2]), KernelSpec("linear"), 1.0)
+    with pytest.raises(ValueError, match="^query dimension 3 does not match model dimension 2$"):
+        lssvm.decision_scores(model, np.zeros((4, 3)))
+
+
 @pytest.mark.parametrize(
     "spec", [KernelSpec("gaussian", 1.0), KernelSpec("linear")], ids=["gaussian", "linear"]
 )

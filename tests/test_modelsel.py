@@ -194,6 +194,16 @@ def test_grid_rejects_non_finite_and_duplicate_values(C_values, gamma_values):
         Grid(C_values=C_values, gamma_values=gamma_values)
 
 
+@pytest.mark.parametrize(
+    "C_values, gamma_values, axis",
+    [((0.0, 1.0), (1.0,), "C_values"), ((1.0,), (1.0, 0.0), "gamma_values")],
+    ids=["C", "gamma"],
+)
+def test_grid_rejects_a_zero_on_either_axis(C_values, gamma_values, axis):
+    with pytest.raises(ValueError, match=f"grid {axis} must be finite and positive"):
+        Grid(C_values=C_values, gamma_values=gamma_values)
+
+
 def _reference_table(ds, grid):
     """Per-candidate CV: one lssvm.fit and one lssvm.predict per (C, gamma, fold)."""
     folds = stratified_folds(ds.labels, grid.folds, grid.seed)
@@ -418,18 +428,18 @@ def test_cost_rule_without_n_agrees_with_the_counts_that_keep_it():
                 assert _cost_rule_with_n(n, folds, num_C) == want, (n, folds, num_C)
 
 
-def _folds_that_leave_rows_out():
-    """30 shuffled rows of 3 classes and 3 folds over 20 of them: 10 rows are in no fold."""
+def _uneven_shuffled_folds():
+    """30 shuffled rows of 3 classes in 3 folds of 4, 9 and 17 rows, not in row order."""
     ds = _noisy_blobs(11, (10, 10, 10))
-    held = np.random.default_rng(4).permutation(len(ds))[:20]
-    return ds, [np.sort(held[:7]), np.sort(held[7:14]), np.sort(held[14:])]
+    rows = np.random.default_rng(4).permutation(len(ds))
+    return ds, [rows[:4], rows[4:13], rows[13:]]
 
 
 @pytest.mark.parametrize("spectral", [False, True], ids=["direct", "spectral"])
 @pytest.mark.parametrize("spec", [KernelSpec("gaussian", 0.5), KernelSpec("linear")], ids=["gaussian", "linear"])
 def test_either_cv_path_trains_a_fold_on_every_row_outside_it(spec, spectral, monkeypatch):
     monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda folds, num_C: spectral)
-    ds, folds = _folds_that_leave_rows_out()
+    ds, folds = _uneven_shuffled_folds()
     C_values = (0.1, 1.0, 10.0)
     got = kfold_labels(ds, spec, C_values, folds)
     assert len(got) == len(folds)
@@ -442,13 +452,14 @@ def test_either_cv_path_trains_a_fold_on_every_row_outside_it(spec, spectral, mo
 @pytest.mark.parametrize(
     "folds, message",
     [
-        ([np.arange(0, 6), np.arange(0)], r"fold 1 \(0 rows\) must hold 1 to 28 of the rows 0\.\.29"),
-        ([np.arange(0, 6), np.arange(5, 12)], "row 5 is held out more than once"),
-        ([np.arange(0, 6), np.array([6, 30])], r"fold 1 \(2 rows\) must hold 1 to 28 of the rows 0\.\.29"),
-        ([np.arange(0, 6), np.array([6, -1])], r"fold 1 \(2 rows\) must hold 1 to 28 of the rows 0\.\.29"),
+        ([np.arange(0, 6), np.arange(0), np.arange(6, 30)], r"fold 1 \(0 rows\) must hold 1 to 28 of the 30 rows"),
+        ([np.arange(0, 6), np.arange(5, 30)], r"the folds must partition the 30 rows 0\.\.29, each row in one fold"),
+        ([np.arange(0, 6), np.arange(7, 31)], r"the folds must partition the 30 rows 0\.\.29"),
+        ([np.arange(0, 6), np.r_[-1, 7:30]], r"the folds must partition the 30 rows 0\.\.29"),
         ([np.arange(0, 1), np.arange(1, 30)], r"fold 1 \(29 rows\) must hold 1 to 28 .* at least 2 training"),
+        ([np.arange(0, 6), np.arange(6, 29)], r"the folds must partition the 30 rows 0\.\.29"),
     ],
-    ids=["empty", "overlapping", "past-the-end", "negative", "one-training-row"],
+    ids=["empty", "overlapping", "past-the-end", "negative", "one-training-row", "leaves-a-row-out"],
 )
 def test_either_cv_path_raises_the_same_error_on_bad_folds(folds, message, monkeypatch):
     ds = _noisy_blobs(11, (10, 10, 10))
@@ -595,11 +606,11 @@ def test_kfold_scores_validation():
     ds = _noisy_blobs(0, (3, 3))
     spec = KernelSpec("gaussian", 1.0)
     with pytest.raises(ValueError, match="C must be"):
-        lssvm.kfold_scores(ds, spec, [1.0, 0.0], [np.arange(3)])
-    with pytest.raises(ValueError, match="fold"):
+        lssvm.kfold_scores(ds, spec, [1.0, 0.0], [np.arange(3), np.arange(3, 6)])
+    with pytest.raises(ValueError, match="must partition the 6 rows 0..5"):
         lssvm.kfold_scores(ds, spec, [1.0], [np.arange(5)])
-    with pytest.raises(ValueError, match="fold"):
-        lssvm.kfold_scores(ds, spec, [1.0], [np.arange(0)])
+    with pytest.raises(ValueError, match=r"fold 0 \(0 rows\)"):
+        lssvm.kfold_scores(ds, spec, [1.0], [np.arange(0), np.arange(6)])
 
 
 def test_select_fits_once_per_fold_and_gamma_with_every_C():

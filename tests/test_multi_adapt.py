@@ -251,6 +251,16 @@ def test_validation_errors():
         predict_ma(model, query, source_scores([src], query[:1]))
 
 
+def test_fit_ma_fits_at_3_rows_and_raises_at_2():
+    rng = np.random.default_rng(3)
+    train = _blobs(rng, n_per=1)  # one row of each of the 3 classes
+    s_train = source_scores([_source(rng)], train.features)
+    model = fit_ma(train, s_train, KernelSpec("gaussian", 1.0), 1.0)
+    assert model.base.support_inputs.shape == (3, 2) and model.loo_bound is not None
+    with pytest.raises(ValueError, match="^need at least 3 training samples$"):
+        fit_ma(train.subset(np.arange(2)), s_train[:2], KernelSpec("gaussian", 1.0), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the score tensor every method takes
 
@@ -269,8 +279,8 @@ def _select_mkal(train, s):
 FITS = {
     "MA": lambda train, s: fit_ma(train, s, SPEC, 1.0),
     "PriorFeatures": lambda train, s: fit_prior_features(train, s, Grid(C_values=(1.0,), folds=2)),
-    "stacking": lambda train, s: stacking_dataset(train, s, SPEC, 1.0),
-    "HL2L": lambda train, s: fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0),
+    "stacking": lambda train, s: stacking_dataset(train, s, SPEC, 1.0, 0),
+    "HL2L": lambda train, s: fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0, 0),
     "MKAL": lambda train, s: fit_mkal(train, s, 1.25, 1e-3, 1.0, 0),
     "select_mkal": _select_mkal,
 }
@@ -285,7 +295,7 @@ def _prior_features_predict(train, s):
 PREDICTS = {
     "MA": lambda train, s: partial(predict_ma, fit_ma(train, s, SPEC, 1.0)),
     "PriorFeatures": _prior_features_predict,
-    "HL2L": lambda train, s: partial(predict_hl2l, fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0)),
+    "HL2L": lambda train, s: partial(predict_hl2l, fit_hl2l(train, s, SPEC, 1.0, SPEC, 1.0, 0)),
     "MKAL": lambda train, s: partial(predict_mkal, fit_mkal(train, s, 1.25, 1e-3, 1.0, 0)),
     "select_mkal": lambda train, s: partial(predict_mkal, FITS["select_mkal"](train, s)),
 }
