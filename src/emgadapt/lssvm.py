@@ -232,11 +232,13 @@ def checked_training_rows(
     train: Dataset, kernel_spec: KernelSpec, C_values: Sequence[float], folds: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
     """Each fold's `training_rows`: the checks that both k-fold paths meet before any solve.
-    Raises ValueError unless the folds partition the rows 0..n-1 and each holds 1 to n - 2
-    of them, then calls `check_ridge`."""
+    Raises ValueError unless the folds partition the rows 0..n-1, n >= 3 and each fold holds
+    1 to n - 2 of them, then calls `check_ridge`."""
     n = len(train)
     if not np.array_equal(np.sort(np.concatenate([*folds, np.empty(0, dtype=int)])), np.arange(n)):
         raise ValueError(f"the folds must partition the {n} rows 0..{n - 1}, each row in one fold")
+    if n < 3:
+        raise ValueError(f"k-fold CV needs at least 3 rows, so that a fold trains on 2; got {n}")
     for f, rows in enumerate(folds):
         if not 1 <= len(rows) <= n - 2:
             raise ValueError(f"fold {f} ({len(rows)} rows) must hold 1 to {n - 2} of the {n} rows, "

@@ -28,8 +28,9 @@ shrink only rescales the scalar m_k), the training scores f_hat_k = K_k c_hat_k,
 and the squared norms ||c_hat_k||_K^2, updated from f_hat_k and the step.  An
 online step reads one Gram row per block and costs O((K+1) * N); a batch
 epoch costs one K_k @ du product per block.  Block norms are recomputed from
-scratch only once per online epoch, when the caches are refreshed.  The best
-objective and the epoch it came from are kept on the model.
+scratch only once per online epoch, when the caches are refreshed.  An
+iterate's margins are computed once, with its objective, and feed the next batch
+step; the model keeps the best objective, its epoch and the cached norms it used.
 
 Lockstep: `fit_for_each_config` trains several (p, lam) pairs at once, at
 one gamma and one seed (so one sample order).  The block Grams are built
@@ -112,21 +113,15 @@ def _block_grams(kernel0: KernelSpec, X: np.ndarray, s_tensor: np.ndarray) -> np
     return grams
 
 
-def _block_sq_norms(grams: np.ndarray, duals: np.ndarray) -> np.ndarray:
-    """Exact per-block squared RKHS norms sum_y c_y^T K c_y; `duals` may carry leading axes."""
-    return np.sum(duals * (grams @ duals), axis=(-2, -1))
-
-
-def _hinge_losses(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample worst-class hinge: max(0, 1 - (f_yi - max_{y != yi} f_y)).
-
-    `scores` is (..., N, G); leading axes are candidates."""
+def _margins(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the margin 1 - (f_yi - max_{y != yi} f_y), whose positive part is the hinge,
+    and the worst class y.  `scores` is (..., N, G); leading axes are candidates."""
     rows = np.arange(scores.shape[-2])
-    own = scores[..., rows, labels]
     masked = scores.copy()
     masked[..., rows, labels] = -np.inf
-    worst = masked.max(axis=-1)
-    return np.maximum(0.0, 1.0 - (own - worst))
+    worst = masked.argmax(axis=-1)
+    rival = np.take_along_axis(masked, worst[..., None], axis=-1)[..., 0]
+    return 1.0 - (scores[..., rows, labels] - rival), worst
 
 
 def _fold_small_multipliers(
@@ -195,22 +190,18 @@ def fit_for_each_config(
     m = np.ones((nc, nb))
     m_col = m[:, :, None]  # m only ever changes in place
     cand_idx = np.arange(nc)
-    row_idx = np.arange(n)
 
     def group_norms(norms: np.ndarray) -> np.ndarray:
         """Each candidate's (2, p) group norm (sum_k ||w_k||^p)^(1/p), unchecked: norms are >= 0."""
         total = np.where(square, norms * norms, norms**p_col).sum(axis=1)
         return np.where(square[:, 0], np.sqrt(total), total**inv_p)
 
-    def shrink_factors(eta_lam: np.ndarray) -> np.ndarray:
+    def apply_shrink(eta_lam: np.ndarray):
         norms = np.sqrt(np.maximum(m * m * sq_hat, 0.0))
         q = group_norms(norms)[:, None]
         pos = (norms > 0.0) & (q > 0.0)  # a candidate with a zero group norm is not shrunk
         base = np.where(pos, norms, 1.0) / np.where(q > 0.0, q, 1.0)
-        return np.maximum(0.0, 1.0 - eta_lam[:, None] * np.where(pos, base ** (p_col - 2.0), 0.0))
-
-    def apply_shrink(eta_lam: np.ndarray):
-        m[...] = m * shrink_factors(eta_lam)
+        m[...] = m * np.maximum(0.0, 1.0 - eta_lam[:, None] * np.where(pos, base ** (p_col - 2.0), 0.0))
         if (m < 1e-6).any():
             _fold_small_multipliers(m, c_hat, f_hat, sq_hat)
 
@@ -223,16 +214,18 @@ def fit_for_each_config(
     best_obj = np.ones(nc)
     best_epoch = np.zeros(nc, dtype=int)
     best_duals = np.zeros((nc, nb, n, g))
+    best_norms = np.zeros((nc, nb))
 
-    def keep_best(epoch: int) -> np.ndarray:
-        """Keep each candidate's iterate if it beats its best objective; returns the scores."""
-        scores = scores_now()
-        q = group_norms(np.sqrt(np.maximum(m * m * sq_hat, 0.0)))
-        obj = lams / 2.0 * q**2 + _hinge_losses(scores, labels).mean(axis=1)
+    def keep_best(epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keep each candidate's iterate and block norms if it beats its best; returns `_margins`."""
+        margins, worst = _margins(scores_now(), labels)
+        norms = np.sqrt(np.maximum(m * m * sq_hat, 0.0))
+        obj = lams / 2.0 * group_norms(norms)**2 + np.maximum(0.0, margins).mean(axis=1)
         better = obj < best_obj
         best_obj[better], best_epoch[better] = obj[better], epoch
         best_duals[better] = m[better, :, None, None] * c_hat[better]
-        return scores
+        best_norms[better] = norms[better]
+        return margins, worst
 
     # step sizes 1 / (lam * t) at every step t = 1, 2, ... of both phases
     steps = np.arange(1, EPOCHS_ONLINE * n + EPOCHS_BATCH + 1)
@@ -272,15 +265,10 @@ def fit_for_each_config(
         f_hat[...] = block_scores.transpose(0, 1, 3, 2)
         keep_best(epoch)
 
-    scores = scores_now()
+    margins, worst = _margins(scores_now(), labels)
     for epoch in range(EPOCHS_ONLINE + 1, EPOCHS_ONLINE + EPOCHS_BATCH + 1):
         t += 1
-        own = scores[:, row_idx, labels]
-        masked = scores.copy()
-        masked[:, row_idx, labels] = -np.inf
-        yhat = masked.argmax(axis=2)
-        worst = np.take_along_axis(masked, yhat[:, :, None], axis=2)[:, :, 0]
-        violated = (1.0 - (own - worst)) > 0.0
+        violated = margins > 0.0
         apply_shrink(eta_lams[t - 1])
         v = violated.any(axis=1).nonzero()[0]
         if len(v):
@@ -289,7 +277,7 @@ def fit_for_each_config(
             du = np.zeros((len(v), n, g))
             which, rows = np.nonzero(violated[v])
             du[which, rows, labels[rows]] = 1.0
-            du[which, rows, yhat[v][which, rows]] = -1.0
+            du[which, rows, worst[v][which, rows]] = -1.0
             kdu = grams @ du[:, None]
             delta = etas[t - 1, v, None] / (n * m[v])
             # ||c + delta du||_K^2 = ||c||_K^2 + 2 delta <K c, du> + delta^2 <du, K du>
@@ -298,9 +286,8 @@ def fit_for_each_config(
             sq_hat[v] += 2.0 * delta * cross + delta * delta * quad
             c_hat[v] += delta[:, :, None, None] * du[:, None]
             f_hat[v] += (delta[:, :, None, None] * kdu).transpose(0, 1, 3, 2)
-        scores = keep_best(epoch)
+        margins, worst = keep_best(epoch)
 
-    final_norms = np.sqrt(np.maximum(_block_sq_norms(grams, best_duals), 0.0))
     inputs, scores_copy = train.features.copy(), s_tensor.copy()
     return [
         MkalModel(
@@ -311,7 +298,7 @@ def fit_for_each_config(
             train_inputs=inputs,
             train_source_scores=scores_copy,
             dual_coeffs=best_duals[j],
-            block_norms=final_norms[j],
+            block_norms=best_norms[j],
             best_objective=float(best_obj[j]),
             best_epoch=int(best_epoch[j]) or None,
         )

@@ -55,3 +55,8 @@ def _peak_bytes(fn):
 def peak_bytes():
     """The `_peak_bytes(fn)` helper: (fn's result, peak traced bytes while it ran)."""
     return _peak_bytes
+
+
+def pytest_addoption(parser):
+    parser.addoption("--rewrite-ledger", action="store_true",
+                     help="write tests/ledger/acceptance.json from this run's results")

@@ -13,13 +13,24 @@ single pass/fail line for each.
 9.  Window and feature-dimension arithmetic.
 10. The command-line pipeline is byte-identical across reruns and --jobs.
 
+The results ledger `tests/ledger/acceptance.json` holds what criteria 4-6
+and 10 compute; `test_results_ledger_is_unchanged` compares it exactly and
+names the rows that moved.  A change that moves results on purpose
+rewrites it with
+
+    PYTHONPATH=src python -m pytest tests/test_acceptance.py --rewrite-ledger
+
 Criteria 4-6 share one experiment run (a 9-subject cohort with strong
 repetition-to-repetition variability, where borrowing from source subjects
 is clearly worth more than 40 of the target's own samples).
 """
 
+import hashlib
+import json
 import time
 import zlib
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,7 +386,11 @@ def test_criterion_09_window_and_feature_dimension_arithmetic():
 # 10: end-to-end determinism
 
 
-def test_criterion_10_pipeline_is_byte_identical_across_reruns_and_jobs(tmp_path):
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    """The tiny CLI pipeline of criterion 10, run twice serially and once with --jobs 2;
+    each run's CSV outputs, name to bytes."""
+    tmp_path = tmp_path_factory.mktemp("cli")
     cohort = tmp_path / "cohort"
     feats = tmp_path / "feats"
     assert main([
@@ -402,6 +417,73 @@ def test_criterion_10_pipeline_is_byte_identical_across_reruns_and_jobs(tmp_path
         assert main(["run", "--features", str(feats), "--out-dir", str(out),
                      *run_flags, *extra]) == 0
         outputs[name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-        assert outputs[name]
-    assert outputs["a"] == outputs["b"]
-    assert outputs["a"] == outputs["c"]
+    return outputs
+
+
+def test_criterion_10_pipeline_is_byte_identical_across_reruns_and_jobs(cli_runs):
+    assert cli_runs["a"]
+    assert cli_runs["a"] == cli_runs["b"]
+    assert cli_runs["a"] == cli_runs["c"]
+
+
+# ---------------------------------------------------------------------------
+# the results ledger of criteria 4-6 and 10
+
+LEDGER = Path(__file__).resolve().parent / "ledger" / "acceptance.json"
+
+
+def _grid_axes(config) -> dict[str, tuple[float, ...]]:
+    """The grid each recorded parameter was chosen from, by its `CellResult.params` name."""
+    c, gamma = config.grid.C_values, config.grid.gamma_values
+    return {"C": c, "C1": c, "C2": c, "gamma": gamma, "gamma1": gamma, "gamma2": gamma,
+            "p": config.mkal.p_grid, "lam": config.mkal.lambda_grid}
+
+
+def results_ledger(cells, config, cli_outputs) -> dict:
+    """The ledger's content: correct test windows per (method, size, seed_index), mean accuracy
+    per (method, size), each method's chosen values with their counts and how many sit on a
+    grid edge, and the sha256 of the CLI run's accuracy and confusion tables."""
+    methods = config.methods
+    axes = _grid_axes(config)
+    values, at_edge = {}, {}
+    for method in methods:
+        chosen = [(name, v) for (m, _, _), cell in sorted(cells.items()) if m == method
+                  for name, v in sorted(cell.params.items())]
+        values[method] = {f"{name}={v!r}": n for (name, v), n in sorted(Counter(chosen).items())}
+        at_edge[method] = {name: sum(1 for nm, v in chosen if nm == name
+                                     and v in (min(axes[name]), max(axes[name])))
+                           for name in sorted({nm for nm, _ in chosen})}
+    return {
+        "correct": {f"{m}/{s}/{k}": int(np.trace(cells[(m, k, s)].confusion.counts))
+                    for m in methods for s in COHORT_SIZES for k in COHORT_SEEDS},
+        "mean_accuracy": {f"{m}/{s}": _mean_accuracy(cells, m, s)
+                          for m in methods for s in COHORT_SIZES},
+        "params": values,
+        "params_at_grid_edge": at_edge,
+        "cli_sha256": {name: hashlib.sha256(data).hexdigest()
+                       for name, data in sorted(cli_outputs.items())
+                       if name == "accuracies.csv" or name.startswith("confusion_")},
+    }
+
+
+def _moved_rows(want: dict, got: dict, prefix: str = "") -> list[str]:
+    """Each leaf whose value differs between two nested dicts, as `path: want -> got`."""
+    moved = []
+    for key in sorted(set(want) | set(got)):
+        a, b = want.get(key), got.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            moved += _moved_rows(a, b, f"{prefix}{key} ")
+        elif a != b:
+            moved.append(f"{prefix}{key}: {a} -> {b}")
+    return moved
+
+
+def test_results_ledger_is_unchanged(cohort_run, cli_runs, request):
+    got = results_ledger(cohort_run["cells"], cohort_run["config"], cli_runs["a"])
+    # a JSON round trip, so that the comparison sees what the file holds
+    got = json.loads(json.dumps(got))
+    if request.config.getoption("--rewrite-ledger"):
+        LEDGER.parent.mkdir(exist_ok=True)
+        LEDGER.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+    moved = _moved_rows(json.loads(LEDGER.read_text()), got)
+    assert not moved, f"{len(moved)} ledger rows moved:\n" + "\n".join(moved[:40])

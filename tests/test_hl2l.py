@@ -246,8 +246,8 @@ def test_select_hl2l_names_layer2_when_the_stack_is_too_small_for_its_cv():
     k1 = KernelSpec("gaussian", 1.0)
     assert len(stacking_dataset(train, s_train, k1, 10.0, seed=0)[2]) == 2
     grid = Grid(C_values=(1.0, 10.0), gamma_values=(0.1, 1.0), folds=2, seed=0)
-    with pytest.raises(ValueError, match=r"^layer 2's 2-fold CV on the stack of 2 rows: fold 0 \(1 rows\) must hold "
-                                         r"1 to 0 of the 2 rows, so that at least 2 training rows stay outside it$"):
+    with pytest.raises(ValueError, match=r"^layer 2's 2-fold CV on the stack of 2 rows: k-fold CV needs at least 3 "
+                                         r"rows, so that a fold trains on 2; got 2$"):
         select_hl2l(train, s_train, k1, 10.0, grid, seed=0)
     # at a given (C, gamma) layer 2 still trains on the 2 rows
     model = fit_hl2l(train, s_train, k1, 10.0, KernelSpec("gaussian", 0.5), 5.0, seed=0)

@@ -24,7 +24,7 @@ DIAGNOSTICS = [
     "harness.CellResult.params",  # the hyperparameters the cell chose
     "mkal.MkalModel.best_epoch",  # the kept iterate's epoch; None marks the zero model
     "mkal.MkalModel.best_objective",  # the kept iterate's training objective
-    "mkal.MkalModel.block_norms",  # the kept duals' per-block norms
+    "mkal.MkalModel.block_norms",  # the kept iterate's per-block norms, the cached ones its objective used
     "multi_adapt.MaModel.loo_bound",  # the LOO hinge bound of the chosen beta
 ]
 

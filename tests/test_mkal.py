@@ -16,8 +16,6 @@ from emgadapt.mkal import (
     MkalModel,
     MkalSelection,
     _block_grams,
-    _block_sq_norms,
-    _hinge_losses,
     fit_for_each_config,
     fit_mkal,
     predict_mkal,
@@ -35,6 +33,23 @@ def group_norm(block_norms: np.ndarray, p: float) -> float:
     if np.any(block_norms < 0):
         raise ValueError("block norms must be non-negative")
     return float(np.sum(block_norms**p) ** (1.0 / p))
+
+
+def _block_sq_norms(grams: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """Exact per-block squared RKHS norms sum_y c_y^T K c_y; `duals` may carry leading axes:
+    the oracle for the trainer's cached norms."""
+    return np.sum(duals * (grams @ duals), axis=(-2, -1))
+
+
+def _hinge_losses(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample worst-class hinge max(0, 1 - (f_yi - max_{y != yi} f_y)) of (..., N, G)
+    scores: the oracle for the trainer's margins."""
+    rows = np.arange(scores.shape[-2])
+    own = scores[..., rows, labels]
+    masked = scores.copy()
+    masked[..., rows, labels] = -np.inf
+    worst = masked.max(axis=-1)
+    return np.maximum(0.0, 1.0 - (own - worst))
 
 
 def mkal_objective(

@@ -450,19 +450,20 @@ def test_either_cv_path_trains_a_fold_on_every_row_outside_it(spec, spectral, mo
 
 
 @pytest.mark.parametrize(
-    "folds, message",
+    "n, folds, message",
     [
-        ([np.arange(0, 6), np.arange(0), np.arange(6, 30)], r"fold 1 \(0 rows\) must hold 1 to 28 of the 30 rows"),
-        ([np.arange(0, 6), np.arange(5, 30)], r"the folds must partition the 30 rows 0\.\.29, each row in one fold"),
-        ([np.arange(0, 6), np.arange(7, 31)], r"the folds must partition the 30 rows 0\.\.29"),
-        ([np.arange(0, 6), np.r_[-1, 7:30]], r"the folds must partition the 30 rows 0\.\.29"),
-        ([np.arange(0, 1), np.arange(1, 30)], r"fold 1 \(29 rows\) must hold 1 to 28 .* at least 2 training"),
-        ([np.arange(0, 6), np.arange(6, 29)], r"the folds must partition the 30 rows 0\.\.29"),
+        (30, [np.arange(0, 6), np.arange(0), np.arange(6, 30)], r"fold 1 \(0 rows\) must hold 1 to 28 of the 30 rows"),
+        (30, [np.arange(0, 6), np.arange(5, 30)], r"the folds must partition the 30 rows 0\.\.29, each row in one fold"),
+        (30, [np.arange(0, 6), np.arange(7, 31)], r"the folds must partition the 30 rows 0\.\.29"),
+        (30, [np.arange(0, 6), np.r_[-1, 7:30]], r"the folds must partition the 30 rows 0\.\.29"),
+        (30, [np.arange(0, 1), np.arange(1, 30)], r"fold 1 \(29 rows\) must hold 1 to 28 .* at least 2 training"),
+        (30, [np.arange(0, 6), np.arange(6, 29)], r"the folds must partition the 30 rows 0\.\.29"),
+        (2, [np.arange(0, 1), np.arange(1, 2)], r"^k-fold CV needs at least 3 rows, so that a fold trains on 2; got 2$"),
     ],
-    ids=["empty", "overlapping", "past-the-end", "negative", "one-training-row", "leaves-a-row-out"],
+    ids=["empty", "overlapping", "past-the-end", "negative", "one-training-row", "leaves-a-row-out", "two-rows"],
 )
-def test_either_cv_path_raises_the_same_error_on_bad_folds(folds, message, monkeypatch):
-    ds = _noisy_blobs(11, (10, 10, 10))
+def test_either_cv_path_raises_the_same_error_on_bad_folds(n, folds, message, monkeypatch):
+    ds = _noisy_blobs(11, (10, 10, 10)).subset(np.arange(n))
     errors = []
     for spectral in (False, True):
         monkeypatch.setattr(lssvm, "spectral_cv_is_cheaper", lambda f, num_C: spectral)
