@@ -255,15 +255,9 @@ def test_raw_block_is_gaussian_at_the_config_gamma():
     assert model.kernel0 == KernelSpec("gaussian", 0.7)
 
 
-def _einsum_sq_norms(grams, duals):
-    return np.array(
-        [float(np.einsum("iy,ij,jy->", duals[k], grams[k], duals[k])) for k in range(len(grams))]
-    )
-
-
 def _reference_fit(train, s_tensor, p, lam, gamma, seed):
     """The trainer as first written: one Python step per block, every
-    shrink through group_norm, batch-phase norms recomputed by einsum.
+    shrink through group_norm, batch-phase norms recomputed exactly.
     Returns the best duals and their block norms."""
     n, g = len(train), train.num_classes
     grams = _block_grams(KernelSpec("gaussian", gamma), train.features, s_tensor)
@@ -326,7 +320,7 @@ def _reference_fit(train, s_tensor, p, lam, gamma, seed):
                 f_hat[kb, :, yhat] -= delta * col
         for kb in range(nb):
             f_hat[kb] = grams[kb] @ c_hat[kb]
-        sq_hat = _einsum_sq_norms(grams, c_hat)
+        sq_hat = _block_sq_norms(grams, c_hat)
         obj = objective_now()
         if obj < best_obj:
             best_obj, best_duals = obj, m[:, None, None] * c_hat
@@ -349,11 +343,11 @@ def _reference_fit(train, s_tensor, p, lam, gamma, seed):
                 delta = eta / (n * m[kb])
                 c_hat[kb] += delta * du
                 f_hat[kb] += delta * (grams[kb] @ du)
-            sq_hat = _einsum_sq_norms(grams, c_hat)
+            sq_hat = _block_sq_norms(grams, c_hat)
         obj = objective_now()
         if obj < best_obj:
             best_obj, best_duals = obj, m[:, None, None] * c_hat
-    return best_duals, np.sqrt(np.maximum(_einsum_sq_norms(grams, best_duals), 0.0))
+    return best_duals, np.sqrt(np.maximum(_block_sq_norms(grams, best_duals), 0.0))
 
 
 @pytest.mark.parametrize("n_sources", [1, 3])
@@ -385,7 +379,7 @@ def test_block_sq_norms_match_the_einsum_form():
         duals.append(rng.normal(size=(n, 4)))
     for km, c in zip(grams, duals):
         got = _block_sq_norms([km], c[None])
-        assert_allclose(got, _einsum_sq_norms([km], c[None]), rtol=1e-12)
+        assert_allclose(got, [np.einsum("iy,ij,jy->", c, km, c)], rtol=1e-12)
 
 
 def test_model_reports_the_objective_and_epoch_it_kept():

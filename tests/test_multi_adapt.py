@@ -166,7 +166,9 @@ def _class_optima(y, base, slope):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_fitted_beta_reaches_the_optimum_of_the_loo_bound(seed):
+def test_fitted_beta_is_within_slack_of_the_loo_bound_optimum(seed):
+    """On these 40 seeded cases per seed, the fitted beta's bound lies within a relative
+    BETA_OPTIMUM_SLACK of the exact optimum; the search does not always reach it (see above)."""
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, 1001)
     for _ in range(40):

@@ -1,7 +1,7 @@
 """Mutation testing of one `emgadapt` module, on a temporary copy of `src/`.
 
-    python tools/mutants.py mkal --sites 40 --seed 0 > mutants-mkal.md
-    python tools/mutants.py multi_adapt --list
+    python tools/mutants.py mkal --sites 40 > mutants-mkal.md
+    python tools/mutants.py multi_adapt --sites 51
 
 Run from the repository root.  The script finds the mutation sites of
 `src/emgadapt/<module>.py` with the stdlib `ast`:
@@ -12,13 +12,13 @@ Run from the repository root.  The script finds the mutation sites of
 - constant bumps: an int n becomes n + 1, a float x becomes 2x (1.0 when
   x is 0.0).
 
-It draws `--sites` of them with `--seed` (every site when there are fewer),
-and for each one writes the mutated module into a fresh copy of `src/` in a
-temporary directory, never into the working tree.  It then runs the
-module's test files and `tests/test_acceptance.py` in a subprocess with
+It draws `--sites` of them with the fixed seed `SEED` (every site when there
+are fewer), and for each one writes the mutated module into a fresh copy of
+`src/` in a temporary directory, never into the working tree.  It then runs
+`tests/test_<module>.py` and `tests/test_acceptance.py` in a subprocess with
 `PYTHONPATH` on that copy and `PYTHONDONTWRITEBYTECODE=1`, so no mutant can
 run another mutant's cached bytecode.  A failing run kills the mutant, and
-so does a run that exceeds `--timeout` seconds.  The result is a Markdown
+so does a run that exceeds `TIMEOUT` seconds.  The result is a Markdown
 table on stdout, one row per mutant, with a blank note column for the
 reader to say why a survivor is equivalent.
 """
@@ -40,12 +40,9 @@ from pathlib import Path
 ROOT = Path.cwd()
 PACKAGE = ROOT / "src" / "emgadapt"
 
-# test files of a module whose name is not tests/test_<module>.py
-MODULE_TESTS = {
-    "model_selection": ["tests/test_modelsel.py"],
-    "lssvm": ["tests/test_lssvm.py", "tests/test_modelsel.py"],
-}
 ACCEPTANCE = "tests/test_acceptance.py"
+SEED = 0          # of the draw of sites
+TIMEOUT = 300.0   # seconds per mutant run; a longer run is a kill
 
 ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
               ast.Pow: ast.Mult}
@@ -150,7 +147,7 @@ def check_import_path(module: str) -> None:
             sys.exit(f"error: the tests would import emgadapt.{module} from {got or 'nowhere'}")
 
 
-def run_mutant(module: str, mutated: str, tests: list[str], timeout: float) -> tuple[str, float]:
+def run_mutant(module: str, mutated: str, tests: list[str]) -> tuple[str, float]:
     """("killed" | "killed (timeout)" | "survived", seconds) for one mutant."""
     with tempfile.TemporaryDirectory(prefix="emgadapt-mutant-") as tmp:
         env = _copy_src(tmp, module, mutated)
@@ -159,7 +156,7 @@ def run_mutant(module: str, mutated: str, tests: list[str], timeout: float) -> t
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
                 cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=timeout)
+                timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "killed (timeout)", time.monotonic() - t0
         return ("survived" if proc.returncode == 0 else "killed"), time.monotonic() - t0
@@ -175,33 +172,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="a module of src/emgadapt, for example mkal")
     parser.add_argument("--sites", type=int, default=40, help="sites drawn; every site if fewer")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the draw")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant run")
-    parser.add_argument("--list", action="store_true", help="list the drawn sites and run nothing")
     args = parser.parse_args(argv)
 
     path = PACKAGE / f"{args.module}.py"
-    if not path.is_file():
-        parser.error(f"{path} not found; run from the repository root")
+    tests = [f"tests/test_{args.module}.py", ACCEPTANCE]
+    for need in (path, ROOT / tests[0]):
+        if not need.is_file():
+            parser.error(f"{need} not found; run from the repository root")
     source = path.read_text()
     sites = find_sites(source)
     drawn = sites if args.sites >= len(sites) else sorted(
-        random.Random(args.seed).sample(sites, args.sites), key=sites.index)
-    tests = [t for t in MODULE_TESTS.get(args.module, [f"tests/test_{args.module}.py"])
-             if (ROOT / t).is_file()] + [ACCEPTANCE]
+        random.Random(SEED).sample(sites, args.sites), key=sites.index)
 
-    if not args.list:
-        check_import_path(args.module)
-    print(f"`{args.module}`: {len(drawn)} of {len(sites)} sites (seed {args.seed}), "
+    check_import_path(args.module)
+    print(f"`{args.module}`: {len(drawn)} of {len(sites)} sites (seed {SEED}), "
           f"tests {', '.join(tests)}\n")
     print("| # | line | code | mutation | outcome | seconds | note |")
     print("|---|---|---|---|---|---|---|")
     for i, site in enumerate(drawn, 1):
-        mutated = mutate(source, site)
-        if args.list:
-            outcome, seconds = "not run", 0.0
-        else:
-            outcome, seconds = run_mutant(args.module, mutated, tests, args.timeout)
+        outcome, seconds = run_mutant(args.module, mutate(source, site), tests)
         print(f"| {i} | {site.line} | `{_snippet(source, site.line)}` | {site.kind} `{site.change}` "
               f"| {outcome} | {seconds:.0f} | |", flush=True)
     return 0
