@@ -117,7 +117,6 @@ class CellResult:
 
 @dataclass
 class LearningCurve:
-    method: str
     sizes: list[int]
     mean: list[float]
     lo: list[float]
@@ -328,7 +327,7 @@ def learning_curves(result: ExperimentResult) -> dict[str, LearningCurve]:
             mean.append(float(np.mean(vals)))
             lo.append(float(np.min(vals)))
             hi.append(float(np.max(vals)))
-        curves[method] = LearningCurve(method=method, sizes=sizes, mean=mean, lo=lo, hi=hi)
+        curves[method] = LearningCurve(sizes=sizes, mean=mean, lo=lo, hi=hi)
     return curves
 
 

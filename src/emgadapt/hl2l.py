@@ -52,7 +52,7 @@ def stratified_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndar
         a_parts.append(members[:n_a])
         b_parts.append(members[n_a:])
     side_a = np.sort(np.concatenate(a_parts))
-    side_b = np.sort(np.concatenate(b_parts)) if any(len(p) for p in b_parts) else np.array([], dtype=int)
+    side_b = np.sort(np.concatenate(b_parts))  # int slices, so an empty side is an empty int array
     return side_a, side_b
 
 

@@ -129,7 +129,7 @@ def fit_ma(
         V = np.einsum("ij,jkg->ikg", h, s_tensor) / d[:, None, None]
         # each iterate's predictions give its bound and the next step's active set
         b = np.zeros((k, g))
-        yhat = base_loo + np.einsum("ikg,kg->ig", V, b)
+        yhat = base_loo  # the predictions at b = 0
         best_val, best_beta = loo_hinge_bound(Y, yhat), b
         for t in range(1, BETA_ITERATIONS + 1):
             active = (1.0 - Y * yhat) > 0.0

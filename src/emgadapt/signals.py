@@ -364,18 +364,17 @@ def _read_csv(path: Path, header: list[str], ints: int, kind: str) -> tuple[np.n
     error in a row or a byte that is not UTF-8 also its line; `kind` names the file in a
     header error.
 
-    After csv checks the header, numpy's C parser reads the body in one `np.loadtxt`
-    call, holding no Python object per row or field.  Where numpy reads a field it reads
-    the value Python's `float` or `int` does; where the two could differ, the row loop
-    `_read_rows` reads the body again and decides, so every value and every error is the
-    loop's.  That is when numpy raises or warns (on a `1_0`, a quoted field, non-ASCII
-    digits, an int column's `3.0` or a value past int64, or a wrong field count), when it
-    returns fewer rows than the body has lines (it skips blank lines), when a lone CR,
-    at which csv ends a row, ends a line, and when the body is empty.
+    The table is read in one pass.  After csv checks the header, numpy's C parser reads
+    the body in one `np.loadtxt` call, holding no Python object per row or field; it gets
+    the lines csv would split, each ended at an LF, a CR LF or a lone CR, and counted as
+    it takes them.  Where numpy reads a field it reads the value Python's `float` or `int`
+    does; where the two could differ, the row loop `_read_rows` reads the body again and
+    decides, so every value and every error is the loop's.  That is when numpy raises or
+    warns (on a `1_0`, a quoted field, non-ASCII digits, an int column's `3.0` or a value
+    past int64, a wrong field count or an empty body), and when it returns fewer rows
+    than it took lines (it skips blank lines).
     """
     try:
-        with open(path, "rb") as fh:
-            lines = _count_lines(fh)
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
@@ -383,19 +382,26 @@ def _read_csv(path: Path, header: list[str], ints: int, kind: str) -> tuple[np.n
                 raise ValueError(f"{path}: empty CSV, no header")
             if first != header:
                 raise ValueError(f"unexpected {kind} CSV header in {path}")
-            if lines is not None and lines > 1:  # a header that matched is one line
-                fields = [("floats", float, (len(header) - ints,)), ("ints", int, (ints,))]
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        table = np.loadtxt(fh, np.dtype(fields), comments=None, delimiter=",", ndmin=1)
-                except Exception:  # whatever numpy rejects, the row loop names
-                    table = None
-                if table is not None and len(table) == lines - 1:  # numpy skips blank lines
-                    return np.ascontiguousarray(table["floats"]), table["ints"].T.copy()
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
+            lines = 0
+
+            def body():  # the lines left, each ended where csv ends a row outside quotes
+                nonlocal lines
+                for line in fh:
+                    lines += 1
+                    yield line
+
+            fields = [("floats", float, (len(header) - ints,)), ("ints", int, (ints,))]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(body(), np.dtype(fields), comments=None, delimiter=",", ndmin=1)
+            except Exception:  # whatever numpy rejects, the row loop names
+                table = None
+            if table is not None and len(table) == lines:  # numpy skips blank lines
+                return np.ascontiguousarray(table["floats"]), table["ints"].T.copy()
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
             return _read_rows(path, reader, len(header), ints)
     except UnicodeDecodeError:  # raised per chunk of text, so its offset is not the file's
         with open(path, "rb") as fh:
@@ -407,21 +413,6 @@ def _read_csv(path: Path, header: list[str], ints: int, kind: str) -> tuple[np.n
             line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
             raise ValueError(f"{path} line {line}: not UTF-8 text: {exc}") from None
         raise
-
-
-def _count_lines(fh) -> int | None:
-    """The lines of the binary file `fh`, or None if a lone CR ends one."""
-    lines = lone_cr = 0
-    last = b""
-    for chunk in iter(lambda: fh.read(1 << 20), b""):
-        if chunk.endswith(b"\r"):  # keep a CR LF in one chunk
-            chunk += fh.read(1)
-        lines += chunk.count(b"\n")
-        lone_cr += chunk.count(b"\r") - chunk.count(b"\r\n")
-        last = chunk[-1:]
-    if lone_cr:
-        return None
-    return lines + (last not in (b"", b"\n"))  # a last line with no line end counts too
 
 
 def _read_rows(path: Path, reader, width: int, ints: int) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,13 @@ def test_split_sizes_per_class_round_half_up():
     assert int(np.sum(labels[b] == 3)) == 0
 
 
+def test_split_of_single_sample_classes_leaves_side_b_empty():
+    labels = np.array([3, 0, 2, 1])
+    a, b = stratified_split(labels, seed=2)
+    assert np.array_equal(a, np.arange(4))
+    assert b.shape == (0,) and np.issubdtype(b.dtype, np.integer)
+
+
 def test_split_is_deterministic_per_seed():
     labels = np.array([0, 0, 1, 1, 1])
     a1, b1 = stratified_split(labels, seed=9)

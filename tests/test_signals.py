@@ -6,6 +6,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +254,7 @@ def test_batch_features_of_a_2khz_recording_equal_the_per_window_reference(chann
     spec = synth.generate_cohort(1, base_seed=3, num_classes=4, channels=channels)[0]
     rec = synth.generate_recording(spec, reps=2, movement_ms=600.0, rest_ms=300.0, rate_hz=2000.0)
     window = WindowSpec()  # 200 ms / 10 ms: 400-sample windows, 20-sample step
+    assert (window.window_samples(2000.0), window.step_samples(2000.0)) == (400, 20)
     for ds, ref_ds in zip(build_subject_datasets(rec, window, test_reps=(2,)),
                           _reference_datasets(rec, window, (2,))):
         assert np.array_equal(ds.labels, ref_ds.labels)
@@ -312,9 +314,9 @@ def test_normalizer_two_point_example():
 
 
 def test_normalizer_constant_dimension_maps_to_zero():
-    X = np.array([[5.0, 1.0], [5.0, 3.0], [5.0, 5.0]])
+    X = np.array([[5.0, 1.0, 0.0], [5.0, 3.0, 0.0], [5.0, 5.0, 0.0]])
     out = NormStats.fit(X).apply(X)
-    assert_allclose(out[:, 0], 0.0)
+    assert_allclose(out[:, [0, 2]], 0.0)  # the tolerance stays positive at a mean of 0
     assert out[:, 1].std() > 0
 
 
@@ -427,6 +429,17 @@ def test_dataset_round_trip(tmp_path, mode):
     assert sidecar == {"feature_names": names, "num_classes": train.num_classes}
     with pytest.raises(ValueError, match="feature names for"):
         save_dataset(train, tmp_path / "short", names[:-1])
+
+
+def test_the_smallest_tables_round_trip(tmp_path):
+    # one sample, one channel, one class: each count at its lower bound is valid
+    rec = _recording([0.25], [0], [1], num_classes=1)
+    save_recording(rec, tmp_path / "rec")
+    back = load_recording(tmp_path / "rec")
+    assert (back.samples.tolist(), back.labels.tolist(), back.repetitions.tolist()) == ([[0.25]], [0], [1])
+    save_dataset(Dataset(np.array([[0.5]]), np.array([0]), 1), tmp_path / "ds", ["f"])
+    ds = load_dataset(tmp_path / "ds")
+    assert (ds.features.tolist(), ds.labels.tolist(), ds.num_classes) == ([[0.5]], [0], 1)
 
 
 def test_dotted_stems_keep_their_own_files(tmp_path):
@@ -638,6 +651,8 @@ def _row_loop_outcome(path):
         (b"1,2,1_0\r\n", ([[1.0, 2.0]], [10])),
         (b"1,2,3.0\r\n", "line 2: invalid literal for int() with base 10: '3.0'"),
         (b"1,2,9223372036854775808\r\n", "line 2: 9223372036854775808 is out of the int64 range"),
+        (b"1,2,9223372036854775807\r\n1,2,-9223372036854775808\r\n1,2,9223372036854775808\r\n",
+         "line 4: 9223372036854775808 is out of the int64 range"),
         (b"1,2,0\r3,4,1\r", ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
         (b"1,2,0\r\r\n", "line 3: 0 fields, header has 3"),
         (b"1,2,0\r\n3,4,1", ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
@@ -653,9 +668,9 @@ def _row_loop_outcome(path):
     ],
     ids=[
         "blank-line", "comment-line", "quoted", "underscore-float", "underscore-int", "int-3.0",
-        "int-past-int64", "lone-cr", "cr-cr-lf", "no-final-newline", "spaces-and-tab", "inner-space",
-        "plus-sign", "arabic-indic-digits", "1e400", "nan-and-infinity", "trailing-comma",
-        "blank-body", "header-only",
+        "int-past-int64", "int64-bounds-then-past", "lone-cr", "cr-cr-lf", "no-final-newline",
+        "spaces-and-tab", "inner-space", "plus-sign", "arabic-indic-digits", "1e400", "nan-and-infinity",
+        "trailing-comma", "blank-body", "header-only",
     ],
 )
 def test_read_csv_gives_the_row_loops_values_or_error(tmp_path, body, expected):
@@ -669,22 +684,56 @@ def test_read_csv_gives_the_row_loops_values_or_error(tmp_path, body, expected):
     assert _outcome(path) == _row_loop_outcome(path) == want
 
 
-def test_saved_tables_take_numpys_parser(tmp_path, monkeypatch):
-    # a silent fall back to the row loop would read the same values, only slower
+def _save_toy_tables(tmp_path):
+    """A toy recording saved at stem `rec` and its concat training split at stem `ds`."""
     rec = _toy_recording(seed=7)
     save_recording(rec, tmp_path / "rec")
     train, _ = build_subject_datasets(rec, WindowSpec(10.0, 5.0))
     save_dataset(train, tmp_path / "ds", _TOY_NAMES)
+    return rec, train
 
-    def row_loop(*args):
-        raise AssertionError("the row loop read a table that save_recording or save_dataset wrote")
 
-    monkeypatch.setattr(signals, "_read_rows", row_loop)
+def _assert_toy_tables_load(tmp_path, rec, train):
     back = load_recording(tmp_path / "rec")
     assert np.array_equal(back.samples, rec.samples) and np.array_equal(back.labels, rec.labels)
     assert np.array_equal(back.repetitions, rec.repetitions)
     ds = load_dataset(tmp_path / "ds")
     assert np.array_equal(ds.features, train.features) and np.array_equal(ds.labels, train.labels)
+
+
+def _row_loop_off(*args):
+    raise AssertionError("the row loop read a table that numpy's parser should have read")
+
+
+def test_saved_tables_take_numpys_parser(tmp_path, monkeypatch):
+    # a silent fall back to the row loop would read the same values, only slower
+    rec, train = _save_toy_tables(tmp_path)
+    monkeypatch.setattr(signals, "_read_rows", _row_loop_off)
+    _assert_toy_tables_load(tmp_path, rec, train)
+
+
+def test_lone_cr_tables_take_numpys_parser(tmp_path, monkeypatch):
+    # csv ends a row at a lone CR, and so does each line numpy is handed
+    rec, train = _save_toy_tables(tmp_path)
+    for name in ("rec.csv", "ds.csv"):
+        data = (tmp_path / name).read_bytes()
+        assert data.count(b"\r\n") > 1
+        (tmp_path / name).write_bytes(data.replace(b"\r\n", b"\r"))
+    monkeypatch.setattr(signals, "_read_rows", _row_loop_off)
+    _assert_toy_tables_load(tmp_path, rec, train)
+
+
+def test_loaders_open_each_csv_once(tmp_path, monkeypatch):
+    rec, train = _save_toy_tables(tmp_path)
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(signals, "open", spy, raising=False)
+    _assert_toy_tables_load(tmp_path, rec, train)
+    assert opened == ["rec.csv", "ds.csv"]
 
 
 @pytest.mark.parametrize(
